@@ -8,7 +8,7 @@ import argparse
 from catvrnn.numeric import Rng
 from catvrnn.model import CatVrnnParams, ModelConfig
 from catvrnn.data import build_vocabulary, encode_batch, make_synthetic_corpus
-from catvrnn.training import AdamState, TrainPlan, train_epoch
+from catvrnn.training import TrainPlan, run_training
 
 
 def main():
@@ -34,14 +34,12 @@ def main():
             rng = Rng(seed)
             params = CatVrnnParams(cfg, rng)
             plan = TrainPlan(epochs=args.epochs, batch_size=32, lr=1e-3)
-            adam = AdamState.from_plan(params.store, plan)
-            for epoch in range(1, plan.epochs + 1):
-                stats = train_epoch(batch.inputs, batch.targets,
-                                    batch.categories, params, adam, cfg, rng,
-                                    epoch, plan)
-                if use_kl:
-                    assert stats.mean_kl >= 0
-            finals[use_kl] = stats
+            history = run_training(batch.inputs, batch.targets,
+                                   batch.categories, params, cfg, plan, rng,
+                                   vocab.digest())
+            if use_kl:
+                assert all(stats.mean_kl >= 0 for stats in history)
+            finals[use_kl] = history[-1]
         on, off = finals[True], finals[False]
         worse += on.mean_gen_nll > off.mean_gen_nll
         print(f"seed {seed}: gen nll with KL {on.mean_gen_nll:.3f} "

@@ -9,9 +9,9 @@ import statistics
 from catvrnn.numeric import Rng
 from catvrnn.model import CatVrnnParams, ModelConfig
 from catvrnn.data import build_vocabulary, encode_batch, make_synthetic_corpus
-from catvrnn.data import oracle_category_accuracy, word_membership_oracle
-from catvrnn.model import generate
-from catvrnn.training import AdamState, TrainPlan, train_epoch
+from catvrnn.data import word_membership_oracle
+from catvrnn.training import TrainPlan, run_training
+from steering_experiment import steering_accuracy
 
 
 def run(corpus, vocab, seed, epochs, hidden, use_classification):
@@ -22,11 +22,9 @@ def run(corpus, vocab, seed, epochs, hidden, use_classification):
     params = CatVrnnParams(cfg, rng)
     batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
     plan = TrainPlan(epochs=epochs, batch_size=32, lr=1e-3)
-    adam = AdamState.from_plan(params.store, plan)
-    for epoch in range(1, epochs + 1):
-        stats = train_epoch(batch.inputs, batch.targets, batch.categories,
-                            params, adam, cfg, rng, epoch, plan)
-    return params, cfg, stats.mean_gen_nll
+    history = run_training(batch.inputs, batch.targets, batch.categories,
+                           params, cfg, plan, rng, vocab.digest())
+    return params, cfg, history[-1].mean_gen_nll
 
 
 def main():
@@ -46,12 +44,7 @@ def main():
         for mtl in (True, False):
             params, cfg, nll = run(corpus, vocab, seed, args.epochs,
                                    args.hidden_dim, mtl)
-            samples = []
-            rng = Rng(123)
-            for c in (0, 1):
-                for ids in generate(c, 100, params, cfg, rng):
-                    samples.append(([vocab.decode_id(i) for i in ids], c))
-            acc = oracle_category_accuracy(samples, oracle)
+            acc = steering_accuracy(params, cfg, vocab, oracle)
             results[mtl]["nll"].append(nll)
             results[mtl]["acc"].append(acc)
             label = "joint" if mtl else "generation-only"

@@ -18,7 +18,7 @@ from catvrnn.data import (
     oracle_category_accuracy,
     word_membership_oracle,
 )
-from catvrnn.training import AdamState, TrainPlan, train_epoch
+from catvrnn.training import TrainPlan, run_training
 
 
 def steering_accuracy(params, cfg, vocab, oracle, n=100, seed=123):
@@ -51,11 +51,9 @@ def main():
                           init_mode=mode)
         rng = Rng(args.seed)
         params = CatVrnnParams(cfg, rng)
-        adam = AdamState.from_plan(params.store, plan)
         t0 = time.time()
-        for epoch in range(1, plan.epochs + 1):
-            stats = train_epoch(batch.inputs, batch.targets, batch.categories,
-                                params, adam, cfg, rng, epoch, plan)
+        stats = run_training(batch.inputs, batch.targets, batch.categories,
+                             params, cfg, plan, rng, vocab.digest())[-1]
         acc = steering_accuracy(params, cfg, vocab, oracle)
         print(f"{mode:>8}: oracle accuracy {acc:.3f} "
               f"(final gen nll {stats.mean_gen_nll:.2f}, {time.time()-t0:.0f}s)")

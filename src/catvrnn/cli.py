@@ -1,8 +1,11 @@
 """Command-line entry points: build-data, train, generate, evaluate, grad-check.
 
-Option precedence is flags > config file > defaults; the resolved sources are
-printed at startup. Exit codes: 0 success, 1 usage/configuration error,
-2 data error, 3 numeric failure.
+Option precedence is flags > config file > defaults, applied by argparse: the
+``--config`` file's values become the subcommand's defaults before a second
+parse, so a flag given on the command line wins even when it equals its
+default. The resolved values and their sources are printed at startup.
+Exit codes: 0 success, 1 usage/configuration error, 2 data error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +60,15 @@ class UsageError(ConfigurationError):
 
 
 class ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting. Built with
+    ``argument_default=argparse.SUPPRESS`` it drops every argument's own
+    default too, so a parse returns only the options given as flags."""
+
+    def add_argument(self, *args, **kwargs):
+        if self.argument_default is argparse.SUPPRESS:
+            kwargs.pop("default", None)
+        return super().add_argument(*args, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -84,38 +97,6 @@ def load_config_file(path) -> dict:
         key, value = stripped.split("=", 1)
         values[key.strip().replace("-", "_")] = _parse_scalar(value)
     return values
-
-
-def resolve_options(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Merge flags > config file > defaults and print where each value came
-    from."""
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    sources = {}
-    for key, default in parser_defaults.items():
-        flag_value = getattr(args, key, default)
-        if flag_value != default:
-            resolved[key], sources[key] = flag_value, "flag"
-        elif key in file_values:
-            resolved[key], sources[key] = file_values[key], "file"
-        else:
-            resolved[key], sources[key] = default, "default"
-    unknown = set(file_values) - set(parser_defaults)
-    if unknown:
-        raise UsageError(f"unknown config file keys: {sorted(unknown)}")
-    print("options (flags > file > defaults):")
-    for key in sorted(resolved):
-        print(f"  {key} = {resolved[key]} ({sources[key]})")
-    return resolved
-
-
-def _parser_defaults(parser: argparse.ArgumentParser) -> dict:
-    skip = {"help", "config", "command"}
-    return {
-        a.dest: a.default
-        for a in parser._actions
-        if a.dest not in skip and a.default != argparse.SUPPRESS
-    }
 
 
 # --- build-data ---------------------------------------------------------------
@@ -245,10 +226,6 @@ def cmd_train(opts: dict) -> int:
             f"raise --max-len {opts['max_len']}"
         )
     vocab = build_vocabulary(corpus, min_freq=opts["min_freq"])
-    out_dir = Path(opts["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    vocab.save(out_dir / "vocab.txt")
-
     rng = Rng(opts["seed"])
     plan = TrainPlan(epochs=opts["epochs"], batch_size=opts["batch_size"],
                      lr=opts["lr"], grad_clip=opts["grad_clip"])
@@ -256,6 +233,9 @@ def cmd_train(opts: dict) -> int:
     adam = None
     if opts["resume"]:
         ckpt = load_checkpoint(opts["resume"])
+        if plan.epochs <= ckpt.epoch:
+            raise UsageError(f"--epochs {plan.epochs} leaves nothing to train "
+                             f"after the checkpoint's epoch {ckpt.epoch}")
         if ckpt.vocab_digest != vocab.digest():
             raise DataError("checkpoint vocabulary digest does not match corpus")
         cfg = ckpt.config
@@ -269,6 +249,9 @@ def cmd_train(opts: dict) -> int:
         cfg = _model_config_from(opts, len(vocab), corpus.num_categories)
         params = CatVrnnParams(cfg, rng)
     print(f"model parameters: {parameter_count(params)}")
+    out_dir = Path(opts["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    vocab.save(out_dir / "vocab.txt")
 
     batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
     config_echo = {"seed": opts["seed"], "plan": plan.to_dict(),
@@ -430,7 +413,7 @@ def cmd_evaluate(opts: dict) -> int:
 
 
 def add_grad_check_parser(sub):
-    p = sub.add_parser("grad-check", help="finite-difference gradient suite")
+    p = sub.add_parser("grad-check", help="finite-difference check of the joint loss")
     p.add_argument("--config", default=None)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--max-checks", type=int, default=256)
@@ -440,102 +423,12 @@ def add_grad_check_parser(sub):
     return p
 
 
-def _primitive_suite(seed: int):
-    """Scalar losses exercising each differentiable primitive in isolation."""
-    from .numeric import (GaussianParams, GruWeights, ParamStore, Tensor,
-                          gru_cell, kl_gaussians, mlp_forward, reparameterize,
-                          softmax, softplus, tensor_sum, cross_entropy_rows)
-
-    rng = np.random.default_rng(seed)
-    suite = []
-
-    def case(name):
-        def register(builder):
-            suite.append((name, builder))
-            return builder
-        return register
-
-    @case("mlp_forward")
-    def _mlp():
-        store = ParamStore()
-        w1 = store.add("w1", rng.normal(size=(4, 3)))
-        b1 = store.add("b1", rng.normal(size=3))
-        w2 = store.add("w2", rng.normal(size=(3, 2)))
-        b2 = store.add("b2", rng.normal(size=2))
-        x = Tensor(rng.normal(size=(3, 4)))
-        return store, lambda: nm_mean(
-            mlp_forward(x, [(w1, b1), (w2, b2)], ["relu", "softplus"]))
-
-    @case("softmax")
-    def _softmax():
-        store = ParamStore()
-        v = store.add("logits", rng.normal(size=(2, 5)))
-        w = Tensor(rng.normal(size=(2, 5)))
-        return store, lambda: tensor_sum(softmax(v) * w)
-
-    @case("gru_cell")
-    def _gru():
-        store = ParamStore()
-        names = ("xr", "hr", "br", "xu", "hu", "bu", "xn", "hn", "bn")
-        shapes = {"x": (4, 3), "h": (3, 3), "b": 3}
-        tensors = {n: store.add(n, rng.normal(size=shapes[n[0]]) * 0.5)
-                   for n in names}
-        ws = GruWeights(w_xr=tensors["xr"], w_hr=tensors["hr"], b_r=tensors["br"],
-                        w_xu=tensors["xu"], w_hu=tensors["hu"], b_u=tensors["bu"],
-                        w_xn=tensors["xn"], w_hn=tensors["hn"], b_n=tensors["bn"])
-        x = Tensor(rng.normal(size=(2, 4)))
-        h = Tensor(rng.normal(size=(2, 3)))
-        return store, lambda: nm_mean(gru_cell(x, h, ws))
-
-    @case("reparameterize")
-    def _reparam():
-        store = ParamStore()
-        mu = store.add("mu", rng.normal(size=(2, 4)))
-        raw = store.add("sigma_raw", rng.normal(size=(2, 4)))
-        def loss():
-            z = reparameterize(GaussianParams(mu, softplus(raw) + 1e-6),
-                               Rng(seed).stream("latent"))
-            return tensor_sum(z * z)
-        return store, loss
-
-    @case("cross_entropy")
-    def _ce():
-        store = ParamStore()
-        logits = store.add("logits", rng.normal(size=(3, 6)))
-        targets = np.array([1, 4, 0])
-        return store, lambda: nm_mean(cross_entropy_rows(logits, targets))
-
-    @case("kl_gaussians")
-    def _kl():
-        store = ParamStore()
-        mq = store.add("mu_q", rng.normal(size=(2, 3)))
-        sq = store.add("sq_raw", rng.normal(size=(2, 3)))
-        mp = store.add("mu_p", rng.normal(size=(2, 3)))
-        sp = store.add("sp_raw", rng.normal(size=(2, 3)))
-        def loss():
-            q = GaussianParams(mq, softplus(sq) + 1e-6)
-            p = GaussianParams(mp, softplus(sp) + 1e-6)
-            return tensor_sum(kl_gaussians(q, p))
-        return store, loss
-
-    return suite
-
-
 def cmd_grad_check(opts: dict) -> int:
     corrupt = opts["corrupt_backward"]
     tol = opts["tolerance"]
     seed = opts["seed"]
     worst = 0.0
     ok = True
-
-    print("primitive gradients (worst relative error each):")
-    for name, builder in _primitive_suite(seed):
-        store, loss_fn = builder()
-        report = check_gradient(loss_fn, store, tolerance=tol,
-                                max_checks=opts["max_checks"], corrupt=corrupt)
-        worst = max(worst, report.max_rel_err)
-        ok = ok and report.passed
-        print(f"  {name}: {report.summary()}")
 
     def tiny_cfg(**kw):
         base = dict(vocab_size=12, num_categories=2, embed_dim=8, hidden_dim=6,
@@ -579,59 +472,66 @@ def cmd_grad_check(opts: dict) -> int:
 
 
 COMMANDS = {
-    "build-data": cmd_build_data,
-    "train": cmd_train,
-    "generate": cmd_generate,
-    "evaluate": cmd_evaluate,
-    "grad-check": cmd_grad_check,
+    "build-data": (add_build_data_parser, cmd_build_data),
+    "train": (add_train_parser, cmd_train),
+    "generate": (add_generate_parser, cmd_generate),
+    "evaluate": (add_evaluate_parser, cmd_evaluate),
+    "grad-check": (add_grad_check_parser, cmd_grad_check),
+}
+
+EXIT_CODES = {
+    UsageError: ("usage error", 1),
+    ConfigurationError: ("configuration error", 1),
+    FileNotFoundError: ("data error", 2),
+    DataError: ("data error", 2),
+    NumericError: ("numeric failure", 3),
 }
 
 
-def build_parser() -> ArgumentParser:
+def build_parser(argument_default=None):
+    """The top-level parser and a dict of its subparsers by command name."""
     parser = ArgumentParser(prog="catvrnn",
-                            description="category-steered variational RNN toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_build_data_parser(sub)
-    add_train_parser(sub)
-    add_generate_parser(sub)
-    add_evaluate_parser(sub)
-    add_grad_check_parser(sub)
-    return parser
+                            description="category-steered variational RNN toolkit",
+                            argument_default=argument_default)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(ArgumentParser, argument_default=argument_default))
+    return parser, {name: add(sub) for name, (add, _) in COMMANDS.items()}
+
+
+def _options(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
 
 def run(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    sub = next(
-        p for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        for name, p in a.choices.items() if name == args.command
-    )
-    opts = resolve_options(args, _parser_defaults(sub))
-    return COMMANDS[args.command](opts)
+    file_values = load_config_file(args.config) if args.config else {}
+    unknown = set(file_values) - set(_options(args))
+    if unknown:
+        raise UsageError(f"unknown config file keys: {sorted(unknown)}")
+    if file_values:
+        # file values become the subcommand's defaults, so flags still win
+        subparsers[args.command].set_defaults(**file_values)
+        args = parser.parse_args(argv)
+    flags = vars(build_parser(argparse.SUPPRESS)[0].parse_args(argv))
+    opts = _options(args)
+    print("options (flags > file > defaults):")
+    for key in sorted(opts):
+        source = "flag" if key in flags else "file" if key in file_values else "default"
+        print(f"  {key} = {opts[key]} ({source})")
+    _, command = COMMANDS[args.command]
+    return command(opts)
 
 
 def main(argv=None) -> int:
     try:
-        code = run(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        code = 1
-    except ConfigurationError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        code = 1
-    except FileNotFoundError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        code = 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        code = 2
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        code = 3
-    if code:
+        return run(argv)
+    except tuple(EXIT_CODES) as e:
+        prefix, code = next(EXIT_CODES[t] for t in type(e).__mro__ if t in EXIT_CODES)
+        print(f"{prefix}: {e}", file=sys.stderr)
         return code
-    return 0
 
 
 if __name__ == "__main__":

@@ -288,6 +288,8 @@ def corpus_ngram_stats(candidates, references, n: int) -> NgramStats:
     """Clipped modified k-gram matches for k = 1..n, every candidate scored
     against the full reference set; reference length is the closest reference
     length per candidate (ties toward the shorter)."""
+    if not candidates or not references:
+        raise DataError("BLEU needs non-empty candidate and reference sides")
     ref_ngrams: list[dict] = []
     for k in range(1, n + 1):
         merged: dict = {}
@@ -317,21 +319,16 @@ def corpus_ngram_stats(candidates, references, n: int) -> NgramStats:
                       reference_len=ref_len)
 
 
-def bleu_corpus(candidates, references, n: int) -> float:
-    """Corpus-level BLEU-n: geometric mean of the clipped modified k-gram
-    precisions for k = 1..n (zero match counts floored at 1e-9), times the
-    brevity penalty. Orders with no candidate k-grams at all are skipped.
-    """
+def _check_bleu_order(n: int):
     if not 2 <= n <= 5:
         raise ConfigurationError(f"n must be in 2..5, got {n}")
-    candidates = [tuple(c) for c in candidates]
-    references = [tuple(r) for r in references]
-    if not candidates or not references:
-        raise DataError("BLEU needs non-empty candidate and reference sides")
-    stats = corpus_ngram_stats(candidates, references, n)
+
+
+def _bleu_from_stats(stats: NgramStats, n: int) -> float:
+    """BLEU-n from the first n orders of ``stats``, which may hold more."""
     log_sum = 0.0
     used = 0
-    for clipped, total in zip(stats.clipped, stats.totals):
+    for clipped, total in zip(stats.clipped[:n], stats.totals[:n]):
         if total == 0:
             continue
         log_sum += np.log(max(clipped, BLEU_EPS) / total)
@@ -340,6 +337,17 @@ def bleu_corpus(candidates, references, n: int) -> float:
     c, r = stats.candidate_len, stats.reference_len
     bp = 1.0 if c > r else np.exp(1.0 - r / c)
     return float(precision * bp)
+
+
+def bleu_corpus(candidates, references, n: int) -> float:
+    """Corpus-level BLEU-n: geometric mean of the clipped modified k-gram
+    precisions for k = 1..n (zero match counts floored at 1e-9), times the
+    brevity penalty. Orders with no candidate k-grams at all are skipped.
+    """
+    _check_bleu_order(n)
+    candidates = [tuple(c) for c in candidates]
+    references = [tuple(r) for r in references]
+    return _bleu_from_stats(corpus_ngram_stats(candidates, references, n), n)
 
 
 def bleu_harmonic(f: float, b: float) -> float:
@@ -411,8 +419,14 @@ def eval_report(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
         back_candidates = [real_tokens[i] for i in sorted(idx)]
         subsampled = True
 
-    bleu_f = {n: bleu_corpus(gen_tokens, real_tokens, n) for n in bleu_orders}
-    bleu_b = {n: bleu_corpus(back_candidates, gen_tokens, n) for n in bleu_orders}
+    for n in bleu_orders:
+        _check_bleu_order(n)
+    # one n-gram pass per direction at the highest order serves every order
+    top = max(bleu_orders)
+    forward = corpus_ngram_stats(gen_tokens, real_tokens, top)
+    backward = corpus_ngram_stats(back_candidates, gen_tokens, top)
+    bleu_f = {n: _bleu_from_stats(forward, n) for n in bleu_orders}
+    bleu_b = {n: _bleu_from_stats(backward, n) for n in bleu_orders}
     bleu_ha = {n: bleu_harmonic(bleu_f[n], bleu_b[n]) for n in bleu_orders}
 
     return MetricsReport(

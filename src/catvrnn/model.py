@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from . import numeric as nm
+from .data import PAD_ID
 from .numeric import (
     GaussianParams,
     GruWeights,
@@ -23,8 +24,6 @@ from .numeric import (
     Rng,
     Tensor,
 )
-
-PAD_ID = 0
 
 SIGMA_FLOOR = 1e-6
 

@@ -132,9 +132,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __truediv__(self, other):
         return div(self, other)
 
@@ -152,15 +149,6 @@ class Tensor:
 
     def mean(self):
         return mean(self)
-
-    def relu(self):
-        return relu(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
 
 
 def _lift(x, like: Tensor | None = None) -> Tensor:
@@ -311,16 +299,6 @@ def softplus(t: Tensor) -> Tensor:
 
     def backward(g):
         t._accumulate(g / (1.0 + np.exp(-t.data)))
-
-    return _make(data, (t,), backward)
-
-
-def exp(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = np.exp(t.data)
-
-    def backward(g):
-        t._accumulate(g * data)
 
     return _make(data, (t,), backward)
 

@@ -133,6 +133,18 @@ def test_train_init_none_runs(tmp_path, synth_corpus_file):
     assert config["model"]["init_mode"] == "none"
 
 
+def test_train_resume_with_nothing_left_is_usage_error(tmp_path, trained_run,
+                                                      synth_corpus_file):
+    out = tmp_path / "resumed"
+    code = run_cli(
+        "train", "--corpus", str(synth_corpus_file), "--out", str(out),
+        "--resume", str(trained_run / "epoch_0003.ckpt"), "--epochs", "3",
+        "--max-len", "7",
+    )
+    assert code == 1
+    assert not out.exists()
+
+
 # --- generate -----------------------------------------------------------------------
 
 
@@ -247,6 +259,18 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     manifest = json.loads((tmp_path / "c.tsv.manifest.json").read_text())
     assert manifest["category_counts"] == [7, 7]
     assert manifest["seed"] == 3
+
+
+def test_flag_equal_to_default_beats_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 11\n", encoding="utf-8")
+    code = run_cli("build-data", "--synthetic", "--config", str(cfg_file),
+                   "--seed", "0", "--per-category", "3",
+                   "--output", str(tmp_path / "c.tsv"))
+    assert code == 0
+    assert "seed = 0 (flag)" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "c.tsv.manifest.json").read_text())
+    assert manifest["seed"] == 0
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

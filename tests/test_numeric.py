@@ -498,6 +498,8 @@ def test_composite_graph_gradient_across_seeds(seed):
     store = ParamStore()
     w1 = store.add("w1", rng.normal(size=(5, 4)) * 0.7)
     b1 = store.add("b1", rng.normal(size=4) * 0.2)
+    w2 = store.add("w2", rng.normal(size=(4, 4)) * 0.7)
+    b2 = store.add("b2", rng.normal(size=4) * 0.2)
     mu = store.add("mu", rng.normal(size=(3, 4)))
     raw = store.add("raw", rng.normal(size=(3, 4)))
     gru_arrays = random_gru_arrays(rng, 4, 3)
@@ -508,18 +510,22 @@ def test_composite_graph_gradient_across_seeds(seed):
     x = Tensor(rng.normal(size=(3, 5)))
     h = Tensor(rng.normal(size=(3, 3)))
     targets = rng.integers(0, 4, size=3)
+    # softmax rows sum to one, so only a non-uniform weighting gives gradient
+    probe = Tensor(rng.normal(size=(3, 4)))
 
     def loss(seed=seed):
         from catvrnn.numeric import softplus, add
         feat = mlp_forward(x, [(w1, b1)], ["relu"])
+        smooth = mlp_forward(x, [(w1, b1), (w2, b2)], ["relu", "softplus"])
         sigma = add(softplus(raw), 1e-6)
         q = GaussianParams(mu, sigma)
         p = GaussianParams(Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))))
         z = reparameterize(q, Rng(seed + 50).stream("latent"))
         h_next = gru_cell(feat, h, ws)
         ce = cross_entropy_rows(add(feat, z), targets)
-        return mean(add(add(ce, kl_gaussians(q, p)),
-                        tensor_sum(h_next * h_next, axis=-1)))
+        return mean(add(add(add(ce, kl_gaussians(q, p)),
+                            tensor_sum(h_next * h_next, axis=-1)),
+                        tensor_sum(softmax(smooth) * probe, axis=-1)))
 
     report = check_gradient(loss, store, tolerance=1e-4, max_checks=230)
     assert report.passed, report.summary()
