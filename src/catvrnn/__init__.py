@@ -10,7 +10,6 @@ from .numeric import (
     Rng,
     Tensor,
     check_gradient,
-    cross_entropy_from_logits,
     gru_cell,
     kl_gaussians,
     mlp_forward,

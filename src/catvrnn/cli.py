@@ -129,7 +129,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"expected MIN:MAX, got {text!r}")
 
 
-def cmd_build_data(opts: dict) -> int:
+def cmd_build_data(opts: dict, given: set[str]) -> int:
     seed = opts["seed"]
     if opts["synthetic"]:
         corpus = make_synthetic_corpus(
@@ -199,26 +199,37 @@ def add_train_parser(sub):
     return p
 
 
-def _model_config_from(opts: dict, vocab_size: int, num_categories: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        num_categories=num_categories,
-        embed_dim=opts["embed_dim"],
-        hidden_dim=opts["hidden_dim"],
-        latent_dim=opts["latent_dim"],
-        max_len=opts["max_len"],
-        init_mode=opts["init"],
-        static_omega=opts["omega"],
-        use_kl_term=opts["use_kl"],
-        use_feature_extractors=opts["feature_extractors"],
-        use_classification=not opts["no_classification"],
-        mask_pad_loss=opts["mask_pad_loss"],
-        temperature=opts["temperature"],
-        dtype=opts["precision"],
-    )
+def _model_options(opts: dict) -> dict[str, tuple[str, object]]:
+    """The model options of ``train``: option name -> (ModelConfig field,
+    value)."""
+    return {
+        "embed_dim": ("embed_dim", opts["embed_dim"]),
+        "hidden_dim": ("hidden_dim", opts["hidden_dim"]),
+        "latent_dim": ("latent_dim", opts["latent_dim"]),
+        "max_len": ("max_len", opts["max_len"]),
+        "init": ("init_mode", opts["init"]),
+        "omega": ("static_omega", opts["omega"]),
+        "use_kl": ("use_kl_term", opts["use_kl"]),
+        "feature_extractors": ("use_feature_extractors", opts["feature_extractors"]),
+        "no_classification": ("use_classification", not opts["no_classification"]),
+        "mask_pad_loss": ("mask_pad_loss", opts["mask_pad_loss"]),
+        "temperature": ("temperature", opts["temperature"]),
+        "precision": ("dtype", opts["precision"]),
+    }
 
 
-def cmd_train(opts: dict) -> int:
+def _check_resume_options(opts: dict, given: set[str], cfg: ModelConfig):
+    """A resumed run keeps the checkpoint's model, so a model option given by
+    flag or config file must agree with it."""
+    clash = [f"{name} = {value} (checkpoint: {getattr(cfg, field)})"
+             for name, (field, value) in _model_options(opts).items()
+             if name in given and getattr(cfg, field) != value]
+    if clash:
+        raise UsageError("--resume keeps the checkpoint's model options; "
+                         f"these differ from it: {', '.join(clash)}")
+
+
+def cmd_train(opts: dict, given: set[str]) -> int:
     corpus = load_corpus(opts["corpus"])
     if corpus.max_length() > opts["max_len"]:
         raise DataError(
@@ -236,6 +247,7 @@ def cmd_train(opts: dict) -> int:
         if plan.epochs <= ckpt.epoch:
             raise UsageError(f"--epochs {plan.epochs} leaves nothing to train "
                              f"after the checkpoint's epoch {ckpt.epoch}")
+        _check_resume_options(opts, given, ckpt.config)
         if ckpt.vocab_digest != vocab.digest():
             raise DataError("checkpoint vocabulary digest does not match corpus")
         cfg = ckpt.config
@@ -246,7 +258,8 @@ def cmd_train(opts: dict) -> int:
         start_epoch = ckpt.epoch
         print(f"resuming from epoch {start_epoch}")
     else:
-        cfg = _model_config_from(opts, len(vocab), corpus.num_categories)
+        cfg = ModelConfig(vocab_size=len(vocab), num_categories=corpus.num_categories,
+                          **dict(_model_options(opts).values()))
         params = CatVrnnParams(cfg, rng)
     print(f"model parameters: {parameter_count(params)}")
     out_dir = Path(opts["out"])
@@ -305,7 +318,7 @@ def _vocab_for(ckpt: Checkpoint, opts: dict) -> Vocabulary:
     return vocab
 
 
-def cmd_generate(opts: dict) -> int:
+def cmd_generate(opts: dict, given: set[str]) -> int:
     ckpt = load_checkpoint(opts["checkpoint"])
     vocab = _vocab_for(ckpt, opts)
     cfg = ckpt.config
@@ -365,7 +378,7 @@ def add_evaluate_parser(sub):
     return p
 
 
-def cmd_evaluate(opts: dict) -> int:
+def cmd_evaluate(opts: dict, given: set[str]) -> int:
     corpus = load_corpus(opts["corpus"])
     params = cfg = None
     vocab = None
@@ -423,7 +436,7 @@ def add_grad_check_parser(sub):
     return p
 
 
-def cmd_grad_check(opts: dict) -> int:
+def cmd_grad_check(opts: dict, given: set[str]) -> int:
     corrupt = opts["corrupt_backward"]
     tol = opts["tolerance"]
     seed = opts["seed"]
@@ -471,6 +484,8 @@ def cmd_grad_check(opts: dict) -> int:
 # --- entry point ----------------------------------------------------------------------
 
 
+# name -> (add the subparser, run it with the resolved options and the
+# names of those given by flag or config file)
 COMMANDS = {
     "build-data": (add_build_data_parser, cmd_build_data),
     "train": (add_train_parser, cmd_train),
@@ -522,7 +537,7 @@ def run(argv=None) -> int:
         source = "flag" if key in flags else "file" if key in file_values else "default"
         print(f"  {key} = {opts[key]} ({source})")
     _, command = COMMANDS[args.command]
-    return command(opts)
+    return command(opts, set(flags) | set(file_values))
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,6 +198,21 @@ def load_corpus(path, num_categories: int | None = None,
                          provenance=provenance or path.name)
 
 
+@contextmanager
+def atomic_open(path):
+    """Binary file for writing ``path`` crash-safely: the data goes to a
+    temporary file in the same directory, which replaces ``path`` only when
+    the block completes, so a failed write leaves any old file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_corpus(path, corpus: LabeledCorpus, header: dict | None = None):
     """Write the corpus TSV, embedding any header metadata as # comments."""
     lines = []
@@ -205,7 +222,8 @@ def save_corpus(path, corpus: LabeledCorpus, header: dict | None = None):
             lines.append(f"# {key}={val}")
     for s in corpus.sentences:
         lines.append(f"{s.category}\t{' '.join(s.tokens)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def corpus_manifest(corpus: LabeledCorpus, seed: int | None = None,

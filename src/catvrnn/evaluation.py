@@ -65,7 +65,7 @@ class EvalClassifier:
     """
 
     def __init__(self, cfg: ClassifierConfig, vocab: Vocabulary,
-                 rng: Rng | None = None, tensors: dict[str, np.ndarray] | None = None):
+                 rng: Rng | None = None):
         if cfg.max_len < max(cfg.filter_widths):
             raise ConfigurationError(
                 f"max_len {cfg.max_len} shorter than widest filter "
@@ -79,14 +79,6 @@ class EvalClassifier:
         dt = np.float64
 
         def param(name, shape, scale=None):
-            if tensors is not None:
-                arr = np.asarray(tensors[name], dtype=dt)
-                if arr.shape != tuple(shape):
-                    raise ConfigurationError(
-                        f"classifier tensor {name!r} has shape {arr.shape}, "
-                        f"expected {tuple(shape)}"
-                    )
-                return self.store.add(name, arr.copy())
             if gen is None or scale is None:
                 return self.store.add(name, np.zeros(shape, dtype=dt))
             return self.store.add(name, gen.uniform(-scale, scale, size=shape))
@@ -160,7 +152,8 @@ class EvalClassifier:
         if header.get("kind") != "eval_classifier":
             raise DataError(f"{path}: not an eval-classifier checkpoint")
         clf = cls(ClassifierConfig.from_dict(header["config"]),
-                  Vocabulary(header["vocab"]), tensors=arrays)
+                  Vocabulary(header["vocab"]))
+        clf.store.load(arrays)
         clf.val_accuracy = header.get("val_accuracy")
         return clf
 
@@ -180,7 +173,7 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
     rng = Rng(seed)
     clf = EvalClassifier(cfg, vocab, rng=rng)
 
-    split_rng = np.random.default_rng(nm._stream_seed(seed, "clf-split"))
+    split_rng = rng.keyed("clf-split")
     by_cat: dict[int, list[int]] = {}
     for i, s in enumerate(corpus.sentences):
         by_cat.setdefault(s.category, []).append(i)
@@ -198,8 +191,7 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
     adam = AdamState(clf.store, lr=lr)
     dropout_rng = rng.stream("dropout")
     for epoch in range(1, epochs + 1):
-        order_rng = np.random.default_rng(nm._stream_seed(seed, f"clf-ep{epoch}"))
-        order = order_rng.permutation(len(train_sents))
+        order = rng.keyed(f"clf-ep{epoch}").permutation(len(train_sents))
         for start in range(0, len(order), batch_size):
             idx = order[start: start + batch_size]
             logits = clf.logits(train_batch.inputs[idx], train_mode=True,
@@ -259,9 +251,9 @@ def perplexity(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
                 active = scored > t
                 if not active.any():
                     break
-                logp = nm._log_softmax_np(logits.data[active])
-                rows = np.arange(active.sum())
-                ll_sum -= float(logp[rows, batch.targets[sl][active, t]].sum())
+                nll = nm.cross_entropy_rows(logits.data[active],
+                                            batch.targets[sl][active, t])
+                ll_sum += float(nll.data.sum())
                 n_positions += int(active.sum())
     return float(np.exp(ll_sum / n_positions))
 
@@ -414,7 +406,7 @@ def eval_report(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
     back_candidates = real_tokens
     if len(real_tokens) > backward_cap:
         sub_seed = seed
-        picker = np.random.default_rng(nm._stream_seed(seed, "bleu-backward"))
+        picker = rng.keyed("bleu-backward")
         idx = picker.choice(len(real_tokens), size=backward_cap, replace=False)
         back_candidates = [real_tokens[i] for i in sorted(idx)]
         subsampled = True

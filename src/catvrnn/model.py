@@ -78,6 +78,13 @@ class ModelConfig:
             raise ConfigurationError(
                 f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"
             )
+        if self.init_mode != "adaptive" and self.num_categories > 2:
+            # static h0 separates two categories by sign; none generates
+            # through the static function
+            raise ConfigurationError(
+                f"init_mode {self.init_mode!r} supports at most two categories, "
+                f"got {self.num_categories}; use adaptive"
+            )
         if not np.isfinite(self.static_omega):
             raise ConfigurationError("static_omega must be finite")
         if self.temperature <= 0:
@@ -110,11 +117,11 @@ class StepOutput:
 
 @dataclass
 class SequenceForward:
-    """Unrolled forward pass: per-step logits, final-state class log
-    probabilities, accumulated KL when enabled, and the final hidden state."""
+    """Unrolled forward pass: per-step logits, final-state class logits,
+    accumulated KL when enabled, and the final hidden state."""
 
     step_logits: list[Tensor]
-    class_log_probs: Tensor
+    class_logits: Tensor
     kl_sum: Tensor | None
     final_hidden: Tensor
 
@@ -143,31 +150,24 @@ class CatVrnnParams:
     prior net when the KL term is on; feature extractors when on.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: Rng | None = None,
-                 tensors: dict[str, np.ndarray] | None = None):
+    def __init__(self, cfg: ModelConfig, rng: Rng | None = None):
         self.cfg = cfg
         self.store = ParamStore()
         dt = cfg.np_dtype()
         gen = rng.stream("init") if rng is not None else None
 
         def w(name, fan_in, fan_out):
-            if tensors is not None:
-                return self.store.add(name, self._take(tensors, name, (fan_in, fan_out), dt))
             if gen is None:
                 return self.store.add(name, np.zeros((fan_in, fan_out), dtype=dt))
             return self.store.add(name, _glorot(gen, fan_in, fan_out, dt))
 
         def b(name, size):
-            if tensors is not None:
-                return self.store.add(name, self._take(tensors, name, (size,), dt))
             return self.store.add(name, np.zeros(size, dtype=dt))
 
         V, E, H, L, K = (cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim,
                          cfg.latent_dim, cfg.num_categories)
 
-        if tensors is not None:
-            emb = self._take(tensors, "embedding", (V, E), dt)
-        elif gen is None:
+        if gen is None:
             emb = np.zeros((V, E), dtype=dt)
         else:
             emb = gen.uniform(-0.1, 0.1, size=(V, E)).astype(dt)
@@ -197,10 +197,7 @@ class CatVrnnParams:
             # both vectors start with unit-scale entries: the bias anchors
             # category 0 away from the origin so the evaluation-time state
             # (no training noise) still carries a recognizable signature
-            if tensors is not None:
-                omega = self._take(tensors, "init.omega", (H,), dt)
-                bias = self._take(tensors, "init.bias", (H,), dt)
-            elif gen is None:
+            if gen is None:
                 omega = np.zeros(H, dtype=dt)
                 bias = np.zeros(H, dtype=dt)
             else:
@@ -223,24 +220,6 @@ class CatVrnnParams:
                 (w("featz.fc1.w", L, L), b("featz.fc1.b", L)),
                 (w("featz.fc2.w", L, L), b("featz.fc2.b", L)),
             ]
-
-        if tensors is not None:
-            extra = set(tensors) - set(self.store.names())
-            if extra:
-                raise ConfigurationError(
-                    f"checkpoint tensors not used by this config: {sorted(extra)}"
-                )
-
-    @staticmethod
-    def _take(tensors: dict[str, np.ndarray], name: str, shape, dt) -> np.ndarray:
-        if name not in tensors:
-            raise ConfigurationError(f"missing tensor {name!r}")
-        arr = np.asarray(tensors[name], dtype=dt)
-        if arr.shape != shape:
-            raise ConfigurationError(
-                f"tensor {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        return arr.copy()
 
     @classmethod
     def zeros(cls, cfg: ModelConfig) -> "CatVrnnParams":
@@ -272,7 +251,7 @@ def init_hidden_static(c, cfg: ModelConfig, rng: Rng, batch: int = 1) -> Tensor:
                             "static initialization supports exactly two categories")
     r = rng.stream("init").random((batch, cfg.hidden_dim))
     sign = np.where(cats % 2 == 0, 1.0, -1.0)[:, None]
-    h0 = cfg.static_omega * sign * nm._softmax_np(r)
+    h0 = cfg.static_omega * sign * nm.softmax(r)
     return Tensor(h0.astype(cfg.np_dtype(), copy=False))
 
 
@@ -400,9 +379,7 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
         h = step.h_next
 
     class_logits = nm.linear(h, *params.classifier)
-    class_log_probs = nm.log_softmax(class_logits)
-    return SequenceForward(step_logits=step_logits,
-                           class_log_probs=class_log_probs,
+    return SequenceForward(step_logits=step_logits, class_logits=class_logits,
                            kl_sum=kl_sum, final_hidden=h)
 
 
@@ -439,9 +416,9 @@ def joint_loss(fwd: SequenceForward, targets: np.ndarray, c,
             ce = nm.mul(ce, Tensor(mask[:, t]))
         gen_nll = ce if gen_nll is None else nm.add(gen_nll, ce)
 
-    cats = _category_column(c, targets.shape[0], fwd.class_log_probs.data.shape[-1],
+    cats = _category_column(c, targets.shape[0], fwd.class_logits.data.shape[-1],
                             "classification target")
-    cls_nll = nm.mul(nm.pick_rows(fwd.class_log_probs, cats), -1.0)
+    cls_nll = nm.cross_entropy_rows(fwd.class_logits, cats)
 
     total = gen_nll
     if cfg.use_classification:
@@ -474,7 +451,7 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         sampled = np.empty((count, cfg.max_len), dtype=np.int64)
         for t in range(cfg.max_len):
             step = cell_step(h, x, params, cfg, rng)
-            probs = nm._softmax_np(step.logits.data / cfg.temperature)
+            probs = nm.softmax(step.logits.data / cfg.temperature)
             u = stream.random((count, 1))
             ids = (probs.cumsum(axis=1) < u).sum(axis=1)
             np.clip(ids, 0, cfg.vocab_size - 1, out=ids)

@@ -84,9 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         # rebinding accumulation keeps aliased buffers safe from mutation
         self.grad = g if self.grad is None else self.grad + g
@@ -146,9 +143,6 @@ class Tensor:
 
     def sum(self, axis=None):
         return tensor_sum(self, axis=axis)
-
-    def mean(self):
-        return mean(self)
 
 
 def _lift(x, like: Tensor | None = None) -> Tensor:
@@ -357,21 +351,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def pick_rows(t: Tensor, ids: np.ndarray) -> Tensor:
-    """Pick one column per row: out[i] = t[i, ids[i]]."""
-    t = _lift(t)
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = np.arange(t.data.shape[0])
-    data = t.data[rows, ids]
-
-    def backward(g):
-        acc = np.zeros_like(t.data)
-        acc[rows, ids] = g
-        t._accumulate(acc)
-
-    return _make(data, (t,), backward)
-
-
 def max_pool_rows(t: Tensor, group_size: int) -> Tensor:
     """Max over consecutive groups of rows: (G*P, F) -> (G, F).
 
@@ -396,7 +375,9 @@ def max_pool_rows(t: Tensor, group_size: int) -> Tensor:
 # --- row-wise softmax family ---------------------------------------------
 
 
-def _softmax_np(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe softmax of a numpy array over the last axis; rows sum to
+    one. Not recorded on the tape."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -405,30 +386,6 @@ def _softmax_np(x: np.ndarray) -> np.ndarray:
 def _log_softmax_np(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def softmax(t: Tensor) -> Tensor:
-    """Overflow-safe softmax over the last axis; rows sum to one."""
-    t = _lift(t)
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError("softmax requires finite inputs")
-    data = _softmax_np(t.data)
-
-    def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        t._accumulate(data * (g - dot))
-
-    return _make(data, (t,), backward)
-
-
-def log_softmax(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = _log_softmax_np(t.data)
-
-    def backward(g):
-        t._accumulate(g - np.exp(data) * g.sum(axis=-1, keepdims=True))
-
-    return _make(data, (t,), backward)
 
 
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -451,19 +408,6 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _make(data, (logits,), backward)
 
 
-def cross_entropy_from_logits(logits: Tensor, target: int) -> Tensor:
-    """Scalar cross-entropy of a single logit vector against a class id."""
-    logits = _lift(logits)
-    if logits.data.ndim != 1:
-        raise ConfigurationError("cross_entropy_from_logits expects a vector")
-    if not 0 <= int(target) < logits.data.shape[0]:
-        raise ConfigurationError(
-            f"target {target} out of range [0, {logits.data.shape[0]})"
-        )
-    row = reshape(logits, (1, -1))
-    return reshape(cross_entropy_rows(row, np.array([int(target)])), ())
-
-
 # --- model-facing composite primitives ------------------------------------
 
 
@@ -477,7 +421,7 @@ def mlp_forward(x: Tensor, stack: Sequence[tuple[Tensor, Tensor]],
     """Run a fully connected stack with per-layer activation tags.
 
     ``stack`` is a sequence of (weight, bias) pairs whose dimensions must
-    chain; tags are ``relu``, ``softplus``, or ``none``. Intermediates are
+    chain; tags are ``relu`` or ``none``. Intermediates are
     recorded on the graph for the backward pass.
     """
     if len(stack) != len(activations):
@@ -494,8 +438,6 @@ def mlp_forward(x: Tensor, stack: Sequence[tuple[Tensor, Tensor]],
         out = linear(out, w, b)
         if act == "relu":
             out = relu(out)
-        elif act == "softplus":
-            out = softplus(out)
         elif act != "none":
             raise ConfigurationError(f"unknown activation tag {act!r}")
     return out
@@ -633,6 +575,23 @@ class ParamStore:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self._tensors.items()}
 
+    def load(self, arrays: dict[str, np.ndarray]):
+        """Copy ``arrays`` into the tensors, cast to each tensor's dtype. The
+        names and shapes must be exactly the store's; nothing is copied
+        otherwise."""
+        names = set(self._tensors)
+        if set(arrays) != names:
+            raise ConfigurationError(
+                f"tensors missing {sorted(names - set(arrays))}, "
+                f"unexpected {sorted(set(arrays) - names)}"
+            )
+        for name, t in self._tensors.items():
+            if np.shape(arrays[name]) != t.data.shape:
+                raise ConfigurationError(f"tensor {name!r} has shape "
+                                         f"{np.shape(arrays[name])}, expected {t.data.shape}")
+        for name, t in self._tensors.items():
+            np.copyto(t.data, arrays[name])
+
 
 # --- seeded random streams -------------------------------------------------
 
@@ -660,6 +619,11 @@ class Rng:
             gen = np.random.default_rng(_stream_seed(self.seed, name))
             self._streams[name] = gen
         return gen
+
+    def keyed(self, name: str) -> np.random.Generator:
+        """A fresh generator for (seed, name). Unlike a stream it is not kept,
+        so ``state()`` does not record it and every call restarts it."""
+        return np.random.default_rng(_stream_seed(self.seed, name))
 
     def state(self) -> dict:
         return {

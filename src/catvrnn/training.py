@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
-from .numeric import ParamStore, Rng, _stream_seed, mean as nm_mean
+from .numeric import ParamStore, Rng, mean as nm_mean
 from .model import CatVrnnParams, ModelConfig, forward_teacher, joint_loss
+from .data import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -126,12 +127,15 @@ def _collect_grads(store: ParamStore) -> dict[str, np.ndarray]:
     }
 
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float):
+def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+    """``grads`` scaled down to a global norm of at most ``max_norm``. The
+    scaled gradients are new arrays: the tape may hand one buffer to two
+    tensors, or a read-only broadcast view."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+    if total <= max_norm:
+        return grads
+    scale = max_norm / total
+    return {name: g * scale for name, g in grads.items()}
 
 
 def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
@@ -146,8 +150,7 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
     n = inputs.shape[0]
     if n == 0:
         raise DataError("cannot train on an empty corpus")
-    shuffler = np.random.default_rng(_stream_seed(rng.seed, f"shuffle:{epoch}"))
-    order = shuffler.permutation(n)
+    order = rng.keyed(f"shuffle:{epoch}").permutation(n)
     gen_sum = cls_sum = kl_sum = 0.0
     for start in range(0, n, plan.batch_size):
         idx = order[start: start + plan.batch_size]
@@ -163,7 +166,7 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
         batch_loss.backward()
         grads = _collect_grads(params.store)
         if plan.grad_clip is not None:
-            _clip_grads(grads, plan.grad_clip)
+            grads = _clip_grads(grads, plan.grad_clip)
         adam_step(params.store, grads, state)
         gen_sum += float(breakdown.gen_nll.data.sum())
         cls_sum += float(breakdown.cls_nll.data.sum())
@@ -211,7 +214,9 @@ class Checkpoint:
         return ckpt
 
     def build_params(self) -> CatVrnnParams:
-        return CatVrnnParams(self.config, tensors=self.tensors)
+        params = CatVrnnParams.zeros(self.config)
+        params.store.load(self.tensors)
+        return params
 
     def build_adam(self, store: ParamStore) -> AdamState | None:
         if self.adam_scalars is None:
@@ -252,7 +257,7 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]):
     header["manifest"] = manifest
     header["body_sha256"] = hashlib.sha256(body).hexdigest()
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
         f.write(body)
@@ -347,6 +352,17 @@ def checkpoint_digest(path) -> str:
 # --- multi-epoch driver -----------------------------------------------------
 
 
+def _drop_metrics_after(path: Path, epoch: int):
+    """Keep only the metrics lines of epochs up to ``epoch``, so a resumed
+    run logs each epoch once. A last line cut short by a crash has no
+    newline and is dropped too."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines
+            if line.endswith("\n") and json.loads(line)["epoch"] <= epoch]
+    with atomic_open(path) as f:
+        f.write("".join(kept).encode("utf-8"))
+
+
 def run_training(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
                  params: CatVrnnParams, cfg: ModelConfig, plan: TrainPlan,
                  rng: Rng, vocab_digest: str, start_epoch: int = 0,
@@ -354,10 +370,13 @@ def run_training(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray
                  checkpoint_dir=None, save_every: int = 0,
                  metrics_path=None, on_epoch=None) -> list[EpochStats]:
     """Train from start_epoch up to plan.epochs, appending one JSON object per
-    epoch to the metrics file and checkpointing every ``save_every`` epochs
-    (plus a final checkpoint) when a directory is given."""
+    epoch to the metrics file (after dropping its lines of epochs past
+    start_epoch) and checkpointing every ``save_every`` epochs (plus a final
+    checkpoint) when a directory is given."""
     adam = adam or AdamState.from_plan(params.store, plan)
     history = []
+    if metrics_path and Path(metrics_path).exists():
+        _drop_metrics_after(Path(metrics_path), start_epoch)
     metrics_file = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
     try:
         for epoch in range(start_epoch + 1, plan.epochs + 1):

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from catvrnn.cli import main
-from catvrnn.data import load_corpus, make_synthetic_corpus, save_corpus
+from catvrnn.data import (
+    build_vocabulary,
+    load_corpus,
+    make_synthetic_corpus,
+    save_corpus,
+)
 from catvrnn.data import LabeledCorpus, LabeledSentence
+from catvrnn.evaluation import ClassifierConfig, EvalClassifier
+from catvrnn.training import read_container, write_container
 
 
 def run_cli(*argv):
@@ -145,6 +152,42 @@ def test_train_resume_with_nothing_left_is_usage_error(tmp_path, trained_run,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init_mode", ["static", "none"])
+def test_train_two_category_init_on_three_categories_is_usage_error(tmp_path,
+                                                                   init_mode):
+    corpus_path = tmp_path / "three.tsv"
+    save_corpus(corpus_path, make_synthetic_corpus(3, 6, 5, (2, 4), seed=1))
+    out = tmp_path / "run"
+    code = run_cli(
+        "train", "--corpus", str(corpus_path), "--out", str(out), "--epochs", "1",
+        "--init", init_mode, "--embed-dim", "6", "--hidden-dim", "5",
+        "--latent-dim", "3", "--max-len", "6",
+    )
+    assert code == 1
+    assert not out.exists()
+
+
+def test_train_resume_rejects_model_options_that_differ(tmp_path, trained_run,
+                                                        synth_corpus_file, capsys):
+    resume = ("train", "--corpus", str(synth_corpus_file), "--epochs", "4",
+              "--resume", str(trained_run / "epoch_0003.ckpt"))
+    cfg_file = tmp_path / "kl.cfg"
+    cfg_file.write_text("use_kl = true\n")
+    for differing in (("--hidden-dim", "16"), ("--init", "adaptive"),
+                      ("--config", str(cfg_file))):
+        out = tmp_path / "rejected"
+        assert run_cli(*resume, "--out", str(out), *differing) == 1
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert "hidden_dim = 16 (checkpoint: 8)" in err
+    assert "use_kl = True (checkpoint: False)" in err
+    # options that agree with the checkpoint, or none at all, resume as before
+    for agreeing in ((), ("--hidden-dim", "8", "--init", "static")):
+        out = tmp_path / f"resumed{len(agreeing)}"
+        assert run_cli(*resume, "--out", str(out), *agreeing) == 0
+        assert (out / "epoch_0004.ckpt").exists()
+
+
 # --- generate -----------------------------------------------------------------------
 
 
@@ -228,6 +271,24 @@ def test_evaluate_model_checkpoint_full_report(tmp_path, trained_run, synth_corp
 
 def test_evaluate_requires_model_or_generated(tmp_path, synth_corpus_file):
     assert run_cli("evaluate", "--corpus", str(synth_corpus_file)) == 1
+
+
+def test_evaluate_classifier_file_missing_a_tensor(tmp_path, synth_corpus_file,
+                                                   capsys):
+    corpus = load_corpus(synth_corpus_file)
+    vocab = build_vocabulary(corpus)
+    full = tmp_path / "full.clf"
+    EvalClassifier(ClassifierConfig(len(vocab), corpus.num_categories, max_len=7),
+                   vocab).save(full)
+    header, arrays = read_container(full)
+    del arrays["head.b"]
+    partial = tmp_path / "partial.clf"
+    write_container(partial, header, arrays)
+    code = run_cli("evaluate", "--corpus", str(synth_corpus_file),
+                   "--generated", str(synth_corpus_file),
+                   "--classifier", str(partial))
+    assert code == 1
+    assert "configuration error:" in capsys.readouterr().err
 
 
 # --- grad-check -----------------------------------------------------------------------

@@ -224,9 +224,11 @@ def test_forward_shapes_and_class_normalization():
     fwd = forward_teacher(x, np.array([0, 1]), params, cfg, Rng(1))
     assert len(fwd.step_logits) == cfg.max_len
     assert all(l.shape == (2, cfg.vocab_size) for l in fwd.step_logits)
-    assert fwd.class_log_probs.shape == (2, 2)
-    logsum = np.log(np.exp(fwd.class_log_probs.data).sum(axis=1))
-    assert np.all(np.abs(logsum) < 1e-10)
+    # unnormalized class scores: the classifier head on the final state
+    assert fwd.class_logits.shape == (2, 2)
+    w, b = (params.store["cls.w"].data, params.store["cls.b"].data)
+    np.testing.assert_array_equal(fwd.class_logits.data,
+                                  fwd.final_hidden.data @ w + b)
 
 
 def test_forward_equals_fold_of_cell_step():
@@ -257,7 +259,7 @@ def test_forward_all_pad_input_is_finite():
     fwd = forward_teacher(x, 0, params, cfg, Rng(1))
     for l in fwd.step_logits:
         assert np.all(np.isfinite(l.data))
-    assert np.all(np.isfinite(fwd.class_log_probs.data))
+    assert np.all(np.isfinite(fwd.class_logits.data))
 
 
 def test_forward_rejects_bad_inputs():
@@ -297,9 +299,9 @@ def test_joint_loss_perfect_predictions_near_zero():
         row = np.full((1, V), -1e3)
         row[0, targets[0, t]] = 1e3
         step_logits.append(Tensor(row))
-    clp = np.full((1, K), -1e3)
-    clp[0, 1] = 0.0
-    fwd = SequenceForward(step_logits=step_logits, class_log_probs=Tensor(clp),
+    class_logits = np.full((1, K), -1e3)
+    class_logits[0, 1] = 1e3
+    fwd = SequenceForward(step_logits=step_logits, class_logits=Tensor(class_logits),
                           kl_sum=None, final_hidden=Tensor(np.zeros((1, 6))))
     out = joint_loss(fwd, targets, 1, cfg)
     assert out.total.data[0] < 1e-9
@@ -336,7 +338,7 @@ def test_joint_loss_matches_scalar_oracle():
         nll(list(fwd.step_logits[t].data[0]), targets[0, t])
         for t in range(cfg.max_len)
     )
-    expected_cls = -float(fwd.class_log_probs.data[0, 1])
+    expected_cls = nll(list(fwd.class_logits.data[0]), 1)
     assert abs(out.gen_nll.data[0] - expected_gen) < 1e-10
     assert abs(out.cls_nll.data[0] - expected_cls) < 1e-10
     assert abs(out.total.data[0] - (expected_gen + expected_cls)) < 1e-10
@@ -475,8 +477,8 @@ def test_vocab_dependent_coefficient_is_601_at_default_widths():
 
 
 def test_classifier_head_delta_per_category():
-    c2 = tiny_cfg(num_categories=2)
-    c5 = tiny_cfg(num_categories=5)
+    c2 = tiny_cfg(num_categories=2, init_mode="adaptive")
+    c5 = tiny_cfg(num_categories=5, init_mode="adaptive")
     d = parameter_count(CatVrnnParams.zeros(c5)) - parameter_count(
         CatVrnnParams.zeros(c2))
     assert d == (c2.hidden_dim + 1) * 3
@@ -494,6 +496,16 @@ def test_model_config_validation():
         ModelConfig(vocab_size=4, num_categories=2, init_mode="random")
     with pytest.raises(ConfigurationError):
         ModelConfig(vocab_size=4, num_categories=2, temperature=0.0)
+
+
+@pytest.mark.parametrize("init_mode", ["static", "none"])
+def test_model_config_rejects_two_category_init_beyond_two(init_mode):
+    # static h0 separates categories only by sign, and none generates
+    # through static initialization
+    ModelConfig(vocab_size=4, num_categories=2, init_mode=init_mode)
+    with pytest.raises(ConfigurationError, match="at most two categories"):
+        ModelConfig(vocab_size=4, num_categories=3, init_mode=init_mode)
+    ModelConfig(vocab_size=4, num_categories=3, init_mode="adaptive")
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,8 @@
 """Optimizer behavior, epoch loop determinism, and checkpoint persistence."""
 
+import builtins
+import io
+import json
 import math
 
 import numpy as np
@@ -12,11 +15,13 @@ from catvrnn.data import (
     build_vocabulary,
     encode_batch,
     make_synthetic_corpus,
+    save_corpus,
 )
 from catvrnn.training import (
     AdamState,
     Checkpoint,
     TrainPlan,
+    _clip_grads,
     adam_step,
     checkpoint_digest,
     load_checkpoint,
@@ -99,6 +104,25 @@ def test_adam_optimizes_scalar_quadratic_and_matches_reference():
         adam_step(store, {"w": g.copy()}, state)
         assert abs(w.data[0] - trajectory[t]) < 1e-12
     assert abs(w.data[0] - 3.0) < 0.5
+
+
+# --- gradient clipping -------------------------------------------------------------
+
+
+def test_clip_grads_scales_an_aliased_pair_once():
+    # add's backward hands both parents one buffer when their shapes match
+    g = np.array([3.0, 4.0])
+    clipped = _clip_grads({"a": g, "b": g}, 1.0)
+    norm = math.sqrt(sum(float((v * v).sum()) for v in clipped.values()))
+    assert abs(norm - 1.0) < 1e-12
+    np.testing.assert_array_equal(g, [3.0, 4.0])
+
+
+def test_clip_grads_accepts_read_only_views():
+    # tensor_sum's backward hands out read-only broadcast views
+    g = np.broadcast_to(np.array(2.0), (2, 2))
+    clipped = _clip_grads({"w": g}, 1.0)
+    np.testing.assert_allclose(clipped["w"], np.full((2, 2), 0.5), atol=1e-15)
 
 
 # --- train_epoch ------------------------------------------------------------------
@@ -340,13 +364,87 @@ def test_metrics_stream_appends_one_json_per_epoch(tmp_path):
     run_training(batch.inputs, batch.targets, batch.categories, params, cfg,
                  TrainPlan(epochs=4, batch_size=4), rng, vocab.digest(),
                  metrics_path=metrics)
-    import json
-
     lines = metrics.read_text().splitlines()
     assert len(lines) == 4
     parsed = [json.loads(l) for l in lines]
     assert [p["epoch"] for p in parsed] == [1, 2, 3, 4]
     assert all("mean_gen_nll" in p for p in parsed)
+
+
+def test_resumed_run_logs_each_epoch_once(tmp_path):
+    corpus = make_synthetic_corpus(2, 8, 5, (2, 3), seed=1)
+    vocab = build_vocabulary(corpus)
+    cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=6,
+                      hidden_dim=5, latent_dim=3, max_len=4)
+    batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
+    plan = TrainPlan(epochs=3, batch_size=4)
+    metrics = tmp_path / "metrics.jsonl"
+    rng = Rng(3)
+    run_training(batch.inputs, batch.targets, batch.categories,
+                 CatVrnnParams(cfg, rng), cfg, plan, rng, vocab.digest(),
+                 checkpoint_dir=tmp_path, save_every=1, metrics_path=metrics)
+    uninterrupted = metrics.read_text()
+    with metrics.open("a") as f:
+        f.write('{"epoch": 4, "mean_')  # a line cut short by a crash
+
+    # resume from the first epoch's checkpoint into the same directory
+    mid = load_checkpoint(tmp_path / "epoch_0001.ckpt")
+    params = mid.build_params()
+    rng = Rng(0)
+    rng.set_state(mid.rng_state)
+    run_training(batch.inputs, batch.targets, batch.categories, params, cfg, plan,
+                 rng, vocab.digest(), start_epoch=mid.epoch,
+                 adam=mid.build_adam(params.store), checkpoint_dir=tmp_path,
+                 metrics_path=metrics)
+    lines = metrics.read_text()
+    assert [json.loads(l)["epoch"] for l in lines.splitlines()] == [1, 2, 3]
+    assert lines == uninterrupted
+
+
+def fail_writes(monkeypatch):
+    """Make every file opened for writing fail after its first few bytes,
+    as on a full disk."""
+    real_open = io.open
+
+    class Failing:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:4])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return Failing(f) if "w" in mode else f
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+
+
+def test_failed_writes_leave_the_old_file_intact(tmp_path, monkeypatch):
+    cfg, params, adam, rng = trained_setup(tmp_path)
+    ckpt_path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt_path, Checkpoint.capture(params, 3, "d", rng=rng, adam=adam))
+    corpus_path = tmp_path / "corpus.tsv"
+    save_corpus(corpus_path, make_synthetic_corpus(2, 4, 5, (2, 3), seed=1))
+    before = {p: p.read_bytes() for p in (ckpt_path, corpus_path)}
+
+    fail_writes(monkeypatch)
+    with pytest.raises(OSError):
+        save_checkpoint(ckpt_path, Checkpoint.capture(params, 4, "d"))
+    with pytest.raises(OSError):
+        save_corpus(corpus_path, make_synthetic_corpus(2, 5, 5, (2, 3), seed=2))
+    monkeypatch.undo()
+
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "model.ckpt"]
 
 
 def test_float32_training_smoke():
