@@ -5,10 +5,7 @@ epochs, over several seeds."""
 
 import argparse
 
-from catvrnn.numeric import Rng
-from catvrnn.model import CatVrnnParams, ModelConfig
-from catvrnn.data import build_vocabulary, encode_batch, make_synthetic_corpus
-from catvrnn.training import TrainPlan, run_training
+from steering_experiment import desk_corpus, train_desk_model
 
 
 def main():
@@ -18,25 +15,16 @@ def main():
     ap.add_argument("--seeds", default="0,1,2")
     args = ap.parse_args()
 
-    corpus = make_synthetic_corpus(2, 200, 50, (5, 12), seed=11)
-    vocab = build_vocabulary(corpus)
-    batch = encode_batch(corpus.sentences, vocab, 13)
+    _, vocab, batch = desk_corpus()
 
     worse = 0
     seeds = [int(s) for s in args.seeds.split(",")]
     for seed in seeds:
         finals = {}
         for use_kl in (True, False):
-            cfg = ModelConfig(vocab_size=len(vocab), num_categories=2,
-                              embed_dim=48, hidden_dim=args.hidden_dim,
-                              latent_dim=16, max_len=13, init_mode="static",
-                              use_kl_term=use_kl)
-            rng = Rng(seed)
-            params = CatVrnnParams(cfg, rng)
-            plan = TrainPlan(epochs=args.epochs, batch_size=32, lr=1e-3)
-            history = run_training(batch.inputs, batch.targets,
-                                   batch.categories, params, cfg, plan, rng,
-                                   vocab.digest())
+            _, _, history = train_desk_model(vocab, batch, seed, args.epochs,
+                                             args.hidden_dim, init_mode="static",
+                                             use_kl_term=use_kl)
             if use_kl:
                 assert all(stats.mean_kl >= 0 for stats in history)
             finals[use_kl] = history[-1]

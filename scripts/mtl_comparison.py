@@ -6,25 +6,8 @@ over several seeds at matched epochs."""
 import argparse
 import statistics
 
-from catvrnn.numeric import Rng
-from catvrnn.model import CatVrnnParams, ModelConfig
-from catvrnn.data import build_vocabulary, encode_batch, make_synthetic_corpus
 from catvrnn.data import word_membership_oracle
-from catvrnn.training import TrainPlan, run_training
-from steering_experiment import steering_accuracy
-
-
-def run(corpus, vocab, seed, epochs, hidden, use_classification):
-    cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=48,
-                      hidden_dim=hidden, latent_dim=16, max_len=13,
-                      init_mode="static", use_classification=use_classification)
-    rng = Rng(seed)
-    params = CatVrnnParams(cfg, rng)
-    batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
-    plan = TrainPlan(epochs=epochs, batch_size=32, lr=1e-3)
-    history = run_training(batch.inputs, batch.targets, batch.categories,
-                           params, cfg, plan, rng, vocab.digest())
-    return params, cfg, history[-1].mean_gen_nll
+from steering_experiment import desk_corpus, steering_accuracy, train_desk_model
 
 
 def main():
@@ -34,16 +17,17 @@ def main():
     ap.add_argument("--seeds", default="0,1,2")
     args = ap.parse_args()
 
-    corpus = make_synthetic_corpus(2, 200, 50, (5, 12), seed=11)
-    vocab = build_vocabulary(corpus)
+    corpus, vocab, batch = desk_corpus()
     oracle = word_membership_oracle(corpus)
     seeds = [int(s) for s in args.seeds.split(",")]
 
     results = {True: {"nll": [], "acc": []}, False: {"nll": [], "acc": []}}
     for seed in seeds:
         for mtl in (True, False):
-            params, cfg, nll = run(corpus, vocab, seed, args.epochs,
-                                   args.hidden_dim, mtl)
+            params, cfg, history = train_desk_model(
+                vocab, batch, seed, args.epochs, args.hidden_dim,
+                init_mode="static", use_classification=mtl)
+            nll = history[-1].mean_gen_nll
             acc = steering_accuracy(params, cfg, vocab, oracle)
             results[mtl]["nll"].append(nll)
             results[mtl]["acc"].append(acc)

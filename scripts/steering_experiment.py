@@ -10,7 +10,7 @@ import argparse
 import time
 
 from catvrnn.numeric import Rng
-from catvrnn.model import CatVrnnParams, ModelConfig, generate
+from catvrnn.model import CatVrnnParams, ModelConfig
 from catvrnn.data import (
     build_vocabulary,
     encode_batch,
@@ -19,15 +19,34 @@ from catvrnn.data import (
     word_membership_oracle,
 )
 from catvrnn.training import TrainPlan, run_training
+from catvrnn.evaluation import sample_categories
+
+
+def desk_corpus(per_category=200):
+    """The two-category synthetic corpus of the experiments, its vocabulary
+    and its encoding at max length 13."""
+    corpus = make_synthetic_corpus(2, per_category, 50, (5, 12), seed=11)
+    vocab = build_vocabulary(corpus)
+    return corpus, vocab, encode_batch(corpus.sentences, vocab, 13)
+
+
+def train_desk_model(vocab, batch, seed, epochs, hidden_dim, **model_options):
+    """Train a desk-scale model (E48/L16/T13, batch 32, lr 1e-3); returns
+    its parameters, config and per-epoch stats."""
+    cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=48,
+                      hidden_dim=hidden_dim, latent_dim=16, max_len=13,
+                      **model_options)
+    rng = Rng(seed)
+    params = CatVrnnParams(cfg, rng)
+    plan = TrainPlan(epochs=epochs, batch_size=32, lr=1e-3)
+    history = run_training(batch.inputs, batch.targets, batch.categories,
+                           params, cfg, plan, rng, vocab.digest())
+    return params, cfg, history
 
 
 def steering_accuracy(params, cfg, vocab, oracle, n=100, seed=123):
-    samples = []
-    rng = Rng(seed)
-    for c in range(cfg.num_categories):
-        for ids in generate(c, n, params, cfg, rng):
-            samples.append(([vocab.decode_id(i) for i in ids], c))
-    return oracle_category_accuracy(samples, oracle)
+    return oracle_category_accuracy(
+        sample_categories(params, cfg, vocab, n, seed), oracle)
 
 
 def main():
@@ -38,25 +57,17 @@ def main():
     ap.add_argument("--per-category", type=int, default=200)
     args = ap.parse_args()
 
-    corpus = make_synthetic_corpus(2, args.per_category, 50, (5, 12), seed=11)
-    vocab = build_vocabulary(corpus)
+    corpus, vocab, batch = desk_corpus(args.per_category)
     oracle = word_membership_oracle(corpus)
-    batch = encode_batch(corpus.sentences, vocab, 13)
-    plan = TrainPlan(epochs=args.epochs, batch_size=32, lr=1e-3)
 
     print(f"corpus: {len(corpus)} sentences, vocab {len(vocab)}")
     for mode in ("static", "adaptive", "none"):
-        cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=48,
-                          hidden_dim=args.hidden_dim, latent_dim=16, max_len=13,
-                          init_mode=mode)
-        rng = Rng(args.seed)
-        params = CatVrnnParams(cfg, rng)
         t0 = time.time()
-        stats = run_training(batch.inputs, batch.targets, batch.categories,
-                             params, cfg, plan, rng, vocab.digest())[-1]
+        params, cfg, history = train_desk_model(vocab, batch, args.seed, args.epochs,
+                                                args.hidden_dim, init_mode=mode)
         acc = steering_accuracy(params, cfg, vocab, oracle)
         print(f"{mode:>8}: oracle accuracy {acc:.3f} "
-              f"(final gen nll {stats.mean_gen_nll:.2f}, {time.time()-t0:.0f}s)")
+              f"(final gen nll {history[-1].mean_gen_nll:.2f}, {time.time()-t0:.0f}s)")
 
 
 if __name__ == "__main__":

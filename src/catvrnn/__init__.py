@@ -69,6 +69,8 @@ from .evaluation import (
     category_accuracy,
     eval_report,
     perplexity,
+    sample_categories,
+    score_samples,
     train_eval_classifier,
 )
 

@@ -3,7 +3,9 @@
 Option precedence is flags > config file > defaults, applied by argparse: the
 ``--config`` file's values become the subcommand's defaults before a second
 parse, so a flag given on the command line wins even when it equals its
-default. The resolved values and their sources are printed at startup.
+default. ``train --resume`` puts the checkpoint's model options between the
+file and the defaults. The resolved values and their sources are printed at
+startup.
 Exit codes: 0 success, 1 usage/configuration error, 2 data error, 3 numeric
 failure.
 """
@@ -11,9 +13,9 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -25,12 +27,14 @@ from .model import (
     CatVrnnParams,
     ModelConfig,
     forward_teacher,
-    generate,
     joint_loss,
     parameter_count,
 )
 from .data import (
+    LabeledCorpus,
+    LabeledSentence,
     Vocabulary,
+    atomic_write_text,
     build_icq_variant,
     build_ica_series,
     build_vocabulary,
@@ -41,7 +45,7 @@ from .data import (
     make_synthetic_corpus,
     save_corpus,
     subsample_per_category,
-    write_manifest,
+    write_json,
 )
 from .training import (
     Checkpoint,
@@ -50,7 +54,13 @@ from .training import (
     load_checkpoint,
     run_training,
 )
-from .evaluation import EvalClassifier, eval_report, train_eval_classifier
+from .evaluation import (
+    EvalClassifier,
+    perplexity,
+    sample_categories,
+    score_samples,
+    train_eval_classifier,
+)
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +139,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"expected MIN:MAX, got {text!r}")
 
 
-def cmd_build_data(opts: dict, given: set[str]) -> int:
+def cmd_build_data(opts: dict) -> int:
     seed = opts["seed"]
     if opts["synthetic"]:
         corpus = make_synthetic_corpus(
@@ -162,7 +172,7 @@ def cmd_build_data(opts: dict, given: set[str]) -> int:
     save_corpus(opts["output"], corpus, header=header)
     manifest = corpus_manifest(corpus, seed=seed, extra={"config": header["config"]})
     manifest_path = opts["manifest"] or (str(opts["output"]) + ".manifest.json")
-    write_manifest(manifest_path, manifest)
+    write_json(manifest_path, manifest)
     print(f"wrote {len(corpus)} sentences to {opts['output']}")
     print(f"manifest: {manifest_path}")
     return 0
@@ -199,37 +209,41 @@ def add_train_parser(sub):
     return p
 
 
-def _model_options(opts: dict) -> dict[str, tuple[str, object]]:
-    """The model options of ``train``: option name -> (ModelConfig field,
-    value)."""
-    return {
-        "embed_dim": ("embed_dim", opts["embed_dim"]),
-        "hidden_dim": ("hidden_dim", opts["hidden_dim"]),
-        "latent_dim": ("latent_dim", opts["latent_dim"]),
-        "max_len": ("max_len", opts["max_len"]),
-        "init": ("init_mode", opts["init"]),
-        "omega": ("static_omega", opts["omega"]),
-        "use_kl": ("use_kl_term", opts["use_kl"]),
-        "feature_extractors": ("use_feature_extractors", opts["feature_extractors"]),
-        "no_classification": ("use_classification", not opts["no_classification"]),
-        "mask_pad_loss": ("mask_pad_loss", opts["mask_pad_loss"]),
-        "temperature": ("temperature", opts["temperature"]),
-        "precision": ("dtype", opts["precision"]),
-    }
+# the model options of ``train``: option name -> ModelConfig field
+MODEL_OPTIONS = {
+    "embed_dim": "embed_dim", "hidden_dim": "hidden_dim", "latent_dim": "latent_dim",
+    "max_len": "max_len", "init": "init_mode", "omega": "static_omega",
+    "use_kl": "use_kl_term", "feature_extractors": "use_feature_extractors",
+    "no_classification": "use_classification", "mask_pad_loss": "mask_pad_loss",
+    "temperature": "temperature", "precision": "dtype",
+}
 
 
-def _check_resume_options(opts: dict, given: set[str], cfg: ModelConfig):
-    """A resumed run keeps the checkpoint's model, so a model option given by
-    flag or config file must agree with it."""
-    clash = [f"{name} = {value} (checkpoint: {getattr(cfg, field)})"
-             for name, (field, value) in _model_options(opts).items()
-             if name in given and getattr(cfg, field) != value]
+def _convert(name: str, value):
+    """A model option's value as its ModelConfig field's value, and back:
+    only ``no_classification`` differs, as the negation."""
+    return not value if name == "no_classification" else value
+
+
+def _checkpoint_options(cfg: ModelConfig) -> dict:
+    """The ``train`` model options that rebuild ``cfg``."""
+    return {name: _convert(name, getattr(cfg, field))
+            for name, field in MODEL_OPTIONS.items()}
+
+
+def _check_resume_options(opts: dict, cfg: ModelConfig):
+    """A resumed run keeps the checkpoint's model. Model options not given
+    resolve to the checkpoint's, so any that differ were given by flag or
+    config file."""
+    clash = [f"{name} = {opts[name]} (checkpoint: {value})"
+             for name, value in _checkpoint_options(cfg).items()
+             if opts[name] != value]
     if clash:
         raise UsageError("--resume keeps the checkpoint's model options; "
                          f"these differ from it: {', '.join(clash)}")
 
 
-def cmd_train(opts: dict, given: set[str]) -> int:
+def cmd_train(opts: dict) -> int:
     corpus = load_corpus(opts["corpus"])
     if corpus.max_length() > opts["max_len"]:
         raise DataError(
@@ -247,7 +261,7 @@ def cmd_train(opts: dict, given: set[str]) -> int:
         if plan.epochs <= ckpt.epoch:
             raise UsageError(f"--epochs {plan.epochs} leaves nothing to train "
                              f"after the checkpoint's epoch {ckpt.epoch}")
-        _check_resume_options(opts, given, ckpt.config)
+        _check_resume_options(opts, ckpt.config)
         if ckpt.vocab_digest != vocab.digest():
             raise DataError("checkpoint vocabulary digest does not match corpus")
         cfg = ckpt.config
@@ -259,7 +273,8 @@ def cmd_train(opts: dict, given: set[str]) -> int:
         print(f"resuming from epoch {start_epoch}")
     else:
         cfg = ModelConfig(vocab_size=len(vocab), num_categories=corpus.num_categories,
-                          **dict(_model_options(opts).values()))
+                          **{field: _convert(name, opts[name])
+                             for name, field in MODEL_OPTIONS.items()})
         params = CatVrnnParams(cfg, rng)
     print(f"model parameters: {parameter_count(params)}")
     out_dir = Path(opts["out"])
@@ -269,9 +284,7 @@ def cmd_train(opts: dict, given: set[str]) -> int:
     batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
     config_echo = {"seed": opts["seed"], "plan": plan.to_dict(),
                    "model": cfg.to_dict(), "corpus": str(opts["corpus"])}
-    (out_dir / "run_config.json").write_text(
-        json.dumps(config_echo, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "run_config.json", config_echo)
 
     def report(stats):
         print(f"epoch {stats.epoch}: gen={stats.mean_gen_nll:.4f} "
@@ -318,41 +331,33 @@ def _vocab_for(ckpt: Checkpoint, opts: dict) -> Vocabulary:
     return vocab
 
 
-def cmd_generate(opts: dict, given: set[str]) -> int:
+def cmd_generate(opts: dict) -> int:
+    cats = None
+    if opts["categories"]:
+        try:
+            cats = [int(c) for c in str(opts["categories"]).split(",")]
+        except ValueError:
+            raise UsageError("-c expects comma-separated category ids, "
+                             f"got {opts['categories']!r}")
     ckpt = load_checkpoint(opts["checkpoint"])
     vocab = _vocab_for(ckpt, opts)
     cfg = ckpt.config
-    if opts.get("temperature") is not None:
-        cfg = ModelConfig.from_dict(
-            {**cfg.to_dict(), "temperature": opts["temperature"]})
-    params = ckpt.build_params()
-    if opts["categories"]:
-        cats = [int(c) for c in str(opts["categories"]).split(",")]
-    else:
-        cats = list(range(cfg.num_categories))
-    for c in cats:
+    if opts["temperature"] is not None:
+        cfg = replace(cfg, temperature=opts["temperature"])
+    for c in cats or ():
         if not 0 <= c < cfg.num_categories:
             raise ConfigurationError(
-                f"category {c} out of range [0, {cfg.num_categories})"
-            )
-    rng = Rng(opts["seed"])
-    sentences = []
-    dropped = 0
-    for c in cats:
-        for ids in generate(c, opts["samples"], params, cfg, rng):
-            if ids:
-                sentences.append((c, [vocab.decode_id(i) for i in ids]))
-            else:
-                dropped += 1
-    if dropped:
-        # the exchange format cannot hold empty sentences
-        print(f"dropped {dropped} empty generation(s)")
+                f"category {c} out of range [0, {cfg.num_categories})")
+    samples = sample_categories(ckpt.build_params(), cfg, vocab, opts["samples"],
+                                opts["seed"], cats)
+    # the exchange format cannot hold empty sentences
+    sentences = [LabeledSentence(tuple(tokens), c) for tokens, c in samples if tokens]
+    if len(sentences) < len(samples):
+        print(f"dropped {len(samples) - len(sentences)} empty generation(s)")
     header = {"seed": opts["seed"], "config": cfg.to_dict(),
               "checkpoint": str(opts["checkpoint"]), "samples": opts["samples"]}
-    lines = [f"# {k}={json.dumps(v) if isinstance(v, dict) else v}"
-             for k, v in header.items()]
-    lines += [f"{c}\t{' '.join(tokens)}" for c, tokens in sentences]
-    Path(opts["out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_corpus(opts["out"], LabeledCorpus(sentences, cfg.num_categories),
+                header=header)
     print(f"wrote {len(sentences)} sentences to {opts['out']}")
     return 0
 
@@ -378,26 +383,26 @@ def add_evaluate_parser(sub):
     return p
 
 
-def cmd_evaluate(opts: dict, given: set[str]) -> int:
+def cmd_evaluate(opts: dict) -> int:
     corpus = load_corpus(opts["corpus"])
-    params = cfg = None
-    vocab = None
-    if opts["checkpoint"]:
-        ckpt = load_checkpoint(opts["checkpoint"])
-        vocab = _vocab_for(ckpt, {"vocab": opts.get("vocab"),
-                                  "corpus": opts["corpus"]})
-        cfg = ckpt.config
-        params = ckpt.build_params()
-    elif not opts["generated"]:
-        raise UsageError("evaluate needs --checkpoint or --generated")
-    if vocab is None:
-        vocab = build_vocabulary(corpus)
-
-    generated = None
     if opts["generated"]:
         gen_corpus = load_corpus(opts["generated"],
                                  num_categories=corpus.num_categories)
         generated = [(list(s.tokens), s.category) for s in gen_corpus.sentences]
+    elif not opts["checkpoint"]:
+        raise UsageError("evaluate needs --checkpoint or --generated")
+    ppl, model = None, {}
+    if opts["checkpoint"]:
+        ckpt = load_checkpoint(opts["checkpoint"])
+        vocab = _vocab_for(ckpt, opts)
+        cfg = ckpt.config
+        params = ckpt.build_params()
+        if not opts["generated"]:
+            # sampled as generate samples, before the classifier is fitted
+            generated = sample_categories(params, cfg, vocab, opts["samples"],
+                                          opts["seed"])
+        ppl = perplexity(params, cfg, corpus, vocab, seed=opts["seed"])
+        model = {"num_categories": cfg.num_categories, "config": cfg.to_dict()}
 
     if opts["classifier"]:
         clf = EvalClassifier.load(opts["classifier"])
@@ -407,16 +412,15 @@ def cmd_evaluate(opts: dict, given: set[str]) -> int:
         if opts["save_classifier"]:
             clf.save(opts["save_classifier"])
 
-    report = eval_report(params, cfg, corpus, vocab, clf,
-                         n_samples=opts["samples"], seed=opts["seed"],
-                         backward_cap=opts["bleu_cap"], generated=generated)
-    report.config = dict(report.config)
+    report = replace(score_samples(generated, corpus, clf, opts["seed"],
+                                   perplexity=ppl, backward_cap=opts["bleu_cap"]),
+                     n_samples_per_category=opts["samples"], **model)
     report.config["command_options"] = {
         k: v for k, v in opts.items() if isinstance(v, (int, float, str, bool))
     }
     text = report.to_json()
     if opts["out"]:
-        Path(opts["out"]).write_text(text + "\n", encoding="utf-8")
+        atomic_write_text(opts["out"], text + "\n")
         print(f"report written to {opts['out']}")
     print(text)
     return 0
@@ -436,7 +440,7 @@ def add_grad_check_parser(sub):
     return p
 
 
-def cmd_grad_check(opts: dict, given: set[str]) -> int:
+def cmd_grad_check(opts: dict) -> int:
     corrupt = opts["corrupt_backward"]
     tol = opts["tolerance"]
     seed = opts["seed"]
@@ -484,8 +488,7 @@ def cmd_grad_check(opts: dict, given: set[str]) -> int:
 # --- entry point ----------------------------------------------------------------------
 
 
-# name -> (add the subparser, run it with the resolved options and the
-# names of those given by flag or config file)
+# name -> (add the subparser, run it with the resolved options)
 COMMANDS = {
     "build-data": (add_build_data_parser, cmd_build_data),
     "train": (add_train_parser, cmd_train),
@@ -526,18 +529,22 @@ def run(argv=None) -> int:
     unknown = set(file_values) - set(_options(args))
     if unknown:
         raise UsageError(f"unknown config file keys: {sorted(unknown)}")
-    if file_values:
-        # file values become the subcommand's defaults, so flags still win
-        subparsers[args.command].set_defaults(**file_values)
+    # a resumed run keeps the checkpoint's model options unless overridden
+    resume = getattr(args, "resume", None) or file_values.get("resume")
+    ckpt_values = _checkpoint_options(load_checkpoint(resume).config) if resume else {}
+    if file_values or ckpt_values:
+        # these become the subcommand's defaults, so flags still win
+        subparsers[args.command].set_defaults(**{**ckpt_values, **file_values})
         args = parser.parse_args(argv)
     flags = vars(build_parser(argparse.SUPPRESS)[0].parse_args(argv))
     opts = _options(args)
     print("options (flags > file > defaults):")
     for key in sorted(opts):
-        source = "flag" if key in flags else "file" if key in file_values else "default"
+        source = ("flag" if key in flags else "file" if key in file_values
+                  else "checkpoint" if key in ckpt_values else "default")
         print(f"  {key} = {opts[key]} ({source})")
     _, command = COMMANDS[args.command]
-    return command(opts, set(flags) | set(file_values))
+    return command(opts)
 
 
 def main(argv=None) -> int:

@@ -94,7 +94,7 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
     def save(self, path):
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        atomic_write_text(path, "\n".join(self.id_to_token) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -213,6 +213,12 @@ def atomic_open(path):
         tmp.unlink(missing_ok=True)
 
 
+def atomic_write_text(path, text: str):
+    """Write ``text`` as UTF-8 through ``atomic_open``."""
+    with atomic_open(path) as f:
+        f.write(text.encode("utf-8"))
+
+
 def save_corpus(path, corpus: LabeledCorpus, header: dict | None = None):
     """Write the corpus TSV, embedding any header metadata as # comments."""
     lines = []
@@ -222,8 +228,7 @@ def save_corpus(path, corpus: LabeledCorpus, header: dict | None = None):
             lines.append(f"# {key}={val}")
     for s in corpus.sentences:
         lines.append(f"{s.category}\t{' '.join(s.tokens)}")
-    with atomic_open(path) as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def corpus_manifest(corpus: LabeledCorpus, seed: int | None = None,
@@ -241,9 +246,9 @@ def corpus_manifest(corpus: LabeledCorpus, seed: int | None = None,
     return manifest
 
 
-def write_manifest(path, manifest: dict):
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+def write_json(path, obj: dict):
+    """Write ``obj`` as indented JSON with sorted keys, crash-safely."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # --- corpus transforms ------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -22,13 +22,15 @@ from .data import (
     LabeledSentence,
     Vocabulary,
     build_vocabulary,
+    decode_ids,
     encode_batch,
 )
-from .training import AdamState, adam_step, _collect_grads
+from .training import AdamState, optimizer_step, read_container, write_container
 
 log = logging.getLogger(__name__)
 
 BLEU_EPS = 1e-9
+BLEU_ORDERS = (2, 3, 4, 5)
 
 
 # --- convolutional sentence classifier --------------------------------------
@@ -134,8 +136,6 @@ class EvalClassifier:
         return encode_batch(clipped, self.vocab, self.cfg.max_len)
 
     def save(self, path):
-        from .training import write_container
-
         meta = {
             "kind": "eval_classifier",
             "config": self.cfg.to_dict(),
@@ -146,8 +146,6 @@ class EvalClassifier:
 
     @classmethod
     def load(cls, path) -> "EvalClassifier":
-        from .training import read_container
-
         header, arrays = read_container(path)
         if header.get("kind") != "eval_classifier":
             raise DataError(f"{path}: not an eval-classifier checkpoint")
@@ -197,9 +195,7 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
             logits = clf.logits(train_batch.inputs[idx], train_mode=True,
                                 dropout_rng=dropout_rng)
             loss = nm.mean(nm.cross_entropy_rows(logits, train_batch.categories[idx]))
-            clf.store.zero_grad()
-            loss.backward()
-            adam_step(clf.store, _collect_grads(clf.store), adam)
+            optimizer_step(clf.store, loss, adam)
     preds = clf.predict(val_batch.inputs)
     clf.val_accuracy = float((preds == val_batch.categories).mean())
     log.info("classifier validation accuracy: %.4f", clf.val_accuracy)
@@ -212,12 +208,11 @@ def category_accuracy(samples: list[tuple[list[str], int]],
     intended category. Empty token lists count as misses."""
     if not samples:
         raise DataError("no generated sentences to score")
-    nonempty = [(tokens, cat) for tokens, cat in samples if tokens]
+    nonempty = [LabeledSentence(tuple(tokens), cat) for tokens, cat in samples
+                if tokens]
     if not nonempty:
         return 0.0
-    batch = clf.encode_sentences(
-        [LabeledSentence(tuple(tokens), cat) for tokens, cat in nonempty]
-    )
+    batch = clf.encode_sentences(nonempty)
     preds = clf.predict(batch.inputs)
     hits = int((preds == batch.categories).sum())
     return hits / len(samples)
@@ -311,11 +306,6 @@ def corpus_ngram_stats(candidates, references, n: int) -> NgramStats:
                       reference_len=ref_len)
 
 
-def _check_bleu_order(n: int):
-    if not 2 <= n <= 5:
-        raise ConfigurationError(f"n must be in 2..5, got {n}")
-
-
 def _bleu_from_stats(stats: NgramStats, n: int) -> float:
     """BLEU-n from the first n orders of ``stats``, which may hold more."""
     log_sum = 0.0
@@ -336,7 +326,8 @@ def bleu_corpus(candidates, references, n: int) -> float:
     precisions for k = 1..n (zero match counts floored at 1e-9), times the
     brevity penalty. Orders with no candidate k-grams at all are skipped.
     """
-    _check_bleu_order(n)
+    if not 2 <= n <= 5:
+        raise ConfigurationError(f"n must be in 2..5, got {n}")
     candidates = [tuple(c) for c in candidates]
     references = [tuple(r) for r in references]
     return _bleu_from_stats(corpus_ngram_stats(candidates, references, n), n)
@@ -354,19 +345,32 @@ def bleu_harmonic(f: float, b: float) -> float:
 # --- full report --------------------------------------------------------------
 
 
+def sample_categories(params: CatVrnnParams, cfg: ModelConfig, vocab: Vocabulary,
+                      n: int, seed: int,
+                      categories: list[int] | None = None) -> list[tuple[list[str], int]]:
+    """``n`` decoded samples per category (all of them by default), drawn in
+    category order from one ``Rng(seed)``. Empty samples are kept, because
+    category accuracy counts them as misses."""
+    rng = Rng(seed)
+    if categories is None:
+        categories = range(cfg.num_categories)
+    return [(decode_ids(ids, vocab), c) for c in categories
+            for ids in generate(c, n, params, cfg, rng)]
+
+
 @dataclass
 class MetricsReport:
-    category_accuracy: float | None
+    category_accuracy: float
     perplexity: float | None
     bleu_f: dict[int, float]
     bleu_b: dict[int, float]
     bleu_ha: dict[int, float]
-    n_samples_per_category: int
     num_categories: int
     seed: int
     backward_subsampled: bool = False
     backward_subsample_seed: int | None = None
     classifier_val_accuracy: float | None = None
+    n_samples_per_category: int | None = None
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -376,62 +380,56 @@ class MetricsReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def eval_report(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
-                vocab: Vocabulary, clf: EvalClassifier | None, n_samples: int,
-                seed: int, bleu_orders=(2, 3, 4, 5),
-                backward_cap: int = 5000,
-                generated: list[tuple[list[str], int]] | None = None) -> MetricsReport:
-    """Generate per-category samples (unless supplied), then compute category
-    accuracy, teacher-forced perplexity on the real corpus, and the BLEU
-    family against the training sentences."""
-    rng = Rng(seed)
-    if generated is None:
-        generated = []
-        for cat in range(cfg.num_categories):
-            for ids in generate(cat, n_samples, params, cfg, rng):
-                generated.append(([vocab.decode_id(i) for i in ids], cat))
+def score_samples(generated: list[tuple[list[str], int]], corpus: LabeledCorpus,
+                  clf: EvalClassifier, seed: int, perplexity: float | None = None,
+                  backward_cap: int = 5000) -> MetricsReport:
+    """Category accuracy and the BLEU family of decoded samples against the
+    real corpus, plus the given perplexity. The report describes the corpus:
+    its ``num_categories`` is the corpus's and its ``config`` is empty."""
     if not generated:
         raise DataError("nothing generated to evaluate")
-
-    acc = category_accuracy(generated, clf) if clf is not None else None
-    ppl = perplexity(params, cfg, corpus, vocab, seed=seed) if params is not None else None
-
     gen_tokens = [tuple(tokens) for tokens, _ in generated if tokens]
     real_tokens = [s.tokens for s in corpus.sentences]
     if not gen_tokens:
         raise DataError("all generated sentences were empty")
 
-    subsampled = False
-    sub_seed = None
     back_candidates = real_tokens
-    if len(real_tokens) > backward_cap:
-        sub_seed = seed
-        picker = rng.keyed("bleu-backward")
+    subsampled = len(real_tokens) > backward_cap
+    if subsampled:
+        picker = Rng(seed).keyed("bleu-backward")
         idx = picker.choice(len(real_tokens), size=backward_cap, replace=False)
         back_candidates = [real_tokens[i] for i in sorted(idx)]
-        subsampled = True
 
-    for n in bleu_orders:
-        _check_bleu_order(n)
     # one n-gram pass per direction at the highest order serves every order
-    top = max(bleu_orders)
+    top = max(BLEU_ORDERS)
     forward = corpus_ngram_stats(gen_tokens, real_tokens, top)
     backward = corpus_ngram_stats(back_candidates, gen_tokens, top)
-    bleu_f = {n: _bleu_from_stats(forward, n) for n in bleu_orders}
-    bleu_b = {n: _bleu_from_stats(backward, n) for n in bleu_orders}
-    bleu_ha = {n: bleu_harmonic(bleu_f[n], bleu_b[n]) for n in bleu_orders}
+    bleu_f = {n: _bleu_from_stats(forward, n) for n in BLEU_ORDERS}
+    bleu_b = {n: _bleu_from_stats(backward, n) for n in BLEU_ORDERS}
+    bleu_ha = {n: bleu_harmonic(bleu_f[n], bleu_b[n]) for n in BLEU_ORDERS}
 
     return MetricsReport(
-        category_accuracy=acc,
-        perplexity=ppl,
+        category_accuracy=category_accuracy(generated, clf),
+        perplexity=perplexity,
         bleu_f=bleu_f,
         bleu_b=bleu_b,
         bleu_ha=bleu_ha,
-        n_samples_per_category=n_samples,
-        num_categories=cfg.num_categories if cfg else corpus.num_categories,
+        num_categories=corpus.num_categories,
         seed=seed,
         backward_subsampled=subsampled,
-        backward_subsample_seed=sub_seed,
-        classifier_val_accuracy=clf.val_accuracy if clf is not None else None,
-        config=cfg.to_dict() if cfg else {},
+        backward_subsample_seed=seed if subsampled else None,
+        classifier_val_accuracy=clf.val_accuracy,
     )
+
+
+def eval_report(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
+                vocab: Vocabulary, clf: EvalClassifier, n_samples: int,
+                seed: int, backward_cap: int = 5000) -> MetricsReport:
+    """Sample ``n_samples`` sentences per category, then score them, with the
+    model's teacher-forced perplexity on the real corpus."""
+    generated = sample_categories(params, cfg, vocab, n_samples, seed)
+    ppl = perplexity(params, cfg, corpus, vocab, seed=seed)
+    report = score_samples(generated, corpus, clf, seed, perplexity=ppl,
+                           backward_cap=backward_cap)
+    return replace(report, n_samples_per_category=n_samples,
+                   num_categories=cfg.num_categories, config=cfg.to_dict())

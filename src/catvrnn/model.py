@@ -277,13 +277,14 @@ def init_hidden_zero(cfg: ModelConfig, batch: int = 1) -> Tensor:
     return Tensor(np.zeros((batch, cfg.hidden_dim), dtype=cfg.np_dtype()))
 
 
-def init_hidden(c, params: CatVrnnParams, cfg: ModelConfig, rng: Rng,
-                train_mode: bool, batch: int = 1) -> Tensor:
-    """Dispatch on cfg.init_mode.
+def init_hidden(c, params: CatVrnnParams, rng: Rng, train_mode: bool,
+                batch: int = 1) -> Tensor:
+    """Dispatch on the init_mode of ``params.cfg``.
 
     Mode ``none`` trains from zero and falls back to the static function in
     evaluation mode, which is how the no-initialization variant generates.
     """
+    cfg = params.cfg
     if cfg.init_mode == "static":
         return init_hidden_static(c, cfg, rng, batch)
     if cfg.init_mode == "adaptive":
@@ -368,7 +369,7 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
         raise DataError("inputs must start with the PAD token")
     batch = x_ids.shape[0]
 
-    h = init_hidden(c, params, cfg, rng, train_mode, batch)
+    h = init_hidden(c, params, rng, train_mode, batch)
     step_logits: list[Tensor] = []
     kl_sum: Tensor | None = None
     for t in range(cfg.max_len):
@@ -446,7 +447,7 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         raise ConfigurationError("count must be >= 1")
     stream = rng.stream("sampling")
     with nm.no_grad():
-        h = init_hidden(c, params, cfg, rng, train_mode=False, batch=count)
+        h = init_hidden(c, params, rng, train_mode=False, batch=count)
         x = np.full(count, PAD_ID, dtype=np.int64)
         sampled = np.empty((count, cfg.max_len), dtype=np.int64)
         for t in range(cfg.max_len):

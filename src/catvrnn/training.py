@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
-from .numeric import ParamStore, Rng, mean as nm_mean
+from .numeric import ParamStore, Rng, Tensor, mean as nm_mean
 from .model import CatVrnnParams, ModelConfig, forward_teacher, joint_loss
-from .data import atomic_open
+from .data import atomic_open, atomic_write_text
 
 log = logging.getLogger(__name__)
 
@@ -118,15 +118,6 @@ class EpochStats:
         }
 
 
-def _collect_grads(store: ParamStore) -> dict[str, np.ndarray]:
-    """Gradients for every tensor; parameters outside the active loss get
-    zeros, which leaves them unchanged under Adam's zero-initialized moments."""
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in store.items()
-    }
-
-
 def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """``grads`` scaled down to a global norm of at most ``max_norm``. The
     scaled gradients are new arrays: the tape may hand one buffer to two
@@ -136,6 +127,21 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.n
         return grads
     scale = max_norm / total
     return {name: g * scale for name, g in grads.items()}
+
+
+def optimizer_step(store: ParamStore, loss: Tensor, state: AdamState,
+                   grad_clip: float | None = None):
+    """Backpropagate the scalar ``loss`` into freshly zeroed gradients, clip
+    them to a global norm of ``grad_clip`` when given, and apply one Adam
+    update. Parameters outside the loss get zero gradients, which leaves
+    them unchanged under Adam's zero-initialized moments."""
+    store.zero_grad()
+    loss.backward()
+    grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+             for name, t in store.items()}
+    if grad_clip is not None:
+        grads = _clip_grads(grads, grad_clip)
+    adam_step(store, grads, state)
 
 
 def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
@@ -162,12 +168,7 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
             raise NumericError(
                 f"non-finite loss at epoch {epoch}, batch starting {start}"
             )
-        params.store.zero_grad()
-        batch_loss.backward()
-        grads = _collect_grads(params.store)
-        if plan.grad_clip is not None:
-            grads = _clip_grads(grads, plan.grad_clip)
-        adam_step(params.store, grads, state)
+        optimizer_step(params.store, batch_loss, state, plan.grad_clip)
         gen_sum += float(breakdown.gen_nll.data.sum())
         cls_sum += float(breakdown.cls_nll.data.sum())
         if breakdown.kl is not None:
@@ -359,8 +360,7 @@ def _drop_metrics_after(path: Path, epoch: int):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     kept = [line for line in lines
             if line.endswith("\n") and json.loads(line)["epoch"] <= epoch]
-    with atomic_open(path) as f:
-        f.write("".join(kept).encode("utf-8"))
+    atomic_write_text(path, "".join(kept))
 
 
 def run_training(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,

@@ -17,7 +17,6 @@ from catvrnn.model import (
     CatVrnnParams,
     ModelConfig,
     forward_teacher,
-    generate,
     init_hidden_adaptive,
     init_hidden_static,
     init_hidden_zero,
@@ -43,7 +42,12 @@ from catvrnn.training import (
     run_training,
     train_epoch,
 )
-from catvrnn.evaluation import bleu_corpus, bleu_harmonic, perplexity
+from catvrnn.evaluation import (
+    bleu_corpus,
+    bleu_harmonic,
+    perplexity,
+    sample_categories,
+)
 from catvrnn.cli import main as cli_main
 
 from test_evaluation import oracle_bleu
@@ -90,11 +94,7 @@ def train_model(synth, cfg, seed, epochs, lr=1e-3):
 
 
 def steering_accuracy(synth, params, cfg, n=100, seed=123):
-    samples = []
-    rng = Rng(seed)
-    for c in (0, 1):
-        for ids in generate(c, n, params, cfg, rng):
-            samples.append(([synth["vocab"].decode_id(i) for i in ids], c))
+    samples = sample_categories(params, cfg, synth["vocab"], n, seed)
     return oracle_category_accuracy(samples, synth["oracle"])
 
 
@@ -197,11 +197,7 @@ def test_report_category_accuracy_matches_membership_oracle(synth, steering_mode
     report = eval_report(params, cfg, synth["corpus"], synth["vocab"], clf,
                          n_samples=50, seed=77)
 
-    rng = Rng(77)
-    samples = []
-    for c in (0, 1):
-        for ids in generate(c, 50, params, cfg, rng):
-            samples.append(([synth["vocab"].decode_id(i) for i in ids], c))
+    samples = sample_categories(params, cfg, synth["vocab"], 50, 77)
     oracle_acc = oracle_category_accuracy(samples, synth["oracle"])
     assert abs(report.category_accuracy - oracle_acc) <= 0.02
 
@@ -349,9 +345,10 @@ def test_c07_perplexity_anchors(memorized):
         assert perplexity(params, cfg, corpus, vocab) >= 1.0
 
     # overfit model reproduces its sentence in nearly every sample
-    gen = generate(0, 100, memorized["params"], memorized["cfg"], Rng(5))
+    samples = sample_categories(memorized["params"], memorized["cfg"],
+                                memorized["vocab"], 100, 5, categories=[0])
     target = list(memorized["sentence"].tokens)
-    texts = [[memorized["vocab"].decode_id(i) for i in ids] for ids in gen]
+    texts = [tokens for tokens, _ in samples]
     assert sum(t == target for t in texts) >= 95
     print(f"\n  uniform ppl {ppl_uniform:.6f}, memorized ppl {ppl_memo:.6f}")
     announce("C07", "perplexity-anchors")

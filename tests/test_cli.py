@@ -188,6 +188,24 @@ def test_train_resume_rejects_model_options_that_differ(tmp_path, trained_run,
         assert (out / "epoch_0004.ckpt").exists()
 
 
+def test_train_resume_prints_the_checkpoint_options(tmp_path, trained_run,
+                                                    synth_corpus_file, capsys):
+    cfg_file = tmp_path / "resume.cfg"
+    cfg_file.write_text("omega = 8.5\n")
+    out = tmp_path / "resumed"
+    assert run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
+                   "--epochs", "4", "--resume", str(trained_run / "epoch_0003.ckpt"),
+                   "--latent-dim", "4", "--config", str(cfg_file)) == 0
+    printed = capsys.readouterr().out
+    # flags > file > checkpoint > defaults
+    for line in ("embed_dim = 10 (checkpoint)", "hidden_dim = 8 (checkpoint)",
+                 "max_len = 7 (checkpoint)", "init = static (checkpoint)",
+                 "latent_dim = 4 (flag)", "omega = 8.5 (file)",
+                 "batch_size = 64 (default)"):
+        assert line in printed
+    assert (out / "epoch_0004.ckpt").exists()
+
+
 # --- generate -----------------------------------------------------------------------
 
 
@@ -216,6 +234,17 @@ def test_generate_rejects_out_of_range_category(tmp_path, trained_run):
         "--out", str(tmp_path / "g.tsv"), "-n", "2", "-c", "5",
     )
     assert code == 1
+
+
+def test_generate_rejects_malformed_category_list(tmp_path, trained_run, capsys):
+    code = run_cli(
+        "generate", "--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+        "--vocab", str(trained_run / "vocab.txt"),
+        "--out", str(tmp_path / "g.tsv"), "-n", "2", "-c", "a",
+    )
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "g.tsv").exists()
 
 
 def test_generate_detects_vocab_mismatch(tmp_path, trained_run):
@@ -271,6 +300,18 @@ def test_evaluate_model_checkpoint_full_report(tmp_path, trained_run, synth_corp
 
 def test_evaluate_requires_model_or_generated(tmp_path, synth_corpus_file):
     assert run_cli("evaluate", "--corpus", str(synth_corpus_file)) == 1
+
+
+def test_evaluate_zero_samples_fails_before_the_classifier_fit(tmp_path, trained_run,
+                                                               synth_corpus_file):
+    clf_path = tmp_path / "eval.clf"
+    code = run_cli(
+        "evaluate", "--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+        "--corpus", str(synth_corpus_file), "--samples", "0",
+        "--save-classifier", str(clf_path), "--classifier-epochs", "1",
+    )
+    assert code == 1
+    assert not clf_path.exists()
 
 
 def test_evaluate_classifier_file_missing_a_tensor(tmp_path, synth_corpus_file,

@@ -2,6 +2,7 @@
 and BLEU against a brute-force counting oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from catvrnn.evaluation import (
     category_accuracy,
     eval_report,
     perplexity,
+    sample_categories,
+    score_samples,
     train_eval_classifier,
 )
 
@@ -310,11 +313,9 @@ def test_eval_report_fields_and_determinism(disjoint_corpus, trained_clf):
     assert r1.config["vocab_size"] == len(vocab)
 
 
-def test_eval_report_scores_external_generated(disjoint_corpus, trained_clf):
-    vocab = build_vocabulary(disjoint_corpus)
+def test_score_samples_scores_external_generated(disjoint_corpus, trained_clf):
     generated = [(list(s.tokens), s.category) for s in disjoint_corpus.sentences]
-    report = eval_report(None, None, disjoint_corpus, vocab, trained_clf,
-                         n_samples=0, seed=0, generated=generated)
+    report = score_samples(generated, disjoint_corpus, trained_clf, seed=0)
     # self-copied training set: forward BLEU is exactly one
     for n in (2, 3, 4, 5):
         assert report.bleu_f[n] == pytest.approx(1.0, abs=1e-12)
@@ -322,12 +323,27 @@ def test_eval_report_scores_external_generated(disjoint_corpus, trained_clf):
     assert report.category_accuracy >= 0.98
 
 
-def test_eval_report_backward_subsampling_flagged(disjoint_corpus, trained_clf):
-    vocab = build_vocabulary(disjoint_corpus)
+def test_score_samples_backward_subsampling_flagged(disjoint_corpus, trained_clf):
     generated = [(list(s.tokens), s.category)
                  for s in disjoint_corpus.sentences[:40]]
-    report = eval_report(None, None, disjoint_corpus, vocab, trained_clf,
-                         n_samples=0, seed=1, generated=generated,
-                         backward_cap=50)
+    report = score_samples(generated, disjoint_corpus, trained_clf, seed=1,
+                           backward_cap=50)
     assert report.backward_subsampled
     assert report.backward_subsample_seed == 1
+
+
+def test_eval_report_is_sample_then_score(disjoint_corpus, trained_clf):
+    vocab = build_vocabulary(disjoint_corpus)
+    cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=12,
+                      hidden_dim=10, latent_dim=4, max_len=10)
+    params = CatVrnnParams(cfg, Rng(1))
+    samples = sample_categories(params, cfg, vocab, 10, seed=3)
+    assert [c for _, c in samples] == [0] * 10 + [1] * 10
+    scored = score_samples(samples, disjoint_corpus, trained_clf, seed=3,
+                           perplexity=perplexity(params, cfg, disjoint_corpus,
+                                                 vocab, seed=3))
+    report = eval_report(params, cfg, disjoint_corpus, vocab, trained_clf,
+                         n_samples=10, seed=3)
+    assert report == replace(scored, n_samples_per_category=10,
+                             num_categories=cfg.num_categories,
+                             config=cfg.to_dict())

@@ -241,7 +241,7 @@ def test_forward_equals_fold_of_cell_step():
     rng = Rng(6)
     from catvrnn.model import init_hidden
 
-    h = init_hidden(0, params, cfg, rng, train_mode=True, batch=2)
+    h = init_hidden(0, params, rng, train_mode=True, batch=2)
     manual = []
     for t in range(cfg.max_len):
         step = cell_step(h, x[:, t], params, cfg, rng)

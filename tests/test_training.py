@@ -12,10 +12,13 @@ from catvrnn.errors import ConfigurationError, DataError
 from catvrnn.numeric import ParamStore, Rng, Tensor, mean
 from catvrnn.model import CatVrnnParams, ModelConfig, forward_teacher, generate
 from catvrnn.data import (
+    Vocabulary,
+    atomic_write_text,
     build_vocabulary,
     encode_batch,
     make_synthetic_corpus,
     save_corpus,
+    write_json,
 )
 from catvrnn.training import (
     AdamState,
@@ -430,21 +433,36 @@ def fail_writes(monkeypatch):
 
 def test_failed_writes_leave_the_old_file_intact(tmp_path, monkeypatch):
     cfg, params, adam, rng = trained_setup(tmp_path)
-    ckpt_path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt_path, Checkpoint.capture(params, 3, "d", rng=rng, adam=adam))
-    corpus_path = tmp_path / "corpus.tsv"
-    save_corpus(corpus_path, make_synthetic_corpus(2, 4, 5, (2, 3), seed=1))
-    before = {p: p.read_bytes() for p in (ckpt_path, corpus_path)}
+    # file -> (a first write, then a second one made to fail)
+    writes = {
+        "model.ckpt": (
+            lambda p: save_checkpoint(p, Checkpoint.capture(params, 3, "d", rng=rng,
+                                                            adam=adam)),
+            lambda p: save_checkpoint(p, Checkpoint.capture(params, 4, "d"))),
+        "corpus.tsv": (
+            lambda p: save_corpus(p, make_synthetic_corpus(2, 4, 5, (2, 3), seed=1)),
+            lambda p: save_corpus(p, make_synthetic_corpus(2, 5, 5, (2, 3), seed=2))),
+        # the build-data manifest and train's run_config.json
+        "manifest.json": (lambda p: write_json(p, {"seed": 1}),
+                          lambda p: write_json(p, {"seed": 2})),
+        "vocab.txt": (lambda p: Vocabulary(["<pad>", "<unk>", "a"]).save(p),
+                      lambda p: Vocabulary(["<pad>", "<unk>", "b"]).save(p)),
+        # the evaluate --out report
+        "report.json": (lambda p: atomic_write_text(p, "{}\n"),
+                        lambda p: atomic_write_text(p, '{"seed": 2}\n')),
+    }
+    for name, (first, _) in writes.items():
+        first(tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == sorted(writes)
 
     fail_writes(monkeypatch)
-    with pytest.raises(OSError):
-        save_checkpoint(ckpt_path, Checkpoint.capture(params, 4, "d"))
-    with pytest.raises(OSError):
-        save_corpus(corpus_path, make_synthetic_corpus(2, 5, 5, (2, 3), seed=2))
+    for name, (_, second) in writes.items():
+        with pytest.raises(OSError):
+            second(tmp_path / name)
     monkeypatch.undo()
 
-    assert {p: p.read_bytes() for p in before} == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "model.ckpt"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_float32_training_smoke():
