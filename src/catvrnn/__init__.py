@@ -4,6 +4,7 @@ category-accuracy / perplexity / BLEU evaluation suite."""
 
 from .errors import ConfigurationError, DataError, NumericError
 from .numeric import (
+    FusedGru,
     GaussianParams,
     GruWeights,
     ParamStore,
@@ -11,19 +12,24 @@ from .numeric import (
     Tensor,
     check_gradient,
     gru_cell,
+    gru_update,
     kl_gaussians,
     mlp_forward,
     no_grad,
     reparameterize,
     softmax,
+    split,
 )
 from .model import (
     CatVrnnParams,
+    CellWeights,
     LossBreakdown,
     ModelConfig,
     SequenceForward,
     StepOutput,
     cell_step,
+    cell_weights,
+    forward_stepwise,
     forward_teacher,
     generate,
     init_hidden,

@@ -22,10 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
-from .numeric import Rng, check_gradient, mean as nm_mean
+from .numeric import Rng, check_gradient, mean as nm_mean, no_grad
 from .model import (
     CatVrnnParams,
     ModelConfig,
+    SequenceForward,
+    forward_stepwise,
     forward_teacher,
     joint_loss,
     parameter_count,
@@ -412,9 +414,11 @@ def cmd_evaluate(opts: dict) -> int:
         if opts["save_classifier"]:
             clf.save(opts["save_classifier"])
 
+    # samples read from --generated were not drawn here: no per-category count
+    sampled = None if opts["generated"] else opts["samples"]
     report = replace(score_samples(generated, corpus, clf, opts["seed"],
                                    perplexity=ppl, backward_cap=opts["bleu_cap"]),
-                     n_samples_per_category=opts["samples"], **model)
+                     n_samples_per_category=sampled, **model)
     report.config["command_options"] = {
         k: v for k, v in opts.items() if isinstance(v, (int, float, str, bool))
     }
@@ -440,6 +444,48 @@ def add_grad_check_parser(sub):
     return p
 
 
+# the model variants grad-check differentiates, as changes to a tiny config
+GRAD_CHECK_VARIANTS = {
+    "static": {},
+    "adaptive": {"init_mode": "adaptive"},
+    "static+kl": {"use_kl_term": True},
+    "adaptive+kl": {"init_mode": "adaptive", "use_kl_term": True},
+    "feature-extractors": {"use_feature_extractors": True},
+}
+
+
+def grad_check_config(variant: str) -> ModelConfig:
+    base = dict(vocab_size=12, num_categories=2, embed_dim=8, hidden_dim=6,
+                latent_dim=4, max_len=5, init_mode="static")
+    return ModelConfig(**{**base, **GRAD_CHECK_VARIANTS[variant]})
+
+
+def _max_rel_diff(a: SequenceForward, b: SequenceForward) -> float:
+    pairs = [(a.logits, b.logits), (a.class_logits, b.class_logits),
+             (a.final_hidden, b.final_hidden)]
+    if a.kl_sum is not None:
+        pairs.append((a.kl_sum, b.kl_sum))
+    return max(float(np.max(np.abs(x.data - y.data) / np.maximum(
+        np.maximum(np.abs(x.data), np.abs(y.data)), 1e-8))) for x, y in pairs)
+
+
+def hoisted_difference(x_ids, cats, params: CatVrnnParams, cfg: ModelConfig,
+                       seed: int) -> float:
+    """Max relative difference between forward_teacher, which training runs,
+    and a fold of cell_step, which generate runs, in both train modes;
+    infinite when the two draw different random numbers."""
+    worst = 0.0
+    for train_mode in (True, False):
+        hoisted, stepwise = Rng(seed), Rng(seed)
+        with no_grad():
+            a = forward_teacher(x_ids, cats, params, cfg, hoisted, train_mode)
+            b = forward_stepwise(x_ids, cats, params, cfg, stepwise, train_mode)
+        if hoisted.state() != stepwise.state():
+            return float("inf")
+        worst = max(worst, _max_rel_diff(a, b))
+    return worst
+
+
 def cmd_grad_check(opts: dict) -> int:
     corrupt = opts["corrupt_backward"]
     tol = opts["tolerance"]
@@ -447,25 +493,13 @@ def cmd_grad_check(opts: dict) -> int:
     worst = 0.0
     ok = True
 
-    def tiny_cfg(**kw):
-        base = dict(vocab_size=12, num_categories=2, embed_dim=8, hidden_dim=6,
-                    latent_dim=4, max_len=5, init_mode="static")
-        base.update(kw)
-        return ModelConfig(**base)
-
     x_ids = np.array([[0, 3, 7, 2, 5], [0, 4, 4, 9, 0]])
     targets = np.array([[3, 7, 2, 5, 11], [4, 4, 9, 0, 0]])
     cats = np.array([0, 1])
 
-    variants = [
-        ("static", tiny_cfg()),
-        ("adaptive", tiny_cfg(init_mode="adaptive")),
-        ("static+kl", tiny_cfg(use_kl_term=True)),
-        ("adaptive+kl", tiny_cfg(init_mode="adaptive", use_kl_term=True)),
-        ("feature-extractors", tiny_cfg(use_feature_extractors=True)),
-    ]
     print("full-model joint loss:")
-    for name, cfg in variants:
+    for name in GRAD_CHECK_VARIANTS:
+        cfg = grad_check_config(name)
         params = CatVrnnParams(cfg, Rng(seed))
 
         def loss_fn(cfg=cfg, params=params):
@@ -475,12 +509,14 @@ def cmd_grad_check(opts: dict) -> int:
 
         report = check_gradient(loss_fn, params.store, tolerance=tol,
                                 max_checks=opts["max_checks"], corrupt=corrupt)
-        worst = max(worst, report.max_rel_err)
-        ok = ok and report.passed
+        diff = hoisted_difference(x_ids, cats, params, cfg, seed + 1)
+        worst = max(worst, report.max_rel_err, diff)
+        ok = ok and report.passed and diff <= tol
         print(f"  {name}: {report.summary()}")
         for entry in sorted(report.per_param, key=lambda e: -e.max_rel_err)[:3]:
             print(f"      {entry.name}: {entry.max_rel_err:.3e} "
                   f"({entry.checked} checked)")
+        print(f"      forward_teacher vs cell_step fold: max rel diff {diff:.3e}")
     print(f"overall: {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tol {tol:.1e})")
     return 0 if ok else 3
 

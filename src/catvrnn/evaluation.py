@@ -240,16 +240,13 @@ def perplexity(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
             sl = slice(start, start + batch_size)
             fwd = forward_teacher(batch.inputs[sl], batch.categories[sl], params,
                                   cfg, rng, train_mode=False)
-            lengths = batch.lengths[sl]
-            scored = np.minimum(lengths + 1, cfg.max_len)
-            for t, logits in enumerate(fwd.step_logits):
-                active = scored > t
-                if not active.any():
-                    break
-                nll = nm.cross_entropy_rows(logits.data[active],
-                                            batch.targets[sl][active, t])
-                ll_sum += float(nll.data.sum())
-                n_positions += int(active.sum())
+            scored = np.minimum(batch.lengths[sl] + 1, cfg.max_len)
+            # (T, B) like the time-major logits
+            active = scored[None, :] > np.arange(cfg.max_len)[:, None]
+            nll = nm.cross_entropy_rows(fwd.logits.data[active],
+                                        batch.targets[sl].T[active])
+            ll_sum += float(nll.data.sum())
+            n_positions += int(active.sum())
     return float(np.exp(ll_sum / n_positions))
 
 

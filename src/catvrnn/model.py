@@ -117,10 +117,11 @@ class StepOutput:
 
 @dataclass
 class SequenceForward:
-    """Unrolled forward pass: per-step logits, final-state class logits,
-    accumulated KL when enabled, and the final hidden state."""
+    """Unrolled forward pass: vocabulary logits of every step, (T, B, V)
+    time-major, final-state class logits, accumulated KL when enabled, and
+    the final hidden state."""
 
-    step_logits: list[Tensor]
+    logits: Tensor
     class_logits: Tensor
     kl_sum: Tensor | None
     final_hidden: Tensor
@@ -301,8 +302,111 @@ def _sigma_from(raw: Tensor) -> Tensor:
     return nm.add(nm.softplus(raw), SIGMA_FLOOR)
 
 
+@dataclass
+class CellWeights:
+    """Fused and split views of the cell's weights, built once per forward or
+    generate call. ``enc_x``/``enc_h`` are the embedding and hidden rows of
+    ``enc.fc1.w``; ``gru_x``/``gru_z`` the embedding and latent rows of the
+    GRU's fused input side; ``head`` and ``prior_head`` put the mu and sigma
+    layers side by side. ``vocabulary`` is the token side of a step (see
+    ``_inputs``) for every vocabulary entry, which ``cell_step`` looks up."""
+
+    enc_x: Tensor
+    enc_h: Tensor
+    gru: nm.FusedGru
+    gru_x: Tensor
+    gru_z: Tensor
+    head: tuple[Tensor, Tensor]
+    prior_head: tuple[Tensor, Tensor] | None
+    vocabulary: tuple[Tensor, Tensor] | None = None
+
+
+def _fused_head(mu: tuple[Tensor, Tensor], sigma: tuple[Tensor, Tensor]):
+    return (nm.concat([mu[0], sigma[0]], axis=1), nm.concat([mu[1], sigma[1]]))
+
+
+def cell_weights(params: CatVrnnParams, vocabulary: bool = False) -> CellWeights:
+    """The views of ``CellWeights``; with ``vocabulary`` also the token side of
+    every vocabulary entry, which pays when more rows will be stepped than
+    the vocabulary has (``generate``: count * max_len rows)."""
+    cfg = params.cfg
+    gru = params.gru.fused()
+    enc_x, enc_h = nm.split(params.enc_stack[0][0], [cfg.embed_dim, cfg.hidden_dim],
+                            axis=0)
+    gru_x, gru_z = nm.split(gru.w_x, [cfg.embed_dim, cfg.latent_dim], axis=0)
+    prior_head = (_fused_head(params.prior_mu, params.prior_sigma)
+                  if cfg.use_kl_term else None)
+    w = CellWeights(enc_x=enc_x, enc_h=enc_h, gru=gru, gru_x=gru_x, gru_z=gru_z,
+                    head=_fused_head(params.mu_head, params.sigma_head),
+                    prior_head=prior_head)
+    if vocabulary:
+        w.vocabulary = _inputs(np.arange(cfg.vocab_size), params, w)
+    return w
+
+
+def _checked_ids(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    if x_ids.size and (x_ids.min() < 0 or x_ids.max() >= cfg.vocab_size):
+        raise DataError(
+            f"token id out of range [0, {cfg.vocab_size}): "
+            f"{x_ids.min()}..{x_ids.max()}"
+        )
+    return x_ids
+
+
+# A step is four pieces. Only ``_recur`` needs the previous step's state; the
+# others take any number of rows, so forward_teacher runs them once over all
+# steps while cell_step runs them on one step's rows (``_inputs`` once over
+# the vocabulary, in cell_weights).
+
+
+def _inputs(x_ids: np.ndarray, params: CatVrnnParams, w: CellWeights):
+    """The token side of a step: the embedding's share of the encoder's first
+    layer and of the GRU's gates, biases included."""
+    e = nm.gather_rows(params.embedding, x_ids)
+    rec_x = e
+    if params.cfg.use_feature_extractors:
+        rec_x = nm.mlp_forward(e, params.feat_x, ["relu", "none"])
+    return (nm.linear(e, w.enc_x, params.enc_stack[0][1]),
+            nm.linear(rec_x, w.gru_x, w.gru.b))
+
+
+def _gaussian(x: Tensor, head: tuple[Tensor, Tensor]) -> GaussianParams:
+    mu, raw = nm.split(nm.linear(x, *head), [head[0].data.shape[1] // 2] * 2)
+    return GaussianParams(mu, _sigma_from(raw))
+
+
+def _recur(h_prev: Tensor, enc_x: Tensor, gru_x: Tensor, params: CatVrnnParams,
+           w: CellWeights, rng: Rng) -> tuple[Tensor, Tensor, GaussianParams]:
+    """The recurrence: the posterior from the token side and ``h_prev``, one
+    latent draw, and the GRU update. Returns (h_next, z, posterior)."""
+    enc_h = nm.relu(nm.add(enc_x, nm.matmul(h_prev, w.enc_h)))
+    enc_h = nm.mlp_forward(enc_h, params.enc_stack[1:], ["relu"])
+    posterior = _gaussian(enc_h, w.head)
+    z = nm.reparameterize(posterior, rng.stream("latent"))
+    rec_z = z
+    if params.cfg.use_feature_extractors:
+        rec_z = nm.mlp_forward(z, params.feat_z, ["relu", "none"])
+    h_next = nm.gru_update(nm.add(gru_x, nm.matmul(rec_z, w.gru_z)), h_prev, w.gru)
+    return h_next, z, posterior
+
+
+def _emit(z: Tensor, h_prev: Tensor, params: CatVrnnParams) -> Tensor:
+    """Vocabulary logits decoded from the latent and the previous state."""
+    dec_h = nm.mlp_forward(nm.concat([z, h_prev], axis=-1), params.dec_stack,
+                           ["relu", "relu"])
+    return nm.linear(dec_h, *params.out_layer)
+
+
+def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams,
+        w: CellWeights) -> Tensor:
+    """KL of the posterior from the prior conditioned on the previous state."""
+    trunk = nm.relu(nm.linear(h_prev, *params.prior_trunk))
+    return nm.kl_gaussians(posterior, _gaussian(trunk, w.prior_head))
+
+
 def cell_step(h_prev: Tensor, x_ids: np.ndarray, params: CatVrnnParams,
-              cfg: ModelConfig, rng: Rng) -> StepOutput:
+              cfg: ModelConfig, rng: Rng, weights: CellWeights | None = None
+              ) -> StepOutput:
     """One time step over a batch of token ids.
 
     Embeds the tokens, infers the posterior from embedding + previous hidden
@@ -310,42 +414,29 @@ def cell_step(h_prev: Tensor, x_ids: np.ndarray, params: CatVrnnParams,
     previous hidden state, and advances the GRU over embedding + latent.
     When feature extractors are on they transform the recurrence inputs; when
     the KL term is on the posterior is scored against the conditional prior
-    computed from the previous hidden state.
+    computed from the previous hidden state. ``weights`` are
+    ``cell_weights(params, vocabulary=True)``, built here when not given.
     """
-    x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    if x_ids.size and (x_ids.min() < 0 or x_ids.max() >= cfg.vocab_size):
-        raise DataError(
-            f"token id out of range [0, {cfg.vocab_size}): "
-            f"{x_ids.min()}..{x_ids.max()}"
-        )
-    e = nm.gather_rows(params.embedding, x_ids)
-    enc_in = nm.concat([e, h_prev], axis=-1)
-    enc_h = nm.mlp_forward(enc_in, params.enc_stack, ["relu", "relu"])
-    mu = nm.linear(enc_h, *params.mu_head)
-    sigma = _sigma_from(nm.linear(enc_h, *params.sigma_head))
-    posterior = GaussianParams(mu, sigma)
-    z = nm.reparameterize(posterior, rng.stream("latent"))
-
-    dec_in = nm.concat([z, h_prev], axis=-1)
-    dec_h = nm.mlp_forward(dec_in, params.dec_stack, ["relu", "relu"])
-    logits = nm.linear(dec_h, *params.out_layer)
-
-    rec_x, rec_z = e, z
-    if cfg.use_feature_extractors:
-        rec_x = nm.mlp_forward(e, params.feat_x, ["relu", "none"])
-        rec_z = nm.mlp_forward(z, params.feat_z, ["relu", "none"])
-    h_next = nm.gru_cell(nm.concat([rec_x, rec_z], axis=-1), h_prev, params.gru)
-
-    kl = None
-    if cfg.use_kl_term:
-        trunk = nm.relu(nm.linear(h_prev, *params.prior_trunk))
-        prior = GaussianParams(
-            nm.linear(trunk, *params.prior_mu),
-            _sigma_from(nm.linear(trunk, *params.prior_sigma)),
-        )
-        kl = nm.kl_gaussians(posterior, prior)
-    return StepOutput(h_next=h_next, logits=logits, latent=z,
+    x_ids = _checked_ids(np.atleast_1d(np.asarray(x_ids, dtype=np.int64)), cfg)
+    w = weights if weights is not None else cell_weights(params, vocabulary=True)
+    enc_x, gru_x = (nm.gather_rows(side, x_ids) for side in w.vocabulary)
+    h_next, z, posterior = _recur(h_prev, enc_x, gru_x, params, w, rng)
+    kl = _kl(posterior, h_prev, params, w) if cfg.use_kl_term else None
+    return StepOutput(h_next=h_next, logits=_emit(z, h_prev, params), latent=z,
                       posterior=posterior, kl=kl)
+
+
+def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    x_ids = np.asarray(x_ids, dtype=np.int64)
+    if x_ids.ndim == 1:
+        x_ids = x_ids[None, :]
+    if x_ids.shape[1] != cfg.max_len:
+        raise DataError(
+            f"input width {x_ids.shape[1]} does not match max_len {cfg.max_len}"
+        )
+    if np.any(x_ids[:, 0] != PAD_ID):
+        raise DataError("inputs must start with the PAD token")
+    return _checked_ids(x_ids, cfg)
 
 
 def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
@@ -356,32 +447,57 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
     one category id or one per row. Runs the configured hidden-state
     initialization, T cell steps, and the classifier on the final hidden
     state. Per-step KL values are summed when enabled.
-    """
-    x_ids = np.asarray(x_ids, dtype=np.int64)
-    single = x_ids.ndim == 1
-    if single:
-        x_ids = x_ids[None, :]
-    if x_ids.shape[1] != cfg.max_len:
-        raise DataError(
-            f"input width {x_ids.shape[1]} does not match max_len {cfg.max_len}"
-        )
-    if np.any(x_ids[:, 0] != PAD_ID):
-        raise DataError("inputs must start with the PAD token")
-    batch = x_ids.shape[0]
 
+    Computes what a fold of ``cell_step`` computes, with the same draws, but
+    only the recurrence runs step by step: the token side runs once over all
+    ``T*B`` rows before the loop, and the decoder, output layer and prior
+    once over the stacked states after it.
+    """
+    x_ids = _teacher_inputs(x_ids, cfg)
+    batch, T = x_ids.shape
+    w = cell_weights(params)
     h = init_hidden(c, params, rng, train_mode, batch)
-    step_logits: list[Tensor] = []
-    kl_sum: Tensor | None = None
-    for t in range(cfg.max_len):
-        step = cell_step(h, x_ids[:, t], params, cfg, rng)
-        step_logits.append(step.logits)
+    # time-major rows: step t is rows t*batch .. (t+1)*batch
+    enc_x, gru_x = (nm.split(side, [batch] * T, axis=0)
+                    for side in _inputs(x_ids.T.reshape(-1), params, w))
+    h_prev, z, mu, sigma = [], [], [], []
+    for t in range(T):
+        h_prev.append(h)
+        h, z_t, q = _recur(h, enc_x[t], gru_x[t], params, w, rng)
+        z.append(z_t)
+        mu.append(q.mu)
+        sigma.append(q.sigma)
+
+    h_all = nm.concat(h_prev, axis=0)
+    logits = _emit(nm.concat(z, axis=0), h_all, params)
+    kl_sum = None
+    if cfg.use_kl_term:
+        q = GaussianParams(nm.concat(mu, axis=0), nm.concat(sigma, axis=0))
+        kl = nm.reshape(_kl(q, h_all, params, w), (T, batch))
+        kl_sum = nm.tensor_sum(kl, axis=0)
+    class_logits = nm.linear(h, *params.classifier)
+    return SequenceForward(logits=nm.reshape(logits, (T, batch, cfg.vocab_size)),
+                           class_logits=class_logits, kl_sum=kl_sum, final_hidden=h)
+
+
+def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
+                     rng: Rng, train_mode: bool = True) -> SequenceForward:
+    """``forward_teacher`` as a fold of ``cell_step``, the step ``generate``
+    runs; the reference the hoisted pass is checked against."""
+    x_ids = _teacher_inputs(x_ids, cfg)
+    batch, T = x_ids.shape
+    w = cell_weights(params, vocabulary=True)
+    h = init_hidden(c, params, rng, train_mode, batch)
+    logits, kl_sum = [], None
+    for t in range(T):
+        step = cell_step(h, x_ids[:, t], params, cfg, rng, weights=w)
+        logits.append(step.logits)
         if step.kl is not None:
             kl_sum = step.kl if kl_sum is None else nm.add(kl_sum, step.kl)
         h = step.h_next
-
-    class_logits = nm.linear(h, *params.classifier)
-    return SequenceForward(step_logits=step_logits, class_logits=class_logits,
-                           kl_sum=kl_sum, final_hidden=h)
+    return SequenceForward(
+        logits=nm.reshape(nm.concat(logits, axis=0), (T, batch, cfg.vocab_size)),
+        class_logits=nm.linear(h, *params.classifier), kl_sum=kl_sum, final_hidden=h)
 
 
 def _loss_mask(targets: np.ndarray) -> np.ndarray:
@@ -400,22 +516,21 @@ def joint_loss(fwd: SequenceForward, targets: np.ndarray, c,
     """Per-sentence generation NLL summed over all steps, classification NLL
     at the final step, and their 1:1 sum (plus the KL sum when enabled)."""
     targets = np.asarray(targets, dtype=np.int64)
-    single = targets.ndim == 1
-    if single:
+    if targets.ndim == 1:
         targets = targets[None, :]
-    T = len(fwd.step_logits)
-    if targets.shape[1] != T:
+    T, batch, vocab = fwd.logits.shape
+    if targets.shape != (batch, T):
         raise DataError(
-            f"target width {targets.shape[1]} does not match {T} forward steps"
+            f"targets of shape {targets.shape} do not match {batch} rows of "
+            f"{T} forward steps"
         )
-    dt = fwd.step_logits[0].data.dtype
-    mask = _loss_mask(targets).astype(dt) if cfg.mask_pad_loss else None
-    gen_nll: Tensor | None = None
-    for t in range(T):
-        ce = nm.cross_entropy_rows(fwd.step_logits[t], targets[:, t])
-        if mask is not None:
-            ce = nm.mul(ce, Tensor(mask[:, t]))
-        gen_nll = ce if gen_nll is None else nm.add(gen_nll, ce)
+    # one cross-entropy over all T*B positions, in the logits' time-major order
+    ce = nm.cross_entropy_rows(nm.reshape(fwd.logits, (T * batch, vocab)),
+                               targets.T.reshape(-1))
+    if cfg.mask_pad_loss:
+        mask = _loss_mask(targets).astype(fwd.logits.dtype)
+        ce = nm.mul(ce, Tensor(mask.T.reshape(-1)))
+    gen_nll = nm.tensor_sum(nm.reshape(ce, (T, batch)), axis=0)
 
     cats = _category_column(c, targets.shape[0], fwd.class_logits.data.shape[-1],
                             "classification target")
@@ -447,11 +562,12 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         raise ConfigurationError("count must be >= 1")
     stream = rng.stream("sampling")
     with nm.no_grad():
+        w = cell_weights(params, vocabulary=True)
         h = init_hidden(c, params, rng, train_mode=False, batch=count)
         x = np.full(count, PAD_ID, dtype=np.int64)
         sampled = np.empty((count, cfg.max_len), dtype=np.int64)
         for t in range(cfg.max_len):
-            step = cell_step(h, x, params, cfg, rng)
+            step = cell_step(h, x, params, cfg, rng, weights=w)
             probs = nm.softmax(step.logits.data / cfg.temperature)
             u = stream.random((count, 1))
             ids = (probs.cumsum(axis=1) < u).sum(axis=1)

@@ -60,8 +60,9 @@ class Tensor:
     """Dense real array with an optional gradient buffer.
 
     ``data`` is a numpy array; ``grad`` stays ``None`` until ``backward()``
-    reaches this tensor. Tensors produced by operations are immutable by
-    convention once a forward pass completes.
+    reaches this tensor, and after it only leaves (tensors no operation
+    produced, such as parameters) keep theirs. Tensors produced by
+    operations are immutable by convention once a forward pass completes.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -113,6 +114,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None  # passed on to the parents: free it now
 
     # --- operator sugar -------------------------------------------------
 
@@ -152,6 +154,15 @@ def _lift(x, like: Tensor | None = None) -> Tensor:
     return Tensor(_as_array(x, dtype=dtype))
 
 
+def _lift_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Lift a non-tensor operand of a binary op in the dtype of the tensor on
+    either side, so a Python scalar never promotes float32 to float64."""
+    if not isinstance(a, Tensor) and isinstance(b, Tensor):
+        return _lift(a, like=b), b
+    a = _lift(a)
+    return a, _lift(b, like=a)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -167,8 +178,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a = _lift(a)
-    b = _lift(b, like=a)
+    a, b = _lift_pair(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -181,8 +191,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _lift(a)
-    b = _lift(b, like=a)
+    a, b = _lift_pair(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -195,8 +204,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a = _lift(a)
-    b = _lift(b, like=a)
+    a, b = _lift_pair(a, b)
     data = a.data / b.data
 
     def backward(g):
@@ -245,6 +253,35 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 t._accumulate(g[tuple(idx)])
 
     return _make(data, tensors, backward)
+
+
+def split(t: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
+    """Cut ``t`` into consecutive pieces of ``sizes`` along ``axis``; each
+    piece is a view. The pieces' gradients land in one buffer, which reaches
+    ``t`` as a single accumulation."""
+    t = _lift(t)
+    axis %= t.data.ndim
+    if sum(sizes) != t.data.shape[axis]:
+        raise ConfigurationError(
+            f"split sizes {list(sizes)} do not add up to {t.shape}[{axis}]"
+        )
+    # the pieces' parent: its backward runs after every piece has written
+    # its share of the buffer, since each piece depends on it
+    joint = _make(t.data, (t,), lambda g: t._accumulate(g))
+    lead = (slice(None),) * axis
+    pieces = []
+    lo = 0
+    for size in sizes:
+        idx = lead + (slice(lo, lo + size),)
+
+        def backward(g, idx=idx):
+            if joint.grad is None:
+                joint.grad = np.zeros_like(t.data)
+            joint.grad[idx] += g
+
+        pieces.append(_make(t.data[idx], (joint,), backward))
+        lo += size
+    return pieces
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -385,7 +422,8 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def _log_softmax_np(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -401,7 +439,8 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     data = -logp[rows, targets]
 
     def backward(g):
-        grad = np.exp(logp) * g[:, None]
+        grad = np.exp(logp)
+        grad *= g[:, None]
         grad[rows, targets] -= g
         logits._accumulate(grad)
 
@@ -465,27 +504,57 @@ class GruWeights:
             "xn": self.w_xn, "hn": self.w_hn, "bn": self.b_n,
         }
 
+    def fused(self) -> "FusedGru":
+        """The gate matrices side by side, in reset|update|candidate order."""
+        return FusedGru(
+            w_x=concat([self.w_xr, self.w_xu, self.w_xn], axis=1),
+            b=concat([self.b_r, self.b_u, self.b_n]),
+            w_ru=concat([self.w_hr, self.w_hu], axis=1),
+            w_hn=self.w_hn,
+        )
 
-def gru_cell(x: Tensor, h_prev: Tensor, w: GruWeights) -> Tensor:
-    """One GRU step. Gates stay in (0, 1); returns the next hidden state.
+
+@dataclass
+class FusedGru:
+    """A GRU's weights as three matmuls a step: the input side of all three
+    gates (``w_x``, ``b``), the hidden side of reset and update (``w_ru``),
+    and the candidate's ``w_hn``, which multiplies ``r * h``."""
+
+    w_x: Tensor
+    b: Tensor
+    w_ru: Tensor
+    w_hn: Tensor
+
+
+def gru_update(gx: Tensor, h_prev: Tensor, w: FusedGru) -> Tensor:
+    """One GRU step from its input side ``gx = x w.w_x + w.b``, which callers
+    may compute for many steps at once. Gates stay in (0, 1).
 
     reset    r = sigmoid(x Wxr + h Whr + br)
     update   u = sigmoid(x Wxu + h Whu + bu)
     cand     n = tanh(x Wxn + (r * h) Whn + bn)
     next     h' = u * h + (1 - u) * n
     """
+    hidden = h_prev.data.shape[-1]
+    if hidden != w.w_hn.data.shape[0] or gx.data.shape[-1] != 3 * hidden:
+        raise ConfigurationError(
+            f"gru hidden dim {hidden} does not match {w.w_hn.data.shape} "
+            f"or input side {gx.data.shape}"
+        )
+    gx_ru, gx_n = split(gx, [2 * hidden, hidden])
+    r, u = split(sigmoid(add(gx_ru, matmul(h_prev, w.w_ru))), [hidden, hidden])
+    n = tanh(add(gx_n, matmul(mul(r, h_prev), w.w_hn)))
+    return add(mul(u, h_prev), mul(add(1.0, mul(u, -1.0)), n))
+
+
+def gru_cell(x: Tensor, h_prev: Tensor, w: GruWeights) -> Tensor:
+    """One GRU step from the input ``x``; returns the next hidden state."""
     if x.data.shape[-1] != w.w_xr.data.shape[0]:
         raise ConfigurationError(
             f"gru input dim {x.data.shape[-1]} does not match {w.w_xr.data.shape}"
         )
-    if h_prev.data.shape[-1] != w.w_hr.data.shape[0]:
-        raise ConfigurationError(
-            f"gru hidden dim {h_prev.data.shape[-1]} does not match {w.w_hr.data.shape}"
-        )
-    r = sigmoid(add(add(matmul(x, w.w_xr), matmul(h_prev, w.w_hr)), w.b_r))
-    u = sigmoid(add(add(matmul(x, w.w_xu), matmul(h_prev, w.w_hu)), w.b_u))
-    n = tanh(add(add(matmul(x, w.w_xn), matmul(mul(r, h_prev), w.w_hn)), w.b_n))
-    return add(mul(u, h_prev), mul(add(1.0, mul(u, -1.0)), n))
+    fused = w.fused()
+    return gru_update(linear(x, fused.w_x, fused.b), h_prev, fused)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: builders, training, generation,
 evaluation, gradient checking, config precedence, and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from catvrnn import cli, numeric
 from catvrnn.cli import main
 from catvrnn.data import (
     build_vocabulary,
@@ -298,6 +300,24 @@ def test_evaluate_model_checkpoint_full_report(tmp_path, trained_run, synth_corp
     assert report["n_samples_per_category"] == 10
 
 
+@pytest.mark.parametrize("with_checkpoint", [False, True])
+def test_evaluate_generated_reports_no_sample_count(tmp_path, trained_run,
+                                                     synth_corpus_file, with_checkpoint):
+    # --generated samples were not drawn by evaluate, so --samples counts nothing
+    model = (["--checkpoint", str(trained_run / "epoch_0003.ckpt")]
+             if with_checkpoint else [])
+    report_path = tmp_path / "report.json"
+    code = run_cli(
+        "evaluate", "--corpus", str(synth_corpus_file), "--generated",
+        str(synth_corpus_file), "--out", str(report_path), "--samples", "10",
+        "--classifier-epochs", "1", *model,
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert report["n_samples_per_category"] is None
+    assert (report["perplexity"] is not None) == with_checkpoint
+
+
 def test_evaluate_requires_model_or_generated(tmp_path, synth_corpus_file):
     assert run_cli("evaluate", "--corpus", str(synth_corpus_file)) == 1
 
@@ -341,6 +361,24 @@ def test_grad_check_passes_and_corrupt_fails(capsys):
     assert "PASS" in out
     assert "static" in out and "adaptive+kl" in out
     assert run_cli("grad-check", "--max-checks", "40", "--corrupt-backward") == 3
+
+
+def test_grad_check_fails_when_training_and_sampling_paths_diverge(monkeypatch,
+                                                                  capsys):
+    original = cli.forward_teacher
+
+    def skewed(*args, **kwargs):
+        fwd = original(*args, **kwargs)
+        return dataclasses.replace(fwd, logits=numeric.mul(fwd.logits, 1.001))
+
+    assert run_cli("grad-check", "--max-checks", "20") == 0
+    out = capsys.readouterr().out
+    assert out.count("forward_teacher vs cell_step fold") == len(cli.GRAD_CHECK_VARIANTS)
+    # a skewed training pass still has consistent gradients, but no longer
+    # matches the cell that generate runs
+    monkeypatch.setattr(cli, "forward_teacher", skewed)
+    assert run_cli("grad-check", "--max-checks", "20") == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 # --- config file precedence ----------------------------------------------------------

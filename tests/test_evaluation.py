@@ -194,7 +194,7 @@ def test_perplexity_hand_computed_two_token_case():
                           train_mode=False)
     total = 0.0
     for t in range(3):  # two real tokens plus the terminating PAD
-        logits = [float(v) for v in fwd.step_logits[t].data[0]]
+        logits = [float(v) for v in fwd.logits.data[t][0]]
         m = max(logits)
         lse = m + math.log(sum(math.exp(v - m) for v in logits))
         total += lse - logits[batch.targets[0, t]]

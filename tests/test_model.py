@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catvrnn.cli import GRAD_CHECK_VARIANTS, grad_check_config
 from catvrnn.errors import ConfigurationError, DataError
 from catvrnn.numeric import Rng, Tensor, check_gradient, mean, tensor_sum
 from catvrnn import numeric as nm
@@ -17,6 +18,7 @@ from catvrnn.model import (
     ModelConfig,
     SequenceForward,
     cell_step,
+    forward_stepwise,
     forward_teacher,
     generate,
     init_hidden_adaptive,
@@ -222,8 +224,8 @@ def test_forward_shapes_and_class_normalization():
     params = CatVrnnParams(cfg, Rng(0))
     x = padded([[3, 4, 5], [6, 7, 8, 9]], cfg.max_len)
     fwd = forward_teacher(x, np.array([0, 1]), params, cfg, Rng(1))
-    assert len(fwd.step_logits) == cfg.max_len
-    assert all(l.shape == (2, cfg.vocab_size) for l in fwd.step_logits)
+    assert len(fwd.logits.data) == cfg.max_len
+    assert all(l.shape == (2, cfg.vocab_size) for l in fwd.logits.data)
     # unnormalized class scores: the classifier head on the final state
     assert fwd.class_logits.shape == (2, 2)
     w, b = (params.store["cls.w"].data, params.store["cls.b"].data)
@@ -247,9 +249,61 @@ def test_forward_equals_fold_of_cell_step():
         step = cell_step(h, x[:, t], params, cfg, rng)
         manual.append(step.logits.data)
         h = step.h_next
-    for a, b in zip(fwd.step_logits, manual):
-        np.testing.assert_array_equal(a.data, b)
-    np.testing.assert_array_equal(fwd.final_hidden.data, h.data)
+    # the hoisted pass sums in another order: equal up to rounding
+    for a, b in zip(fwd.logits.data, manual):
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+    np.testing.assert_allclose(fwd.final_hidden.data, h.data, rtol=1e-12)
+
+
+@pytest.mark.parametrize("train_mode", [True, False])
+@pytest.mark.parametrize("variant", list(GRAD_CHECK_VARIANTS))
+def test_forward_teacher_matches_stepwise_fold(variant, train_mode):
+    # the hoisted training pass against the per-step cell generate runs:
+    # same values up to summation order, same random draws
+    cfg = grad_check_config(variant)
+    params = CatVrnnParams(cfg, Rng(3))
+    x = padded([[2, 3, 9], [4, 5], [7, 7, 7, 7]], cfg.max_len)
+    cats = np.array([0, 1, 1])
+    hoisted, stepwise = Rng(6), Rng(6)
+    a = forward_teacher(x, cats, params, cfg, hoisted, train_mode=train_mode)
+    b = forward_stepwise(x, cats, params, cfg, stepwise, train_mode=train_mode)
+    np.testing.assert_allclose(a.logits.data, b.logits.data, rtol=1e-12)
+    np.testing.assert_allclose(a.final_hidden.data, b.final_hidden.data, rtol=1e-12)
+    np.testing.assert_allclose(a.class_logits.data, b.class_logits.data, rtol=1e-12)
+    assert (a.kl_sum is None) == (not cfg.use_kl_term) == (b.kl_sum is None)
+    if cfg.use_kl_term:
+        np.testing.assert_allclose(a.kl_sum.data, b.kl_sum.data, rtol=1e-12)
+    assert hoisted.state() == stepwise.state()
+
+
+@pytest.mark.parametrize("kw", [
+    dict(use_kl_term=True, mask_pad_loss=True),
+    dict(init_mode="adaptive", use_kl_term=True, use_feature_extractors=True),
+])
+def test_float32_model_computes_in_float32(kw, monkeypatch):
+    cfg = tiny_cfg(dtype="float32", **kw)
+    params = CatVrnnParams(cfg, Rng(0))
+    x = padded([[3, 4, 5], [6, 7]], cfg.max_len)
+    cats = np.array([0, 1])
+    fwd = forward_teacher(x, cats, params, cfg, Rng(1))
+    out = joint_loss(fwd, np.roll(x, -1, axis=1), cats, cfg)
+    produced = [fwd.logits, fwd.class_logits, fwd.kl_sum, fwd.final_hidden,
+                out.gen_nll, out.cls_nll, out.total]
+    assert {t.dtype for t in produced} == {np.dtype(np.float32)}
+    mean(out.total).backward()
+    assert {t.grad.dtype for _, t in params.store.items()} == {np.dtype(np.float32)}
+
+    steps = []
+
+    def recording_step(*args, **kwargs):
+        steps.append(cell_step(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr("catvrnn.model.cell_step", recording_step)
+    generate(0, 3, params, cfg, Rng(2))
+    assert len(steps) == cfg.max_len
+    assert {t.dtype for s in steps for t in (s.h_next, s.logits, s.latent, s.kl)} \
+        == {np.dtype(np.float32)}
 
 
 def test_forward_all_pad_input_is_finite():
@@ -257,8 +311,8 @@ def test_forward_all_pad_input_is_finite():
     params = CatVrnnParams(cfg, Rng(0))
     x = np.full((1, cfg.max_len), PAD_ID, dtype=np.int64)
     fwd = forward_teacher(x, 0, params, cfg, Rng(1))
-    for l in fwd.step_logits:
-        assert np.all(np.isfinite(l.data))
+    for l in fwd.logits.data:
+        assert np.all(np.isfinite(l))
     assert np.all(np.isfinite(fwd.class_logits.data))
 
 
@@ -298,10 +352,11 @@ def test_joint_loss_perfect_predictions_near_zero():
     for t in range(T):
         row = np.full((1, V), -1e3)
         row[0, targets[0, t]] = 1e3
-        step_logits.append(Tensor(row))
+        step_logits.append(row)
     class_logits = np.full((1, K), -1e3)
     class_logits[0, 1] = 1e3
-    fwd = SequenceForward(step_logits=step_logits, class_logits=Tensor(class_logits),
+    fwd = SequenceForward(logits=Tensor(np.stack(step_logits)),
+                          class_logits=Tensor(class_logits),
                           kl_sum=None, final_hidden=Tensor(np.zeros((1, 6))))
     out = joint_loss(fwd, targets, 1, cfg)
     assert out.total.data[0] < 1e-9
@@ -335,7 +390,7 @@ def test_joint_loss_matches_scalar_oracle():
         return lse - logits[idx]
 
     expected_gen = sum(
-        nll(list(fwd.step_logits[t].data[0]), targets[0, t])
+        nll(list(fwd.logits.data[t][0]), targets[0, t])
         for t in range(cfg.max_len)
     )
     expected_cls = nll(list(fwd.class_logits.data[0]), 1)
@@ -535,7 +590,7 @@ def test_joint_loss_pad_masking_flag():
         m = max(logits)
         return m + math.log(sum(math.exp(v - m) for v in logits)) - logits[idx]
 
-    expected = sum(nll(list(fwd.step_logits[t].data[0]), targets[0, t])
+    expected = sum(nll(list(fwd.logits.data[t][0]), targets[0, t])
                    for t in range(3))
     assert abs(masked.gen_nll.data[0] - expected) < 1e-10
 

@@ -21,8 +21,11 @@ from catvrnn.numeric import (
     kl_gaussians,
     mean,
     mlp_forward,
+    matmul,
     reparameterize,
     softmax,
+    split,
+    tanh,
     tensor_sum,
 )
 
@@ -518,6 +521,35 @@ def test_broadcast_bias_gradient():
     report = check_gradient(lambda: tensor_sum((x + b) * (x + b)), store,
                             tolerance=1e-6)
     assert report.passed
+
+
+def test_split_pieces_are_the_slices_and_sizes_must_add_up():
+    t = Tensor(np.arange(12.0).reshape(3, 4))
+    left, right = split(t, [1, 3])
+    np.testing.assert_array_equal(left.data, t.data[:, :1])
+    np.testing.assert_array_equal(right.data, t.data[:, 1:])
+    rows = split(t, [2, 1], axis=0)
+    np.testing.assert_array_equal(rows[1].data, t.data[2:])
+    with pytest.raises(ConfigurationError):
+        split(t, [2, 3])
+
+
+def test_split_gradient_with_unused_and_reused_pieces():
+    rng = np.random.default_rng(8)
+    store = ParamStore()
+    w = store.add("w", rng.normal(size=(4, 7)) * 0.5)
+    x = Tensor(rng.normal(size=(3, 4)))
+
+    def loss():
+        # columns: a used twice, the middle piece unused
+        a, _, b = split(tanh(matmul(x, w)), [2, 3, 2])
+        # rows of a parameter: the top row used, the rest unused
+        top, _ = split(w, [1, 3], axis=0)
+        return (tensor_sum(a * a) + tensor_sum(a * b)
+                + tensor_sum(top * top * 0.5))
+
+    report = check_gradient(loss, store, tolerance=1e-6)
+    assert report.passed, report.summary()
 
 
 @settings(max_examples=40)

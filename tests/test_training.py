@@ -262,8 +262,8 @@ def test_checkpoint_forward_pass_identical_after_reload(tmp_path):
     x = np.zeros((1, cfg.max_len), dtype=np.int64)
     a = forward_teacher(x, 0, params, cfg, Rng(9), train_mode=False)
     b = forward_teacher(x, 0, params2, cfg, Rng(9), train_mode=False)
-    for l1, l2 in zip(a.step_logits, b.step_logits):
-        np.testing.assert_array_equal(l1.data, l2.data)
+    for l1, l2 in zip(a.logits.data, b.logits.data):
+        np.testing.assert_array_equal(l1, l2)
 
 
 def test_checkpoint_corruption_detected(tmp_path):
