@@ -4,17 +4,15 @@ category-accuracy / perplexity / BLEU evaluation suite."""
 
 from .errors import ConfigurationError, DataError, NumericError
 from .numeric import (
-    FusedGru,
     GaussianParams,
     GruWeights,
     ParamStore,
     Rng,
     Tensor,
     check_gradient,
-    gru_cell,
-    gru_update,
     kl_gaussians,
     mlp_forward,
+    multi_output,
     no_grad,
     reparameterize,
     softmax,
@@ -26,7 +24,9 @@ from .model import (
     LossBreakdown,
     ModelConfig,
     SequenceForward,
+    Recurrent,
     StepOutput,
+    cell_buffers,
     cell_step,
     cell_weights,
     forward_stepwise,
@@ -38,6 +38,8 @@ from .model import (
     init_hidden_zero,
     joint_loss,
     parameter_count,
+    recur_step,
+    recurrence,
 )
 from .data import (
     Batch,

@@ -3,9 +3,9 @@
 Option precedence is flags > config file > defaults, applied by argparse: the
 ``--config`` file's values become the subcommand's defaults before a second
 parse, so a flag given on the command line wins even when it equals its
-default. ``train --resume`` puts the checkpoint's model options between the
-file and the defaults. The resolved values and their sources are printed at
-startup.
+default. ``train --resume`` puts the checkpoint's model options and training
+plan between the file and the defaults. The resolved values and their
+sources are printed at startup.
 Exit codes: 0 success, 1 usage/configuration error, 2 data error, 3 numeric
 failure.
 """
@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from dataclasses import replace
@@ -227,10 +228,21 @@ def _convert(name: str, value):
     return not value if name == "no_classification" else value
 
 
-def _checkpoint_options(cfg: ModelConfig) -> dict:
+# the training plan options of ``train``, each a TrainPlan field
+PLAN_OPTIONS = ("epochs", "batch_size", "lr", "grad_clip")
+
+
+def _model_options(cfg: ModelConfig) -> dict:
     """The ``train`` model options that rebuild ``cfg``."""
     return {name: _convert(name, getattr(cfg, field))
             for name, field in MODEL_OPTIONS.items()}
+
+
+def _checkpoint_options(ckpt: Checkpoint) -> dict:
+    """The ``train`` options a checkpoint records: its model's, and its
+    training plan's when it has one."""
+    plan = {} if ckpt.plan is None else {k: getattr(ckpt.plan, k) for k in PLAN_OPTIONS}
+    return {**_model_options(ckpt.config), **plan}
 
 
 def _check_resume_options(opts: dict, cfg: ModelConfig):
@@ -238,7 +250,7 @@ def _check_resume_options(opts: dict, cfg: ModelConfig):
     resolve to the checkpoint's, so any that differ were given by flag or
     config file."""
     clash = [f"{name} = {opts[name]} (checkpoint: {value})"
-             for name, value in _checkpoint_options(cfg).items()
+             for name, value in _model_options(cfg).items()
              if opts[name] != value]
     if clash:
         raise UsageError("--resume keeps the checkpoint's model options; "
@@ -269,6 +281,8 @@ def cmd_train(opts: dict) -> int:
         cfg = ckpt.config
         params = ckpt.build_params()
         adam = ckpt.build_adam(params.store)
+        if adam is not None:
+            adam.lr = plan.lr  # the checkpoint's unless given
         if ckpt.rng_state is not None:
             rng.set_state(ckpt.rng_state)
         start_epoch = ckpt.epoch
@@ -352,16 +366,42 @@ def cmd_generate(opts: dict) -> int:
                 f"category {c} out of range [0, {cfg.num_categories})")
     samples = sample_categories(ckpt.build_params(), cfg, vocab, opts["samples"],
                                 opts["seed"], cats)
-    # the exchange format cannot hold empty sentences
+    # the exchange format cannot hold empty sentences: the header counts them
     sentences = [LabeledSentence(tuple(tokens), c) for tokens, c in samples if tokens]
+    empty = [0] * cfg.num_categories
+    for tokens, c in samples:
+        empty[c] += not tokens
     if len(sentences) < len(samples):
         print(f"dropped {len(samples) - len(sentences)} empty generation(s)")
     header = {"seed": opts["seed"], "config": cfg.to_dict(),
-              "checkpoint": str(opts["checkpoint"]), "samples": opts["samples"]}
+              "checkpoint": str(opts["checkpoint"]), "samples": opts["samples"],
+              EMPTY_KEY: empty}
     save_corpus(opts["out"], LabeledCorpus(sentences, cfg.num_categories),
                 header=header)
     print(f"wrote {len(sentences)} sentences to {opts['out']}")
     return 0
+
+
+# the generated TSV header key of the per-category counts of empty samples
+EMPTY_KEY = "empty"
+
+
+def _empty_samples(path) -> list[tuple[list[str], int]]:
+    """The empty samples of a generated TSV, from the per-category counts
+    that ``generate`` writes into its header; none when it has no count."""
+    prefix = f"# {EMPTY_KEY}="
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith(prefix):
+            try:
+                counts = json.loads(line[len(prefix):])
+            except json.JSONDecodeError as e:
+                raise DataError(f"{path}: bad {prefix!r} header: {e}") from e
+            if not (isinstance(counts, list)
+                    and all(isinstance(k, int) and k >= 0 for k in counts)):
+                raise DataError(f"{path}: {prefix!r} needs a list of counts, "
+                                f"got {counts!r}")
+            return [([], c) for c, k in enumerate(counts) for _ in range(k)]
+    return []
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -390,7 +430,9 @@ def cmd_evaluate(opts: dict) -> int:
     if opts["generated"]:
         gen_corpus = load_corpus(opts["generated"],
                                  num_categories=corpus.num_categories)
-        generated = [(list(s.tokens), s.category) for s in gen_corpus.sentences]
+        # the empty samples count as misses, as when evaluate samples them
+        generated = ([(list(s.tokens), s.category) for s in gen_corpus.sentences]
+                     + _empty_samples(opts["generated"]))
     elif not opts["checkpoint"]:
         raise UsageError("evaluate needs --checkpoint or --generated")
     ppl, model = None, {}
@@ -451,6 +493,10 @@ GRAD_CHECK_VARIANTS = {
     "static+kl": {"use_kl_term": True},
     "adaptive+kl": {"init_mode": "adaptive", "use_kl_term": True},
     "feature-extractors": {"use_feature_extractors": True},
+    # every branch of the recurrence's backward in one run
+    "ablation": {"init_mode": "adaptive", "use_kl_term": True,
+                 "use_feature_extractors": True, "mask_pad_loss": True,
+                 "num_categories": 3},
 }
 
 
@@ -565,14 +611,23 @@ def run(argv=None) -> int:
     unknown = set(file_values) - set(_options(args))
     if unknown:
         raise UsageError(f"unknown config file keys: {sorted(unknown)}")
-    # a resumed run keeps the checkpoint's model options unless overridden
+    # a resumed run keeps the checkpoint's model options and training plan
+    # unless overridden
     resume = getattr(args, "resume", None) or file_values.get("resume")
-    ckpt_values = _checkpoint_options(load_checkpoint(resume).config) if resume else {}
+    ckpt = load_checkpoint(resume) if resume else None
+    ckpt_values = _checkpoint_options(ckpt) if ckpt else {}
     if file_values or ckpt_values:
         # these become the subcommand's defaults, so flags still win
         subparsers[args.command].set_defaults(**{**ckpt_values, **file_values})
         args = parser.parse_args(argv)
     flags = vars(build_parser(argparse.SUPPRESS)[0].parse_args(argv))
+    if ckpt is not None and ckpt.plan is None:
+        missing = [f"--{k.replace('_', '-')}" for k in ("batch_size", "lr")
+                   if k not in flags and k not in file_values]
+        if missing:
+            raise UsageError(f"{resume} records no training plan; pass "
+                             f"{' and '.join(missing)} (and --grad-clip if its run "
+                             "clipped) to resume it")
     opts = _options(args)
     print("options (flags > file > defaults):")
     for key in sorted(opts):

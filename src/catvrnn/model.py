@@ -11,6 +11,8 @@ state. Category identity enters only through the initial hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -105,14 +107,13 @@ class ModelConfig:
 
 @dataclass
 class StepOutput:
-    """Result of one cell step: next hidden state, vocabulary logits, the
-    sampled latent with its posterior, and the per-sentence KL when enabled."""
+    """Result of one cell step: next hidden state, vocabulary logits, and the
+    sampled latent with its posterior."""
 
     h_next: Tensor
     logits: Tensor
     latent: Tensor
     posterior: GaussianParams
-    kl: Tensor | None = None
 
 
 @dataclass
@@ -302,21 +303,45 @@ def _sigma_from(raw: Tensor) -> Tensor:
     return nm.add(nm.softplus(raw), SIGMA_FLOOR)
 
 
+class Recurrent(NamedTuple):
+    """The weights of the recurrence step, as tensors or as their arrays: the
+    hidden rows of the encoder's first layer, its second layer, the mu and
+    sigma heads side by side, the latent rows of the GRU's input side (reset,
+    update and candidate gates side by side), the hidden side of reset and
+    update, the candidate's ``w_hn`` (which multiplies ``r * h``), and the
+    latent feature extractor when it is on."""
+
+    enc_h: Any
+    enc2_w: Any
+    enc2_b: Any
+    head_w: Any
+    head_b: Any
+    gru_z: Any
+    w_ru: Any
+    w_hn: Any
+    featz1_w: Any = None
+    featz1_b: Any = None
+    featz2_w: Any = None
+    featz2_b: Any = None
+
+    def arrays(self) -> "Recurrent":
+        return Recurrent._make(None if t is None else t.data for t in self)
+
+
 @dataclass
 class CellWeights:
     """Fused and split views of the cell's weights, built once per forward or
-    generate call. ``enc_x``/``enc_h`` are the embedding and hidden rows of
-    ``enc.fc1.w``; ``gru_x``/``gru_z`` the embedding and latent rows of the
-    GRU's fused input side; ``head`` and ``prior_head`` put the mu and sigma
-    layers side by side. ``vocabulary`` is the token side of a step (see
-    ``_inputs``) for every vocabulary entry, which ``cell_step`` looks up."""
+    generate call. ``enc_x`` and ``gru_x`` are the embedding rows of
+    ``enc.fc1.w`` and of the GRU's fused input side, ``gru_b`` the GRU's
+    biases, ``recurrent`` what the recurrence step multiplies, and
+    ``prior_head`` the prior's mu and sigma layers side by side.
+    ``vocabulary`` is the token side of a step (see ``_inputs``) for every
+    vocabulary entry, which ``cell_step`` looks up."""
 
     enc_x: Tensor
-    enc_h: Tensor
-    gru: nm.FusedGru
     gru_x: Tensor
-    gru_z: Tensor
-    head: tuple[Tensor, Tensor]
+    gru_b: Tensor
+    recurrent: Recurrent
     prior_head: tuple[Tensor, Tensor] | None
     vocabulary: tuple[Tensor, Tensor] | None = None
 
@@ -330,15 +355,21 @@ def cell_weights(params: CatVrnnParams, vocabulary: bool = False) -> CellWeights
     every vocabulary entry, which pays when more rows will be stepped than
     the vocabulary has (``generate``: count * max_len rows)."""
     cfg = params.cfg
-    gru = params.gru.fused()
+    gru = params.gru
     enc_x, enc_h = nm.split(params.enc_stack[0][0], [cfg.embed_dim, cfg.hidden_dim],
                             axis=0)
-    gru_x, gru_z = nm.split(gru.w_x, [cfg.embed_dim, cfg.latent_dim], axis=0)
+    gru_x, gru_z = nm.split(nm.concat([gru.w_xr, gru.w_xu, gru.w_xn], axis=1),
+                            [cfg.embed_dim, cfg.latent_dim], axis=0)
+    featz = ([t for layer in params.feat_z for t in layer]
+             if cfg.use_feature_extractors else [])
+    recurrent = Recurrent(enc_h, *params.enc_stack[1],
+                          *_fused_head(params.mu_head, params.sigma_head), gru_z,
+                          nm.concat([gru.w_hr, gru.w_hu], axis=1), gru.w_hn, *featz)
     prior_head = (_fused_head(params.prior_mu, params.prior_sigma)
                   if cfg.use_kl_term else None)
-    w = CellWeights(enc_x=enc_x, enc_h=enc_h, gru=gru, gru_x=gru_x, gru_z=gru_z,
-                    head=_fused_head(params.mu_head, params.sigma_head),
-                    prior_head=prior_head)
+    w = CellWeights(enc_x=enc_x, gru_x=gru_x,
+                    gru_b=nm.concat([gru.b_r, gru.b_u, gru.b_n]),
+                    recurrent=recurrent, prior_head=prior_head)
     if vocabulary:
         w.vocabulary = _inputs(np.arange(cfg.vocab_size), params, w)
     return w
@@ -353,10 +384,10 @@ def _checked_ids(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return x_ids
 
 
-# A step is four pieces. Only ``_recur`` needs the previous step's state; the
-# others take any number of rows, so forward_teacher runs them once over all
-# steps while cell_step runs them on one step's rows (``_inputs`` once over
-# the vocabulary, in cell_weights).
+# A step is four pieces. Only the recurrence needs the previous step's state;
+# the others take any number of rows, so forward_teacher runs them once over
+# all steps while cell_step runs them on one step's rows (``_inputs`` once
+# over the vocabulary, in cell_weights).
 
 
 def _inputs(x_ids: np.ndarray, params: CatVrnnParams, w: CellWeights):
@@ -367,7 +398,7 @@ def _inputs(x_ids: np.ndarray, params: CatVrnnParams, w: CellWeights):
     if params.cfg.use_feature_extractors:
         rec_x = nm.mlp_forward(e, params.feat_x, ["relu", "none"])
     return (nm.linear(e, w.enc_x, params.enc_stack[0][1]),
-            nm.linear(rec_x, w.gru_x, w.gru.b))
+            nm.linear(rec_x, w.gru_x, w.gru_b))
 
 
 def _gaussian(x: Tensor, head: tuple[Tensor, Tensor]) -> GaussianParams:
@@ -375,19 +406,229 @@ def _gaussian(x: Tensor, head: tuple[Tensor, Tensor]) -> GaussianParams:
     return GaussianParams(mu, _sigma_from(raw))
 
 
-def _recur(h_prev: Tensor, enc_x: Tensor, gru_x: Tensor, params: CatVrnnParams,
-           w: CellWeights, rng: Rng) -> tuple[Tensor, Tensor, GaussianParams]:
-    """The recurrence: the posterior from the token side and ``h_prev``, one
-    latent draw, and the GRU update. Returns (h_next, z, posterior)."""
-    enc_h = nm.relu(nm.add(enc_x, nm.matmul(h_prev, w.enc_h)))
-    enc_h = nm.mlp_forward(enc_h, params.enc_stack[1:], ["relu"])
-    posterior = _gaussian(enc_h, w.head)
-    z = nm.reparameterize(posterior, rng.stream("latent"))
-    rec_z = z
-    if params.cfg.use_feature_extractors:
-        rec_z = nm.mlp_forward(z, params.feat_z, ["relu", "none"])
-    h_next = nm.gru_update(nm.add(gru_x, nm.matmul(rec_z, w.gru_z)), h_prev, w.gru)
-    return h_next, z, posterior
+def _step_widths(w: Recurrent) -> dict[str, int]:
+    """Name -> width of the arrays one ``recur_step`` writes, besides h_next."""
+    hidden, latent = w.w_hn.shape[0], w.head_w.shape[1] // 2
+    widths = dict(e1=w.enc_h.shape[1], e2=hidden, head=2 * latent, sigma=latent,
+                  eps=latent, z=latent, gx=3 * hidden, ru=2 * hidden, rh=hidden,
+                  n=hidden, tmp=hidden)
+    if w.featz1_w is not None:
+        widths.update(f1=latent, rec_z=latent)
+    return widths
+
+
+class _Steps:
+    """The arrays of a run of steps, one per name, (steps, batch, width):
+    those named in ``keep`` hold every step, the others one step that each
+    step overwrites. They are consecutive pieces of one allocation, so that
+    what earlier calls freed does not decide how many of them page-fault."""
+
+    def __init__(self, widths: dict[str, int], batch: int, steps: int, keep, dtype):
+        shapes = {name: (steps if name in keep else 1, batch, width)
+                  for name, width in widths.items()}
+        sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
+        block = np.empty(sum(sizes.values()), dtype=dtype)
+        self.arrays, lo = {}, 0
+        for name, shape in shapes.items():
+            self.arrays[name] = block[lo:lo + sizes[name]].reshape(shape)
+            lo += sizes[name]
+
+    def at(self, t: int) -> SimpleNamespace:
+        """Step ``t``'s rows of every array."""
+        return SimpleNamespace(**{name: a[t % len(a)] for name, a in self.arrays.items()})
+
+
+def _draw_normal(stream: np.random.Generator, out: np.ndarray):
+    """Standard normal draws into ``out``, taken in float64 whatever its dtype,
+    as ``stream.standard_normal(out.shape)`` takes them."""
+    if out.dtype == np.float64:
+        stream.standard_normal(out=out)
+    else:
+        out[...] = stream.standard_normal(out.shape)
+
+
+def recur_step(h: np.ndarray, enc_x_t: np.ndarray, gru_x_t: np.ndarray,
+               eps_t: np.ndarray, w: Recurrent, out: SimpleNamespace | None = None):
+    """One step of the recurrence, in numpy on ``w.arrays()``: the posterior
+    from the token side and ``h``, the latent ``z = mu + sigma * eps_t``, and
+    the GRU update. Every result is written into ``out`` (fresh arrays when
+    not given), which also keeps what ``_recur_backward`` needs. Returns
+    (h_next, z, mu, sigma).
+
+    reset    r = sigmoid(gx_r + h Whr)       gx = gru_x_t + z' Wz, where z' is
+    update   u = sigmoid(gx_u + h Whu)       z or the latent feature
+    cand     n = tanh(gx_n + (r * h) Whn)    extractor's output
+    next     h' = u * h + (1 - u) * n
+    """
+    hidden, latent = h.shape[-1], eps_t.shape[-1]
+    if out is None:
+        out = _Steps({**_step_widths(w), "h_next": hidden}, h.shape[0], 1, (),
+                     h.dtype).at(0)
+    e1 = np.matmul(h, w.enc_h, out=out.e1)
+    e1 += enc_x_t
+    np.maximum(e1, 0.0, out=e1)
+    e2 = np.matmul(e1, w.enc2_w, out=out.e2)
+    e2 += w.enc2_b
+    np.maximum(e2, 0.0, out=e2)
+    head = np.matmul(e2, w.head_w, out=out.head)
+    head += w.head_b
+    mu = head[:, :latent]
+    sigma = np.logaddexp(0.0, head[:, latent:], out=out.sigma)
+    sigma += SIGMA_FLOOR
+    z = rec_z = nm.reparameterize(mu, sigma, eps_t, out=out.z)
+    if w.featz1_w is not None:
+        f1 = np.matmul(z, w.featz1_w, out=out.f1)
+        f1 += w.featz1_b
+        np.maximum(f1, 0.0, out=f1)
+        rec_z = np.matmul(f1, w.featz2_w, out=out.rec_z)
+        rec_z += w.featz2_b
+    gx = np.matmul(rec_z, w.gru_z, out=out.gx)
+    gx += gru_x_t
+    ru = np.matmul(h, w.w_ru, out=out.ru)
+    ru += gx[:, :2 * hidden]
+    # sigmoid, as 1 / (1 + exp(-clip(x, -500, 500)))
+    np.clip(ru, -500, 500, out=ru)
+    np.negative(ru, out=ru)
+    np.exp(ru, out=ru)
+    ru += 1.0
+    np.divide(1.0, ru, out=ru)
+    r, u = ru[:, :hidden], ru[:, hidden:]
+    n = np.matmul(np.multiply(r, h, out=out.rh), w.w_hn, out=out.n)
+    n += gx[:, 2 * hidden:]
+    np.tanh(n, out=n)
+    h_next = np.multiply(u, h, out=out.h_next)
+    tmp = np.subtract(1.0, u, out=out.tmp)
+    tmp *= n
+    h_next += tmp
+    return h_next, z, mu, sigma
+
+
+def recurrence(h0: Tensor, enc_x: Tensor, gru_x: Tensor, w: Recurrent,
+               stream: np.random.Generator) -> list[Tensor]:
+    """``recur_step`` over every step as one tape op, from ``h0`` (B, H) over
+    the token sides ``enc_x``/``gru_x`` of T*B time-major rows, with one
+    (B, L) latent draw from ``stream`` per step.
+
+    Returns the previous states, z, mu and sigma of every step, (T*B, .) in
+    the rows' order, and the final state. The backward
+    (``_recur_backward``) walks time in reverse.
+    """
+    batch, hidden = h0.shape
+    steps = enc_x.shape[0] // batch
+    if (hidden != w.w_hn.shape[0] or enc_x.shape != (steps * batch, w.enc_h.shape[1])
+            or gru_x.shape != (steps * batch, 3 * hidden)):
+        raise ConfigurationError(
+            f"recurrence inputs h0 {h0.shape}, enc_x {enc_x.shape}, gru_x "
+            f"{gru_x.shape} do not match hidden size {w.w_hn.shape[0]}"
+        )
+    parents = [h0, enc_x, gru_x, *(t for t in w if t is not None)]
+    arrays = w.arrays()
+    widths = _step_widths(arrays)
+    # the backward needs every step's arrays; without it only the outputs
+    keep = (set(widths) - {"gx", "tmp"} if nm.records(parents)
+            else {"head", "sigma", "z"})
+    run = _Steps(widths, batch, steps, keep, enc_x.dtype)
+    hs = np.empty((steps + 1, batch, hidden), dtype=enc_x.dtype)
+    hs[0] = h0.data
+    enc_rows = enc_x.data.reshape(steps, batch, -1)
+    gru_rows = gru_x.data.reshape(steps, batch, -1)
+    for t in range(steps):
+        out = run.at(t)
+        out.h_next = hs[t + 1]
+        _draw_normal(stream, out.eps)
+        recur_step(hs[t], enc_rows[t], gru_rows[t], out.eps, arrays, out)
+
+    def rows(a):
+        return a.reshape(steps * batch, -1)
+
+    latent = widths["z"]
+    outputs = [rows(hs[:steps]), rows(run.arrays["z"]),
+               rows(run.arrays["head"])[:, :latent], rows(run.arrays["sigma"]), hs[steps]]
+    return nm.multi_output(outputs, parents,
+                           lambda grads: _recur_backward(grads, hs, run.arrays, arrays))
+
+
+def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray],
+                    w: Recurrent) -> list[np.ndarray]:
+    """Backpropagation through time for ``recurrence``. ``grads`` are its
+    outputs' gradients (None where none arrived), ``hs`` the states h0..hT
+    and ``a`` every step's arrays. Carries dh from the last step to the
+    first, keeps each step's gradients at the matmul inputs, and forms each
+    weight's gradient as one (K, T*B) @ (T*B, N) matmul after the loop.
+    Returns gradients for (h0, enc_x, gru_x, *the weights present)."""
+    steps, batch, hidden = hs.shape[0] - 1, hs.shape[1], hs.shape[2]
+    latent = a["z"].shape[-1]
+    featz = w.featz1_w is not None
+    g_hprev, g_z, g_mu, g_sigma = (None if g is None else g.reshape(steps, batch, -1)
+                                   for g in grads[:4])
+    names = ("e1", "e2", "head", "gx") + (("f1", "rec_z") if featz else ())
+    d = _Steps({name: a[name].shape[-1] for name in names}, batch, steps, names,
+               hs.dtype).arrays
+    dh = np.zeros_like(hs[0]) if grads[4] is None else grads[4]
+    for t in reversed(range(steps)):
+        h, ru, n = hs[t], a["ru"][t], a["n"][t]
+        r, u = ru[:, :hidden], ru[:, hidden:]
+        dgx = d["gx"][t]
+        d_ru, d_n = dgx[:, :2 * hidden], dgx[:, 2 * hidden:]
+        # h' = u * h + (1 - u) * n, through n's tanh
+        np.multiply(dh, 1.0 - u, out=d_n)
+        d_n *= 1.0 - n * n
+        d_rh = d_n @ w.w_hn.T
+        # through the sigmoids of r and u
+        np.multiply(ru, 1.0 - ru, out=d_ru)
+        d_ru[:, :hidden] *= d_rh * h
+        d_ru[:, hidden:] *= dh * (h - n)
+        dh_prev = dh * u
+        dh_prev += d_rh * r
+        dh_prev += d_ru @ w.w_ru.T
+        # gx = gru_x_t + z' Wz, z' = featz(z) or z
+        if featz:
+            d_rec = np.matmul(dgx, w.gru_z.T, out=d["rec_z"][t])
+            d_f1 = np.matmul(d_rec, w.featz2_w.T, out=d["f1"][t])
+            d_f1 *= a["f1"][t] > 0
+            dz = d_f1 @ w.featz1_w.T
+        else:
+            dz = dgx @ w.gru_z.T
+        if g_z is not None:
+            dz += g_z[t]
+        # z = mu + sigma * eps, sigma = softplus(raw) + floor
+        d_head = d["head"][t]
+        d_mu, d_raw = d_head[:, :latent], d_head[:, latent:]
+        np.multiply(dz, a["eps"][t], out=d_raw)
+        if g_sigma is not None:
+            d_raw += g_sigma[t]
+        d_raw /= 1.0 + np.exp(-a["head"][t][:, latent:])
+        np.copyto(d_mu, dz)
+        if g_mu is not None:
+            d_mu += g_mu[t]
+        # the encoder, relu(relu(enc_x_t + h enc_h) enc2) -> head
+        d_e2 = np.matmul(d_head, w.head_w.T, out=d["e2"][t])
+        d_e2 *= a["e2"][t] > 0
+        d_e1 = np.matmul(d_e2, w.enc2_w.T, out=d["e1"][t])
+        d_e1 *= a["e1"][t] > 0
+        dh_prev += d_e1 @ w.enc_h.T
+        if g_hprev is not None:
+            dh_prev += g_hprev[t]
+        dh = dh_prev
+
+    def rows(x):
+        return x.reshape(steps * batch, -1)
+
+    h_rows, d_gx, d_head = rows(hs[:steps]), rows(d["gx"]), rows(d["head"])
+    d_e1, d_e2 = rows(d["e1"]), rows(d["e2"])
+    weights = Recurrent(
+        enc_h=h_rows.T @ d_e1,
+        enc2_w=rows(a["e1"]).T @ d_e2, enc2_b=d_e2.sum(axis=0),
+        head_w=rows(a["e2"]).T @ d_head, head_b=d_head.sum(axis=0),
+        gru_z=rows(a["rec_z" if featz else "z"]).T @ d_gx,
+        w_ru=h_rows.T @ d_gx[:, :2 * hidden],
+        w_hn=rows(a["rh"]).T @ d_gx[:, 2 * hidden:])
+    if featz:
+        d_f1, d_rec = rows(d["f1"]), rows(d["rec_z"])
+        weights = weights._replace(
+            featz1_w=rows(a["z"]).T @ d_f1, featz1_b=d_f1.sum(axis=0),
+            featz2_w=rows(a["f1"]).T @ d_rec, featz2_b=d_rec.sum(axis=0))
+    return [dh, d_e1, d_gx, *(g for g in weights if g is not None)]
 
 
 def _emit(z: Tensor, h_prev: Tensor, params: CatVrnnParams) -> Tensor:
@@ -397,6 +638,20 @@ def _emit(z: Tensor, h_prev: Tensor, params: CatVrnnParams) -> Tensor:
     return nm.linear(dec_h, *params.out_layer)
 
 
+def _emit_into(zh: np.ndarray, params: CatVrnnParams, out: SimpleNamespace) -> np.ndarray:
+    """``_emit`` in numpy from the side-by-side [z, h_prev] rows ``zh``, into
+    ``out.dec1``, ``out.dec2`` and ``out.logits``."""
+    x = zh
+    layers = [*params.dec_stack, params.out_layer]
+    for (w, b), y in zip(layers, (out.dec1, out.dec2, out.logits)):
+        np.matmul(x, w.data, out=y)
+        y += b.data
+        if y is not out.logits:
+            np.maximum(y, 0.0, out=y)
+        x = y
+    return x
+
+
 def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams,
         w: CellWeights) -> Tensor:
     """KL of the posterior from the prior conditioned on the previous state."""
@@ -404,26 +659,43 @@ def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams,
     return nm.kl_gaussians(posterior, _gaussian(trunk, w.prior_head))
 
 
-def cell_step(h_prev: Tensor, x_ids: np.ndarray, params: CatVrnnParams,
-              cfg: ModelConfig, rng: Rng, weights: CellWeights | None = None
-              ) -> StepOutput:
-    """One time step over a batch of token ids.
+def cell_buffers(cfg: ModelConfig, w: CellWeights, count: int) -> SimpleNamespace:
+    """Every array a ``cell_step`` over ``count`` rows writes, so that a caller
+    stepping many times allocates them once."""
+    widths = {**_step_widths(w.recurrent), "enc_x": cfg.enc_width,
+              "gru_x": 3 * cfg.hidden_dim, "h": cfg.hidden_dim,
+              "h_next": cfg.hidden_dim, "zh": cfg.latent_dim + cfg.hidden_dim,
+              "dec1": cfg.dec_width, "dec2": cfg.dec_out, "logits": cfg.vocab_size}
+    return _Steps(widths, count, 1, (), cfg.np_dtype()).at(0)
 
-    Embeds the tokens, infers the posterior from embedding + previous hidden
-    state, samples the latent, decodes vocabulary logits from latent +
-    previous hidden state, and advances the GRU over embedding + latent.
-    When feature extractors are on they transform the recurrence inputs; when
-    the KL term is on the posterior is scored against the conditional prior
-    computed from the previous hidden state. ``weights`` are
-    ``cell_weights(params, vocabulary=True)``, built here when not given.
+
+def cell_step(h_prev: Tensor, x_ids: np.ndarray, params: CatVrnnParams,
+              cfg: ModelConfig, rng: Rng, weights: CellWeights | None = None,
+              buffers: SimpleNamespace | None = None) -> StepOutput:
+    """One time step over a batch of token ids, in numpy without the tape:
+    the step ``generate`` runs.
+
+    Looks up the tokens' share of the encoder and GRU inputs, runs
+    ``recur_step`` with one latent draw, and decodes vocabulary logits from
+    latent + previous hidden state. The prior net and KL are not computed;
+    sampling does not use them. ``weights`` are ``cell_weights(params,
+    vocabulary=True)`` and ``buffers`` ``cell_buffers`` for as many rows,
+    each built here when not given. The outputs are views of the buffers,
+    which the next step with the same buffers overwrites.
     """
     x_ids = _checked_ids(np.atleast_1d(np.asarray(x_ids, dtype=np.int64)), cfg)
     w = weights if weights is not None else cell_weights(params, vocabulary=True)
-    enc_x, gru_x = (nm.gather_rows(side, x_ids) for side in w.vocabulary)
-    h_next, z, posterior = _recur(h_prev, enc_x, gru_x, params, w, rng)
-    kl = _kl(posterior, h_prev, params, w) if cfg.use_kl_term else None
-    return StepOutput(h_next=h_next, logits=_emit(z, h_prev, params), latent=z,
-                      posterior=posterior, kl=kl)
+    b = buffers if buffers is not None else cell_buffers(cfg, w, len(x_ids))
+    for side, rows in zip(w.vocabulary, (b.enc_x, b.gru_x)):
+        np.take(side.data, x_ids, axis=0, out=rows, mode="clip")  # ids checked
+    # h_prev may be the last step's h_next buffer, which this step rewrites
+    np.copyto(b.h, h_prev.data)
+    _draw_normal(rng.stream("latent"), b.eps)
+    h_next, z, mu, sigma = recur_step(b.h, b.enc_x, b.gru_x, b.eps,
+                                      w.recurrent.arrays(), b)
+    np.concatenate([z, b.h], axis=1, out=b.zh)
+    return StepOutput(h_next=Tensor(h_next), logits=Tensor(_emit_into(b.zh, params, b)),
+                      latent=Tensor(z), posterior=GaussianParams(Tensor(mu), Tensor(sigma)))
 
 
 def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -449,31 +721,22 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
     state. Per-step KL values are summed when enabled.
 
     Computes what a fold of ``cell_step`` computes, with the same draws, but
-    only the recurrence runs step by step: the token side runs once over all
-    ``T*B`` rows before the loop, and the decoder, output layer and prior
-    once over the stacked states after it.
+    only the recurrence runs step by step, as one tape op: the token side
+    runs once over all ``T*B`` rows before it, and the decoder, output layer
+    and prior once over the stacked states after it.
     """
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
     w = cell_weights(params)
-    h = init_hidden(c, params, rng, train_mode, batch)
+    h0 = init_hidden(c, params, rng, train_mode, batch)
     # time-major rows: step t is rows t*batch .. (t+1)*batch
-    enc_x, gru_x = (nm.split(side, [batch] * T, axis=0)
-                    for side in _inputs(x_ids.T.reshape(-1), params, w))
-    h_prev, z, mu, sigma = [], [], [], []
-    for t in range(T):
-        h_prev.append(h)
-        h, z_t, q = _recur(h, enc_x[t], gru_x[t], params, w, rng)
-        z.append(z_t)
-        mu.append(q.mu)
-        sigma.append(q.sigma)
-
-    h_all = nm.concat(h_prev, axis=0)
-    logits = _emit(nm.concat(z, axis=0), h_all, params)
+    enc_x, gru_x = _inputs(x_ids.T.reshape(-1), params, w)
+    h_all, z, mu, sigma, h = recurrence(h0, enc_x, gru_x, w.recurrent,
+                                        rng.stream("latent"))
+    logits = _emit(z, h_all, params)
     kl_sum = None
     if cfg.use_kl_term:
-        q = GaussianParams(nm.concat(mu, axis=0), nm.concat(sigma, axis=0))
-        kl = nm.reshape(_kl(q, h_all, params, w), (T, batch))
+        kl = nm.reshape(_kl(GaussianParams(mu, sigma), h_all, params, w), (T, batch))
         kl_sum = nm.tensor_sum(kl, axis=0)
     class_logits = nm.linear(h, *params.classifier)
     return SequenceForward(logits=nm.reshape(logits, (T, batch, cfg.vocab_size)),
@@ -483,7 +746,8 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
 def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
                      rng: Rng, train_mode: bool = True) -> SequenceForward:
     """``forward_teacher`` as a fold of ``cell_step``, the step ``generate``
-    runs; the reference the hoisted pass is checked against."""
+    runs, plus the prior's KL of each step; the reference the one-op pass is
+    checked against. Not differentiable."""
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
     w = cell_weights(params, vocabulary=True)
@@ -491,13 +755,14 @@ def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConf
     logits, kl_sum = [], None
     for t in range(T):
         step = cell_step(h, x_ids[:, t], params, cfg, rng, weights=w)
-        logits.append(step.logits)
-        if step.kl is not None:
-            kl_sum = step.kl if kl_sum is None else nm.add(kl_sum, step.kl)
+        logits.append(step.logits.data)
+        if cfg.use_kl_term:
+            kl = _kl(step.posterior, h, params, w)
+            kl_sum = kl if kl_sum is None else nm.add(kl_sum, kl)
         h = step.h_next
-    return SequenceForward(
-        logits=nm.reshape(nm.concat(logits, axis=0), (T, batch, cfg.vocab_size)),
-        class_logits=nm.linear(h, *params.classifier), kl_sum=kl_sum, final_hidden=h)
+    return SequenceForward(logits=Tensor(np.stack(logits)),
+                           class_logits=nm.linear(h, *params.classifier),
+                           kl_sum=kl_sum, final_hidden=h)
 
 
 def _loss_mask(targets: np.ndarray) -> np.ndarray:
@@ -553,6 +818,7 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
     starts at PAD, and each sampled token feeds back as the next input.
     Sampling is multinomial over softmax(logits / temperature) from the
     sampling stream; each sequence is truncated at its first PAD emission.
+    The steps' (count, width) arrays are allocated once per call.
     """
     if not 0 <= int(c) < cfg.num_categories:
         raise ConfigurationError(
@@ -564,17 +830,23 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
     with nm.no_grad():
         w = cell_weights(params, vocabulary=True)
         h = init_hidden(c, params, rng, train_mode=False, batch=count)
-        x = np.full(count, PAD_ID, dtype=np.int64)
-        sampled = np.empty((count, cfg.max_len), dtype=np.int64)
-        for t in range(cfg.max_len):
-            step = cell_step(h, x, params, cfg, rng, weights=w)
-            probs = nm.softmax(step.logits.data / cfg.temperature)
-            u = stream.random((count, 1))
-            ids = (probs.cumsum(axis=1) < u).sum(axis=1)
-            np.clip(ids, 0, cfg.vocab_size - 1, out=ids)
-            sampled[:, t] = ids
-            x = ids
-            h = step.h_next
+    buffers = cell_buffers(cfg, w, count)
+    probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
+    below = np.empty((count, cfg.vocab_size), dtype=bool)
+    x = np.full(count, PAD_ID, dtype=np.int64)
+    sampled = np.empty((count, cfg.max_len), dtype=np.int64)
+    for t in range(cfg.max_len):
+        step = cell_step(h, x, params, cfg, rng, weights=w, buffers=buffers)
+        # nm.softmax(logits / temperature), in place
+        np.divide(step.logits.data, cfg.temperature, out=probs)
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        np.cumsum(probs, axis=1, out=cum)
+        x = np.less(cum, stream.random((count, 1)), out=below).sum(axis=1)
+        np.clip(x, 0, cfg.vocab_size - 1, out=x)
+        sampled[:, t] = x
+        h = step.h_next
     out = []
     for row in sampled:
         stop = np.flatnonzero(row == PAD_ID)

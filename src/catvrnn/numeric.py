@@ -163,6 +163,11 @@ def _lift_pair(a, b) -> tuple[Tensor, Tensor]:
     return a, _lift(b, like=a)
 
 
+def records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` goes on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -255,6 +260,31 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tensors, backward)
 
 
+def multi_output(outputs: Sequence[np.ndarray], parents: Sequence[Tensor],
+                 backward) -> list[Tensor]:
+    """One op with several outputs. ``backward(grads)`` receives one gradient
+    per output, ``None`` for an output no gradient reached, and returns one
+    per parent (``None`` for no contribution). It runs once, from a joint
+    node that is the outputs' only parent: the tape reaches that node only
+    after every output has passed its gradient on."""
+    grads: list[np.ndarray | None] = [None] * len(outputs)
+
+    def joint_backward(_):
+        for p, g in zip(parents, backward(grads)):
+            if g is not None and p.requires_grad:
+                p._accumulate(g)
+        grads[:] = [None] * len(outputs)  # passed on to the parents: free them
+
+    joint = _make(np.empty(0), parents, joint_backward)
+
+    def collect(i):
+        def backward_i(g):
+            grads[i] = g if grads[i] is None else grads[i] + g
+        return backward_i
+
+    return [_make(data, (joint,), collect(i)) for i, data in enumerate(outputs)]
+
+
 def split(t: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
     """Cut ``t`` into consecutive pieces of ``sizes`` along ``axis``; each
     piece is a view. The pieces' gradients land in one buffer, which reaches
@@ -265,23 +295,18 @@ def split(t: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
         raise ConfigurationError(
             f"split sizes {list(sizes)} do not add up to {t.shape}[{axis}]"
         )
-    # the pieces' parent: its backward runs after every piece has written
-    # its share of the buffer, since each piece depends on it
-    joint = _make(t.data, (t,), lambda g: t._accumulate(g))
     lead = (slice(None),) * axis
-    pieces = []
-    lo = 0
-    for size in sizes:
-        idx = lead + (slice(lo, lo + size),)
+    offsets = np.cumsum([0, *sizes])
+    idx = [lead + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-        def backward(g, idx=idx):
-            if joint.grad is None:
-                joint.grad = np.zeros_like(t.data)
-            joint.grad[idx] += g
+    def backward(grads):
+        acc = np.zeros_like(t.data)
+        for i, g in zip(idx, grads):
+            if g is not None:
+                acc[i] += g
+        return [acc]
 
-        pieces.append(_make(t.data[idx], (joint,), backward))
-        lo += size
-    return pieces
+    return multi_output([t.data[i] for i in idx], [t], backward)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -300,26 +325,6 @@ def relu(t: Tensor) -> Tensor:
 
     def backward(g):
         t._accumulate(g * (t.data > 0))
-
-    return _make(data, (t,), backward)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = 1.0 / (1.0 + np.exp(-np.clip(t.data, -500, 500)))
-
-    def backward(g):
-        t._accumulate(g * data * (1.0 - data))
-
-    return _make(data, (t,), backward)
-
-
-def tanh(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = np.tanh(t.data)
-
-    def backward(g):
-        t._accumulate(g * (1.0 - data * data))
 
     return _make(data, (t,), backward)
 
@@ -447,6 +452,17 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _make(data, (logits,), backward)
 
 
+def reparameterize(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """z = mu + sigma * eps for a standard normal draw ``eps``, written into
+    ``out`` when given. Not recorded on the tape."""
+    if sigma.min() <= 0:
+        raise NumericError("reparameterize requires strictly positive sigma")
+    z = np.multiply(sigma, eps, out=out)
+    z += mu
+    return z
+
+
 # --- model-facing composite primitives ------------------------------------
 
 
@@ -504,58 +520,6 @@ class GruWeights:
             "xn": self.w_xn, "hn": self.w_hn, "bn": self.b_n,
         }
 
-    def fused(self) -> "FusedGru":
-        """The gate matrices side by side, in reset|update|candidate order."""
-        return FusedGru(
-            w_x=concat([self.w_xr, self.w_xu, self.w_xn], axis=1),
-            b=concat([self.b_r, self.b_u, self.b_n]),
-            w_ru=concat([self.w_hr, self.w_hu], axis=1),
-            w_hn=self.w_hn,
-        )
-
-
-@dataclass
-class FusedGru:
-    """A GRU's weights as three matmuls a step: the input side of all three
-    gates (``w_x``, ``b``), the hidden side of reset and update (``w_ru``),
-    and the candidate's ``w_hn``, which multiplies ``r * h``."""
-
-    w_x: Tensor
-    b: Tensor
-    w_ru: Tensor
-    w_hn: Tensor
-
-
-def gru_update(gx: Tensor, h_prev: Tensor, w: FusedGru) -> Tensor:
-    """One GRU step from its input side ``gx = x w.w_x + w.b``, which callers
-    may compute for many steps at once. Gates stay in (0, 1).
-
-    reset    r = sigmoid(x Wxr + h Whr + br)
-    update   u = sigmoid(x Wxu + h Whu + bu)
-    cand     n = tanh(x Wxn + (r * h) Whn + bn)
-    next     h' = u * h + (1 - u) * n
-    """
-    hidden = h_prev.data.shape[-1]
-    if hidden != w.w_hn.data.shape[0] or gx.data.shape[-1] != 3 * hidden:
-        raise ConfigurationError(
-            f"gru hidden dim {hidden} does not match {w.w_hn.data.shape} "
-            f"or input side {gx.data.shape}"
-        )
-    gx_ru, gx_n = split(gx, [2 * hidden, hidden])
-    r, u = split(sigmoid(add(gx_ru, matmul(h_prev, w.w_ru))), [hidden, hidden])
-    n = tanh(add(gx_n, matmul(mul(r, h_prev), w.w_hn)))
-    return add(mul(u, h_prev), mul(add(1.0, mul(u, -1.0)), n))
-
-
-def gru_cell(x: Tensor, h_prev: Tensor, w: GruWeights) -> Tensor:
-    """One GRU step from the input ``x``; returns the next hidden state."""
-    if x.data.shape[-1] != w.w_xr.data.shape[0]:
-        raise ConfigurationError(
-            f"gru input dim {x.data.shape[-1]} does not match {w.w_xr.data.shape}"
-        )
-    fused = w.fused()
-    return gru_update(linear(x, fused.w_x, fused.b), h_prev, fused)
-
 
 @dataclass
 class GaussianParams:
@@ -563,21 +527,6 @@ class GaussianParams:
 
     mu: Tensor
     sigma: Tensor
-
-
-def reparameterize(g: GaussianParams, rng: np.random.Generator) -> Tensor:
-    """Sample z = mu + sigma * eps with eps ~ N(0, I).
-
-    Gradient flows to mu and sigma only; eps is a constant draw.
-    """
-    if g.mu.data.shape != g.sigma.data.shape:
-        raise ConfigurationError(
-            f"mu/sigma shape mismatch: {g.mu.shape} vs {g.sigma.shape}"
-        )
-    if np.any(g.sigma.data <= 0):
-        raise NumericError("reparameterize requires strictly positive sigma")
-    eps = rng.standard_normal(g.mu.data.shape)
-    return add(g.mu, mul(g.sigma, Tensor(eps.astype(g.mu.data.dtype, copy=False))))
 
 
 def kl_gaussians(q: GaussianParams, p: GaussianParams) -> Tensor:

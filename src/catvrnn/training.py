@@ -184,7 +184,8 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
 @dataclass
 class Checkpoint:
     """Everything needed to resume: config, parameters, optimizer state, rng
-    stream states, the epoch index, and the vocabulary digest."""
+    stream states, the epoch index, the vocabulary digest, and the training
+    plan of the run that wrote it."""
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
@@ -194,17 +195,20 @@ class Checkpoint:
     adam_scalars: dict | None = None
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    plan: TrainPlan | None = None
     version: int = CHECKPOINT_VERSION
 
     @classmethod
     def capture(cls, params: CatVrnnParams, epoch: int, vocab_digest: str,
-                rng: Rng | None = None, adam: AdamState | None = None) -> "Checkpoint":
+                rng: Rng | None = None, adam: AdamState | None = None,
+                plan: TrainPlan | None = None) -> "Checkpoint":
         ckpt = cls(
             config=params.cfg,
             tensors={name: t.data.copy() for name, t in params.store.items()},
             epoch=epoch,
             vocab_digest=vocab_digest,
             rng_state=rng.state() if rng is not None else None,
+            plan=plan,
         )
         if adam is not None:
             ckpt.adam_scalars = {"lr": adam.lr, "beta1": adam.beta1,
@@ -264,7 +268,7 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]):
         f.write(body)
 
 
-def _read_header(raw: bytes, path: Path) -> tuple[dict, bytes]:
+def _read_header(raw: bytes, path: Path) -> tuple[dict, memoryview]:
     if len(raw) < 8:
         raise DataError(f"{path}: truncated file (no header length)")
     (header_len,) = struct.unpack("<Q", raw[:8])
@@ -274,12 +278,14 @@ def _read_header(raw: bytes, path: Path) -> tuple[dict, bytes]:
         header = json.loads(raw[8: 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt header: {e}") from e
-    return header, raw[8 + header_len:]
+    return header, memoryview(raw)[8 + header_len:]
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read and verify a container; corruption raises instead of returning
-    silent garbage."""
+    silent garbage. The arrays are read-only views of the file's bytes, so
+    that reading allocates the file's size once; callers copy what they
+    keep."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -300,8 +306,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         end = start + count * dtype.itemsize
         if end > len(body):
             raise DataError(f"{path}: truncated body")
-        arr = np.frombuffer(body[start:end], dtype=dtype).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(dtype.newbyteorder("="))
+        arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
+        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(
+            dtype.newbyteorder("="), copy=False)
     return header, arrays
 
 
@@ -316,6 +323,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "vocab_digest": ckpt.vocab_digest,
         "rng": ckpt.rng_state,
         "adam": ckpt.adam_scalars,
+        "plan": ckpt.plan.to_dict() if ckpt.plan is not None else None,
     }
     write_container(path, meta, arrays)
 
@@ -324,6 +332,7 @@ def load_checkpoint(path) -> Checkpoint:
     header, arrays = read_container(path)
     if header.get("kind") != "model":
         raise DataError(f"{path}: not a model checkpoint ({header.get('kind')!r})")
+    plan = header.get("plan")
     return Checkpoint(
         config=ModelConfig.from_dict(header["config"]),
         tensors={n[len("param."):]: a for n, a in arrays.items()
@@ -336,6 +345,7 @@ def load_checkpoint(path) -> Checkpoint:
                 if n.startswith("adam.m.")},
         adam_v={n[len("adam.v."):]: a for n, a in arrays.items()
                 if n.startswith("adam.v.")},
+        plan=TrainPlan(**plan) if plan is not None else None,
         version=int(header["format_version"]),
     )
 
@@ -346,8 +356,9 @@ def checkpoint_digest(path) -> str:
     raw = Path(path).read_bytes()
     header, body = _read_header(raw, Path(path))
     header.pop("created", None)
-    canon = json.dumps(header, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canon + body).hexdigest()
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+    digest.update(body)
+    return digest.hexdigest()
 
 
 # --- multi-epoch driver -----------------------------------------------------
@@ -391,7 +402,7 @@ def run_training(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray
             if checkpoint_dir and (
                 (save_every and epoch % save_every == 0) or epoch == plan.epochs
             ):
-                ckpt = Checkpoint.capture(params, epoch, vocab_digest, rng, adam)
+                ckpt = Checkpoint.capture(params, epoch, vocab_digest, rng, adam, plan)
                 save_checkpoint(Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt", ckpt)
     finally:
         if metrics_file:

@@ -17,7 +17,13 @@ from catvrnn.data import (
 )
 from catvrnn.data import LabeledCorpus, LabeledSentence
 from catvrnn.evaluation import ClassifierConfig, EvalClassifier
-from catvrnn.training import read_container, write_container
+from catvrnn.training import (
+    checkpoint_digest,
+    load_checkpoint,
+    read_container,
+    save_checkpoint,
+    write_container,
+)
 
 
 def run_cli(*argv):
@@ -203,9 +209,44 @@ def test_train_resume_prints_the_checkpoint_options(tmp_path, trained_run,
     for line in ("embed_dim = 10 (checkpoint)", "hidden_dim = 8 (checkpoint)",
                  "max_len = 7 (checkpoint)", "init = static (checkpoint)",
                  "latent_dim = 4 (flag)", "omega = 8.5 (file)",
-                 "batch_size = 64 (default)"):
+                 "batch_size = 16 (checkpoint)", "grad_clip = None (checkpoint)",
+                 "epochs = 4 (flag)"):
         assert line in printed
     assert (out / "epoch_0004.ckpt").exists()
+
+
+def test_train_resume_continues_the_checkpoint_training_plan(tmp_path,
+                                                              synth_corpus_file):
+    model = ("--embed-dim", "10", "--hidden-dim", "8", "--latent-dim", "4",
+             "--max-len", "7", "--seed", "3", "--batch-size", "8", "--grad-clip", "0.5",
+             "--lr", "0.002")
+    corpus = ("train", "--corpus", str(synth_corpus_file))
+    whole, first, resumed = tmp_path / "whole", tmp_path / "first", tmp_path / "resumed"
+    assert run_cli(*corpus, "--out", str(whole), "--epochs", "2", *model) == 0
+    assert run_cli(*corpus, "--out", str(first), "--epochs", "1", *model) == 0
+    # the batch size, grad clip and lr come from the checkpoint, not the defaults
+    assert run_cli(*corpus, "--out", str(resumed), "--epochs", "2",
+                   "--resume", str(first / "epoch_0001.ckpt")) == 0
+    assert (checkpoint_digest(resumed / "epoch_0002.ckpt")
+            == checkpoint_digest(whole / "epoch_0002.ckpt"))
+    config = json.loads((resumed / "run_config.json").read_text())
+    assert config["plan"] == json.loads((whole / "run_config.json").read_text())["plan"]
+
+
+def test_train_resume_without_a_recorded_plan_needs_the_plan_flags(tmp_path, trained_run,
+                                                                   synth_corpus_file,
+                                                                   capsys):
+    planless = tmp_path / "planless.ckpt"
+    save_checkpoint(planless, dataclasses.replace(
+        load_checkpoint(trained_run / "epoch_0003.ckpt"), plan=None))
+    resume = ("train", "--corpus", str(synth_corpus_file), "--epochs", "4",
+              "--resume", str(planless))
+    assert run_cli(*resume, "--out", str(tmp_path / "rejected")) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "--batch-size and --lr" in err
+    assert not (tmp_path / "rejected").exists()
+    assert run_cli(*resume, "--out", str(tmp_path / "resumed"),
+                   "--batch-size", "16", "--lr", "1e-3") == 0
 
 
 # --- generate -----------------------------------------------------------------------
@@ -265,6 +306,31 @@ def test_generate_missing_checkpoint(tmp_path):
                    "--vocab", str(tmp_path / "v.txt"),
                    "--out", str(tmp_path / "g.tsv"))
     assert code == 2
+
+
+def test_generate_counts_empty_samples_and_evaluate_scores_them(tmp_path, trained_run,
+                                                                 synth_corpus_file):
+    # one checkpoint, seed and -n: the same category accuracy whether evaluate
+    # samples or reads generate's TSV, whose header counts the empty samples
+    ckpt = str(trained_run / "epoch_0003.ckpt")
+    generated = tmp_path / "gen.tsv"
+    assert run_cli("generate", "--checkpoint", ckpt, "--vocab",
+                   str(trained_run / "vocab.txt"), "--out", str(generated),
+                   "-n", "40", "--seed", "4") == 0
+    counts = [json.loads(line[len("# empty="):])
+              for line in generated.read_text().splitlines()
+              if line.startswith("# empty=")]
+    assert len(counts) == 1 and sum(counts[0]) > 0
+    reports = []
+    for source in (["--checkpoint", ckpt, "--samples", "40"],
+                   ["--generated", str(generated)]):
+        path = tmp_path / f"report{len(reports)}.json"
+        assert run_cli("evaluate", "--corpus", str(synth_corpus_file), *source,
+                       "--out", str(path), "--classifier-epochs", "3",
+                       "--seed", "4") == 0
+        reports.append(json.loads(path.read_text()))
+    assert reports[0]["category_accuracy"] == reports[1]["category_accuracy"]
+    assert reports[0]["bleu_f"] == reports[1]["bleu_f"]
 
 
 # --- evaluate ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model contracts: initialization functions, the single-step cell, the
 unrolled forward, the joint loss, generation, and parameter accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -189,14 +190,21 @@ def test_cell_step_rejects_bad_token():
 
 
 def test_cell_step_gradient_check():
+    # cell_step runs without the tape; its step on the tape is the one-op
+    # recurrence over one step's rows, as forward_teacher runs it
+    from catvrnn.model import _emit, _inputs, cell_weights, recurrence
+
     cfg = tiny_cfg()
     params = CatVrnnParams(cfg, Rng(0))
 
     def loss():
         h = init_hidden_zero(cfg, batch=2)
-        step = cell_step(h, np.array([3, 5]), params, cfg, Rng(7))
-        ce = nm.cross_entropy_rows(step.logits, np.array([1, 2]))
-        return mean(nm.add(ce, tensor_sum(step.h_next * step.h_next, axis=-1)))
+        w = cell_weights(params)
+        enc_x, gru_x = _inputs(np.array([3, 5]), params, w)
+        h_prev, z, _, _, h_next = recurrence(h, enc_x, gru_x, w.recurrent,
+                                             Rng(7).stream("latent"))
+        ce = nm.cross_entropy_rows(_emit(z, h_prev, params), np.array([1, 2]))
+        return mean(nm.add(ce, tensor_sum(h_next * h_next, axis=-1)))
 
     report = check_gradient(loss, params.store, tolerance=1e-4)
     assert report.passed, report.summary()
@@ -302,7 +310,7 @@ def test_float32_model_computes_in_float32(kw, monkeypatch):
     monkeypatch.setattr("catvrnn.model.cell_step", recording_step)
     generate(0, 3, params, cfg, Rng(2))
     assert len(steps) == cfg.max_len
-    assert {t.dtype for s in steps for t in (s.h_next, s.logits, s.latent, s.kl)} \
+    assert {t.dtype for s in steps for t in (s.h_next, s.logits, s.latent)} \
         == {np.dtype(np.float32)}
 
 
@@ -487,6 +495,24 @@ def test_generate_respects_temperature_config():
     warm = generate(0, 10, params, tiny_cfg(temperature=1.0), Rng(1))
     cold = generate(0, 10, params, tiny_cfg(temperature=1e-3), Rng(1))
     assert warm != cold
+
+
+def test_generate_skips_the_prior_net(monkeypatch):
+    # sampling does not use the KL, so generate never runs the prior net:
+    # with it on, the samples are those of the same weights with it off
+    cfg = tiny_cfg(use_kl_term=True)
+    params = CatVrnnParams(cfg, Rng(4))
+    off_cfg = dataclasses.replace(cfg, use_kl_term=False)
+    off = CatVrnnParams.zeros(off_cfg)
+    off.store.load({name: t.data for name, t in params.store.items()
+                    if not name.startswith("prior.")})
+    expected = generate(1, 20, off, off_cfg, Rng(8))
+
+    def prior_net(*args, **kwargs):
+        raise AssertionError("generate ran the prior net")
+
+    monkeypatch.setattr("catvrnn.model._kl", prior_net)
+    assert generate(1, 20, params, cfg, Rng(8)) == expected
 
 
 # --- parameter accounting --------------------------------------------------------------------

@@ -9,23 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catvrnn.errors import ConfigurationError, NumericError
+from catvrnn.model import Recurrent, recur_step, recurrence
 from catvrnn.numeric import (
     GaussianParams,
-    GruWeights,
     ParamStore,
     Rng,
     Tensor,
     check_gradient,
     cross_entropy_rows,
-    gru_cell,
     kl_gaussians,
     mean,
     mlp_forward,
     matmul,
     reparameterize,
     softmax,
+    softplus,
     split,
-    tanh,
     tensor_sum,
 )
 
@@ -123,7 +122,12 @@ def test_softmax_overflow_safe():
     np.testing.assert_allclose(p[:2], [0.5, 0.5], atol=1e-12)
 
 
-# --- gru_cell -----------------------------------------------------------------
+# --- the GRU update of recur_step ----------------------------------------------
+#
+# recur_step is the whole recurrence step: encoder, heads, latent draw and the
+# GRU update over the token side and the latent. These tests pin its GRU
+# update against a scalar formula sharing no code with it: the oracle's input
+# is [x, z], with the latent rows of the gates' input weights under x's.
 
 
 def scalar_gru_oracle(x, h, ws):
@@ -150,14 +154,6 @@ def scalar_gru_oracle(x, h, ws):
     return hnext
 
 
-def gru_weights_from(ws):
-    return GruWeights(
-        w_xr=Tensor(ws["xr"]), w_hr=Tensor(ws["hr"]), b_r=Tensor(ws["br"]),
-        w_xu=Tensor(ws["xu"]), w_hu=Tensor(ws["hu"]), b_u=Tensor(ws["bu"]),
-        w_xn=Tensor(ws["xn"]), w_hn=Tensor(ws["hn"]), b_n=Tensor(ws["bn"]),
-    )
-
-
 def random_gru_arrays(rng, d, h):
     return {
         "xr": rng.normal(size=(d, h)), "hr": rng.normal(size=(h, h)),
@@ -169,57 +165,128 @@ def random_gru_arrays(rng, d, h):
     }
 
 
+def recurrent_from(rng, ws, latent, featz=False, scale=0.5):
+    """recur_step weights around the GRU arrays ``ws``, whose input rows are
+    [x, z]: the last ``latent`` rows multiply z. The encoder, heads and the
+    latent feature extractor get random weights."""
+    d, h = ws["xr"].shape
+    width = 2 * h
+    extra = {}
+    if featz:
+        extra = {name: rng.normal(size=shape) * scale for name, shape in (
+            ("featz1_w", (latent, latent)), ("featz1_b", (latent,)),
+            ("featz2_w", (latent, latent)), ("featz2_b", (latent,)))}
+    return Recurrent(
+        enc_h=rng.normal(size=(h, width)) * scale, enc2_w=rng.normal(size=(width, h)) * scale,
+        enc2_b=rng.normal(size=h) * scale, head_w=rng.normal(size=(h, 2 * latent)) * scale,
+        head_b=rng.normal(size=2 * latent) * scale,
+        gru_z=np.concatenate([ws["xr"], ws["xu"], ws["xn"]], axis=1)[d - latent:],
+        w_ru=np.concatenate([ws["hr"], ws["hu"]], axis=1), w_hn=ws["hn"], **extra)
+
+
+def gru_step(x, hv, ws, latent, rng, eps=None):
+    """recur_step over the token rows ``x`` (width d - latent) from ``hv``:
+    the GRU's input side of x is computed here, as the model hoists it."""
+    x, hv = np.atleast_2d(x), np.atleast_2d(hv)
+    d, h = ws["xr"].shape
+    w = recurrent_from(rng, ws, latent)
+    gru_x = (x @ np.concatenate([ws["xr"], ws["xu"], ws["xn"]], axis=1)[: d - latent]
+             + np.concatenate([ws["br"], ws["bu"], ws["bn"]]))
+    enc_x = rng.normal(size=(len(x), w.enc_h.shape[1]))
+    eps = rng.normal(size=(len(x), latent)) if eps is None else eps
+    return recur_step(hv, enc_x, gru_x, eps, w)
+
+
 def test_gru_zero_weights_matches_reference_formula():
     d, h = 3, 4
-    ws = {k: np.zeros((d, h)) if k.startswith("x") else
+    ws = {k: np.zeros((d + 1, h)) if k.startswith("x") else
           (np.zeros((h, h)) if k.startswith("h") else np.zeros(h))
           for k in ("xr", "hr", "br", "xu", "hu", "bu", "xn", "hn", "bn")}
     x = [0.5, -2.0, 1.0]
     hv = [1.0, -1.0, 0.25, 3.0]
-    got = gru_cell(Tensor(x), Tensor(hv), gru_weights_from(ws)).data
-    np.testing.assert_allclose(got, scalar_gru_oracle(x, hv, ws), atol=1e-12)
+    h_next, z, _, _ = gru_step(np.array(x), np.array(hv), ws, 1,
+                               np.random.default_rng(0))
+    got = h_next[0]
+    np.testing.assert_allclose(got, scalar_gru_oracle(x + list(z[0]), hv, ws),
+                               atol=1e-12)
     # with all-zero weights the update gate is 1/2, so h' = h/2
     np.testing.assert_allclose(got, np.array(hv) / 2, atol=1e-12)
 
 
 def test_gru_random_weights_match_scalar_oracle():
     rng = np.random.default_rng(7)
-    d, h = 5, 4
-    ws = random_gru_arrays(rng, d, h)
+    d, h, latent = 5, 4, 2
+    ws = random_gru_arrays(rng, d + latent, h)
     x = rng.normal(size=d)
     hv = rng.normal(size=h)
-    got = gru_cell(Tensor(x), Tensor(hv), gru_weights_from(ws)).data
-    np.testing.assert_allclose(got, scalar_gru_oracle(list(x), list(hv), ws),
+    h_next, z, _, _ = gru_step(x, hv, ws, latent, rng)
+    np.testing.assert_allclose(h_next[0],
+                               scalar_gru_oracle(list(x) + list(z[0]), list(hv), ws),
                                atol=1e-12)
 
 
 def test_gru_shape_contract_and_mismatch():
     rng = np.random.default_rng(3)
     for d, h in ((2, 3), (7, 5)):
-        ws = gru_weights_from(random_gru_arrays(rng, d, h))
-        out = gru_cell(Tensor(rng.normal(size=(6, d))),
-                       Tensor(rng.normal(size=(6, h))), ws)
-        assert out.shape == (6, h)
-    ws = gru_weights_from(random_gru_arrays(rng, 2, 3))
+        ws = random_gru_arrays(rng, d + 1, h)
+        h_next, z, mu, sigma = gru_step(rng.normal(size=(6, d)), rng.normal(size=(6, h)),
+                                        ws, 1, rng)
+        assert h_next.shape == (6, h)
+        assert z.shape == mu.shape == sigma.shape == (6, 1)
+    ws = random_gru_arrays(rng, 3, 3)
+    w = Recurrent(*(Tensor(a) for a in recurrent_from(rng, ws, 1)))
     with pytest.raises(ConfigurationError):
-        gru_cell(Tensor(np.zeros(5)), Tensor(np.zeros(3)), ws)
+        # a hidden state of 5 against hidden size 3
+        recurrence(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 6))),
+                   Tensor(np.zeros((1, 9))), w, Rng(0).stream("latent"))
+
+
+def recurrence_params(rng, d, h, latent, featz=False, store=None):
+    """``recurrent_from`` as parameters ``rec0``, ``rec1``, ... of ``store`` (a
+    new one when not given): (store, Recurrent of tensors)."""
+    store = ParamStore() if store is None else store
+    ws = random_gru_arrays(rng, d + latent, h)
+    w = Recurrent(*(None if a is None else store.add(f"rec{i}", a * 0.5)
+                    for i, a in enumerate(recurrent_from(rng, ws, latent, featz))))
+    return store, w
+
+
+@pytest.mark.parametrize("featz", [False, True])
+@pytest.mark.parametrize("output", ["h_prev", "z", "mu", "sigma", "h_final"])
+def test_recurrence_gradient_of_each_output(output, featz):
+    # one output in the loss: the other four never receive a gradient
+    rng = np.random.default_rng(21)
+    steps, batch, h, latent = 3, 2, 3, 2
+    store, w = recurrence_params(rng, 2, h, latent, featz)
+    h0 = store.add("h0", rng.normal(size=(batch, h)))
+    enc_x = store.add("enc_x", rng.normal(size=(steps * batch, 2 * h)))
+    gru_x = store.add("gru_x", rng.normal(size=(steps * batch, 3 * h)))
+    k = ["h_prev", "z", "mu", "sigma", "h_final"].index(output)
+
+    def loss():
+        outs = recurrence(h0, enc_x, gru_x, w, Rng(4).stream("latent"))
+        probe = Tensor(np.random.default_rng(k).normal(size=outs[k].shape))
+        return tensor_sum(outs[k] * probe)
+
+    # tiny entries need the wider step to rise above rounding
+    report = check_gradient(loss, store, tolerance=1e-4, fd_step=1e-3, max_checks=400)
+    assert report.passed, report.summary()
+    assert {e.name for e in report.per_param} == set(dict(store.items()))
 
 
 def test_gru_gradient_matches_finite_differences():
+    # the GRU's weights are the last three of Recurrent without featz
     rng = np.random.default_rng(11)
-    d, h = 4, 3
-    store = ParamStore()
-    arrays = random_gru_arrays(rng, d, h)
-    tensors = {k: store.add(k, v) for k, v in arrays.items()}
-    ws = GruWeights(w_xr=tensors["xr"], w_hr=tensors["hr"], b_r=tensors["br"],
-                    w_xu=tensors["xu"], w_hu=tensors["hu"], b_u=tensors["bu"],
-                    w_xn=tensors["xn"], w_hn=tensors["hn"], b_n=tensors["bn"])
-    x = Tensor(rng.normal(size=(2, d)))
+    d, h, latent = 4, 3, 2
+    store, w = recurrence_params(rng, d, h, latent)
+    x = Tensor(rng.normal(size=(2, 2 * h)))
+    gx = Tensor(rng.normal(size=(2, 3 * h)))
     hv = Tensor(rng.normal(size=(2, h)))
     weights = Tensor(rng.normal(size=(2, h)))
 
     report = check_gradient(
-        lambda: tensor_sum(gru_cell(x, hv, ws) * weights), store, tolerance=1e-4
+        lambda: tensor_sum(recurrence(hv, x, gx, w, Rng(2).stream("latent"))[4] * weights),
+        {name: store[name] for name in ("rec5", "rec6", "rec7")}, tolerance=1e-4
     )
     assert report.passed, report.summary()
 
@@ -228,42 +295,46 @@ def test_gru_gradient_matches_finite_differences():
 
 
 def test_reparameterize_degenerate_noise_returns_mu():
-    mu = Tensor(np.array([1.0, -2.0, 0.5]))
-    sigma = Tensor(np.full(3, 1e-30))
-    z = reparameterize(GaussianParams(mu, sigma), Rng(0).stream("latent"))
-    np.testing.assert_allclose(z.data, mu.data, atol=1e-25)
+    mu = np.array([1.0, -2.0, 0.5])
+    sigma = np.full(3, 1e-30)
+    z = reparameterize(mu, sigma, Rng(0).stream("latent").standard_normal(3))
+    np.testing.assert_allclose(z, mu, atol=1e-25)
 
 
 def test_reparameterize_monte_carlo_statistics():
     mu, sigma = 0.7, 1.3
-    g = GaussianParams(Tensor(np.full(100_000, mu)), Tensor(np.full(100_000, sigma)))
-    z = reparameterize(g, Rng(99).stream("latent")).data
+    eps = Rng(99).stream("latent").standard_normal(100_000)
+    z = reparameterize(np.full(100_000, mu), np.full(100_000, sigma), eps)
     assert abs(z.mean() - mu) < 0.02 * mu
     assert abs(z.std() - sigma) < 0.02 * sigma
 
 
 def test_reparameterize_deterministic_per_seed():
-    g = GaussianParams(Tensor(np.zeros(8)), Tensor(np.ones(8)))
-    z1 = reparameterize(g, Rng(5).stream("latent")).data
-    z2 = reparameterize(g, Rng(5).stream("latent")).data
-    z3 = reparameterize(g, Rng(6).stream("latent")).data
+    # recur_step draws nothing itself: recurrence takes one draw a step
+    rng = np.random.default_rng(0)
+    store, w = recurrence_params(rng, 2, 3, 8)
+    args = (Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 9))), w)
+    z1 = recurrence(*args, Rng(5).stream("latent"))[1].data
+    z2 = recurrence(*args, Rng(5).stream("latent"))[1].data
+    z3 = recurrence(*args, Rng(6).stream("latent"))[1].data
     np.testing.assert_array_equal(z1, z2)
     assert not np.array_equal(z1, z3)
 
 
 def test_reparameterize_rejects_nonpositive_sigma():
-    g = GaussianParams(Tensor(np.zeros(2)), Tensor(np.array([1.0, 0.0])))
     with pytest.raises(NumericError):
-        reparameterize(g, Rng(0).stream("latent"))
+        reparameterize(np.zeros(2), np.array([1.0, 0.0]), np.ones(2))
 
 
 def test_reparameterize_gradient_flows_to_mu_and_sigma():
-    store = ParamStore()
-    mu = store.add("mu", np.array([0.5, -0.5]))
-    sigma = store.add("sigma", np.array([1.0, 2.0]))
-    z = reparameterize(GaussianParams(mu, sigma), Rng(1).stream("latent"))
+    # z = mu + sigma * eps inside the recurrence: both halves of the head
+    rng = np.random.default_rng(1)
+    store, w = recurrence_params(rng, 2, 3, 2)
+    z = recurrence(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 6))),
+                   Tensor(np.ones((1, 9))), w, Rng(1).stream("latent"))[1]
     tensor_sum(z * z).backward()
-    assert mu.grad is not None and sigma.grad is not None
+    grad = w.head_b.grad
+    assert np.all(grad[:2] != 0) and np.all(grad[2:] != 0)
 
 
 # --- cross entropy ---------------------------------------------------------------
@@ -542,7 +613,7 @@ def test_split_gradient_with_unused_and_reused_pieces():
 
     def loss():
         # columns: a used twice, the middle piece unused
-        a, _, b = split(tanh(matmul(x, w)), [2, 3, 2])
+        a, _, b = split(softplus(matmul(x, w)), [2, 3, 2])
         # rows of a parameter: the top row used, the rest unused
         top, _ = split(w, [1, 3], axis=0)
         return (tensor_sum(a * a) + tensor_sum(a * b)
@@ -569,28 +640,27 @@ def test_composite_graph_gradient_across_seeds(seed):
     b2 = store.add("b2", rng.normal(size=4) * 0.2)
     mu = store.add("mu", rng.normal(size=(3, 4)))
     raw = store.add("raw", rng.normal(size=(3, 4)))
-    gru_arrays = random_gru_arrays(rng, 4, 3)
-    tensors = {k: store.add(f"g.{k}", v * 0.5) for k, v in gru_arrays.items()}
-    ws = GruWeights(w_xr=tensors["xr"], w_hr=tensors["hr"], b_r=tensors["br"],
-                    w_xu=tensors["xu"], w_hu=tensors["hu"], b_u=tensors["bu"],
-                    w_xn=tensors["xn"], w_hn=tensors["hn"], b_n=tensors["bn"])
+    _, rec = recurrence_params(rng, 2, 3, 4, store=store)
+    enc_w = store.add("enc_w", rng.normal(size=(4, 6)) * 0.5)
+    gru_w = store.add("gru_w", rng.normal(size=(4, 9)) * 0.5)
     x = Tensor(rng.normal(size=(3, 5)))
     h = Tensor(rng.normal(size=(3, 3)))
     targets = rng.integers(0, 4, size=3)
     probe = Tensor(rng.normal(size=(3, 4)))
 
     def loss(seed=seed):
-        from catvrnn.numeric import softplus, add
+        from catvrnn.numeric import add
         feat = mlp_forward(x, [(w1, b1)], ["relu"])
         deep = mlp_forward(x, [(w1, b1), (w2, b2)], ["relu", "none"])
         sigma = add(softplus(raw), 1e-6)
         q = GaussianParams(mu, sigma)
         p = GaussianParams(Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))))
-        z = reparameterize(q, Rng(seed + 50).stream("latent"))
-        h_next = gru_cell(feat, h, ws)
+        _, z, mu_z, sigma_z, h_next = recurrence(
+            h, matmul(feat, enc_w), matmul(feat, gru_w), rec,
+            Rng(seed + 50).stream("latent"))
         ce = cross_entropy_rows(add(feat, z), targets)
-        return mean(add(add(add(ce, kl_gaussians(q, p)),
-                            tensor_sum(h_next * h_next, axis=-1)),
+        kl = add(kl_gaussians(q, p), kl_gaussians(GaussianParams(mu_z, sigma_z), p))
+        return mean(add(add(add(ce, kl), tensor_sum(h_next * h_next, axis=-1)),
                         tensor_sum(deep * probe, axis=-1)))
 
     report = check_gradient(loss, store, tolerance=1e-4, max_checks=230)
