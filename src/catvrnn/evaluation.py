@@ -31,6 +31,8 @@ log = logging.getLogger(__name__)
 
 BLEU_EPS = 1e-9
 BLEU_ORDERS = (2, 3, 4, 5)
+# rows the classifier scores per call in ``predict``
+PREDICT_CHUNK = 256
 
 
 # --- convolutional sentence classifier --------------------------------------
@@ -98,20 +100,29 @@ class EvalClassifier:
 
     def logits(self, ids: np.ndarray, train_mode: bool = False,
                dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Class logits for encoded inputs (B, T)."""
+        """Class logits for encoded inputs (B, T).
+
+        Every token's embedding is gathered once and multiplied by every
+        filter row block of every width in one matmul; each width's
+        convolution is then the sum of its shifted blocks (``window_sum``).
+        """
         ids = np.asarray(ids, dtype=np.int64)
         b, t = ids.shape
+        widths = self.cfg.filter_widths
+        if t < max(widths):
+            raise ConfigurationError(
+                f"inputs of length {t} shorter than widest filter {max(widths)}"
+            )
+        e = self.cfg.embed_dim
+        emb = nm.gather_rows(self.store["embedding"], ids.reshape(b * t))
+        # conv{w}.w is (w*E, F), its E-row block k the filter of offset k
+        blocks = [block for w in widths
+                  for block in nm.split(self.store[f"conv{w}.w"], [e] * w, axis=0)]
+        products = nm.matmul(emb, nm.concat(blocks, axis=1))
         pooled = []
-        for w in self.cfg.filter_widths:
-            npos = t - w + 1
-            # windows of token ids, flattened so one gather serves all positions
-            win = np.lib.stride_tricks.sliding_window_view(ids, w, axis=1)
-            flat = win.reshape(b * npos * w)
-            emb = nm.gather_rows(self.store["embedding"], flat)
-            emb = nm.reshape(emb, (b * npos, w * self.cfg.embed_dim))
-            conv = nm.relu(nm.linear(emb, self.store[f"conv{w}.w"],
-                                     self.store[f"conv{w}.b"]))
-            pooled.append(nm.max_pool_rows(conv, npos))
+        for w, conv in zip(widths, nm.window_sum(products, t, widths)):
+            conv = nm.relu(nm.add(conv, self.store[f"conv{w}.b"]))
+            pooled.append(nm.max_pool_rows(conv, t - w + 1))
         features = nm.concat(pooled, axis=-1)
         if train_mode and self.cfg.dropout > 0:
             if dropout_rng is None:
@@ -122,8 +133,13 @@ class EvalClassifier:
         return nm.linear(features, self.store["head.w"], self.store["head.b"])
 
     def predict(self, ids: np.ndarray) -> np.ndarray:
+        """Predicted classes, scored PREDICT_CHUNK rows at a time so that
+        memory does not grow with the number of rows."""
+        ids = np.asarray(ids)
         with nm.no_grad():
-            return self.logits(ids).data.argmax(axis=1)
+            preds = [self.logits(ids[i: i + PREDICT_CHUNK]).data.argmax(axis=1)
+                     for i in range(0, len(ids), PREDICT_CHUNK)]
+        return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
     def encode_sentences(self, sentences: list[LabeledSentence]) -> Batch:
         clipped = []

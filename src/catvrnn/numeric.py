@@ -414,6 +414,54 @@ def max_pool_rows(t: Tensor, group_size: int) -> Tensor:
     return _make(data, (t,), backward)
 
 
+def window_sum(t: Tensor, seq_len: int, widths: Sequence[int]) -> list[Tensor]:
+    """Window sums of shifted column blocks, one output per width.
+
+    ``t`` is (G*seq_len, C): ``seq_len`` consecutive rows per sequence, and
+    columns cut into ``sum(widths)`` equal blocks of F, the blocks of width
+    ``w`` being its offsets 0..w-1 in order. Output ``w`` is
+    (G*(seq_len-w+1), F); its row ``p`` of a sequence sums block ``(w, k)``
+    of row ``p + k`` over the offsets ``k``. With ``t`` the products of
+    every token with each offset's filter rows, that is a convolution. The
+    backward writes each output's gradient, shifted down by ``k`` rows,
+    into block ``(w, k)`` of one buffer.
+    """
+    t = _lift(t)
+    n, cols = t.data.shape
+    if n % seq_len or cols % sum(widths):
+        raise ConfigurationError(
+            f"window_sum: {t.shape} is not whole sequences of {seq_len} rows "
+            f"and {sum(widths)} column blocks"
+        )
+    if max(widths) > seq_len:
+        raise ConfigurationError(f"width {max(widths)} exceeds sequence length {seq_len}")
+    size = cols // sum(widths)
+    x = t.data.reshape(-1, seq_len, cols)
+    # (npos, [column start of each offset's block]) per width
+    layout = []
+    start = 0
+    for w in widths:
+        layout.append((seq_len - w + 1, [start + k * size for k in range(w)]))
+        start += w * size
+    outs = []
+    for npos, lows in layout:
+        out = x[:, :npos, lows[0]: lows[0] + size].copy()
+        for k, lo in enumerate(lows[1:], start=1):
+            out += x[:, k: k + npos, lo: lo + size]
+        outs.append(out.reshape(-1, size))
+
+    def backward(grads):
+        acc = np.zeros_like(x)
+        for (npos, lows), g in zip(layout, grads):
+            if g is not None:
+                g = g.reshape(-1, npos, size)
+                for k, lo in enumerate(lows):
+                    acc[:, k: k + npos, lo: lo + size] = g
+        return [acc.reshape(n, cols)]
+
+    return multi_output(outs, [t], backward)
+
+
 # --- row-wise softmax family ---------------------------------------------
 
 
@@ -697,8 +745,12 @@ def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-
     noise inside it). Every parameter element is checked when the total count
     is at most ``max_checks``; otherwise a uniform random subsample of
     ``max_checks`` elements is used. Relative error uses the denominator
-    max(|analytic|, |numeric|, 1e-8). ``corrupt=True`` perturbs the analytic
-    gradients before comparison, as a negative control that must fail.
+    max(|analytic|, |numeric|, noise / tolerance), where noise =
+    eps * max(|f+|, |f-|) / fd_step is the rounding error of the central
+    difference itself: an entry smaller than noise / tolerance cannot be
+    resolved to the tolerance, so its error is judged against that floor.
+    ``corrupt=True`` perturbs the analytic gradients before comparison, as
+    a negative control that must fail.
     """
     named = dict(params.items()) if isinstance(params, ParamStore) else dict(params)
     for t in named.values():
@@ -720,6 +772,8 @@ def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-
         chosen = picker.choice(len(elements), size=max_checks, replace=False)
         elements = [elements[i] for i in sorted(chosen)]
 
+    eps = float(np.finfo(loss.data.dtype).eps)
+    tiny = float(np.finfo(loss.data.dtype).tiny)
     errs: dict[str, float] = {name: 0.0 for name in named}
     counts: dict[str, int] = {name: 0 for name in named}
     for name, i in elements:
@@ -732,7 +786,8 @@ def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-
         flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * fd_step)
         a = float(analytic[name].reshape(-1)[i])
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        noise = eps * max(abs(f_plus), abs(f_minus)) / fd_step
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), noise / tolerance, tiny)
         errs[name] = max(errs[name], rel)
         counts[name] += 1
 

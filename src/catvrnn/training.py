@@ -241,31 +241,33 @@ class Checkpoint:
 def write_container(path, meta: dict, arrays: dict[str, np.ndarray]):
     """Write the on-disk container: an 8-byte little-endian length prefix, a
     UTF-8 JSON header (metadata plus the tensor manifest and body digest),
-    then raw little-endian scalar blobs in manifest order."""
+    then raw little-endian scalar blobs in manifest order. The body is
+    hashed and written array by array from the arrays' own buffers."""
+    blobs = [np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+             for arr in arrays.values()]
     manifest = []
     offset = 0
-    chunks = []
-    for name, arr in arrays.items():
-        blob = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
+    body_sha = hashlib.sha256()
+    for (name, arr), blob in zip(arrays.items(), blobs):
         manifest.append({
             "name": name,
             "shape": list(arr.shape),
             "dtype": arr.dtype.name,
             "offset": offset,
         })
-        chunks.append(blob)
-        offset += len(blob)
-    body = b"".join(chunks)
+        body_sha.update(blob)
+        offset += blob.nbytes
     header = dict(meta)
     header["format_version"] = CHECKPOINT_VERSION
     header["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     header["manifest"] = manifest
-    header["body_sha256"] = hashlib.sha256(body).hexdigest()
+    header["body_sha256"] = body_sha.hexdigest()
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path) as f:
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        f.write(body)
+        for blob in blobs:
+            f.write(blob)
 
 
 def _read_header(raw: bytes, path: Path) -> tuple[dict, memoryview]:

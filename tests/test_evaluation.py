@@ -2,6 +2,7 @@
 and BLEU against a brute-force counting oracle."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,17 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catvrnn.errors import ConfigurationError, DataError
-from catvrnn.numeric import Rng
+from catvrnn.numeric import Rng, Tensor
 from catvrnn import numeric as nm
 from catvrnn.model import CatVrnnParams, ModelConfig, forward_teacher
 from catvrnn.data import (
     LabeledCorpus,
     LabeledSentence,
+    Vocabulary,
     build_vocabulary,
     encode_batch,
     make_synthetic_corpus,
 )
+from catvrnn.training import write_container
 from catvrnn.evaluation import (
+    PREDICT_CHUNK,
+    ClassifierConfig,
     EvalClassifier,
     bleu_corpus,
     bleu_harmonic,
@@ -124,6 +129,113 @@ def test_classifier_save_load_roundtrip(tmp_path, trained_clf, disjoint_corpus):
     np.testing.assert_array_equal(trained_clf.predict(batch.inputs),
                                   again.predict(batch.inputs))
     assert again.val_accuracy == trained_clf.val_accuracy
+
+
+def window_gather_logits(clf, ids, dropout_rng=None):
+    """The classifier's logits with one window gather and one matmul per
+    filter width, the reference the one-gather form is checked against."""
+    b, t = ids.shape
+    pooled = []
+    for w in clf.cfg.filter_widths:
+        npos = t - w + 1
+        win = np.lib.stride_tricks.sliding_window_view(ids, w, axis=1)
+        emb = nm.gather_rows(clf.store["embedding"], win.reshape(b * npos * w))
+        emb = nm.reshape(emb, (b * npos, w * clf.cfg.embed_dim))
+        conv = nm.relu(nm.linear(emb, clf.store[f"conv{w}.w"],
+                                 clf.store[f"conv{w}.b"]))
+        pooled.append(nm.max_pool_rows(conv, npos))
+    features = nm.concat(pooled, axis=-1)
+    if dropout_rng is not None:
+        keep = 1.0 - clf.cfg.dropout
+        mask = (dropout_rng.random(features.data.shape) < keep) / keep
+        features = nm.mul(features, Tensor(mask))
+    return nm.linear(features, clf.store["head.w"], clf.store["head.b"])
+
+
+def random_classifier(max_len, vocab_size=40, seed=3, **kw):
+    vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(vocab_size - 2)])
+    cfg = ClassifierConfig(vocab_size=vocab_size, num_categories=3,
+                           max_len=max_len, **kw)
+    clf = EvalClassifier(cfg, vocab, rng=Rng(seed))
+    rng = np.random.default_rng(seed)
+    for name, t in clf.store.items():
+        if name.endswith(".b"):  # biases start at zero; make them count
+            t.data[:] = rng.normal(size=t.data.shape) * 0.1
+    return clf
+
+
+@pytest.mark.parametrize("t", [5, 13])
+def test_logits_and_gradients_match_the_window_gather_reference(t):
+    # T == 5: the widest filter fits once; row 1 is all PAD
+    clf = random_classifier(t)
+    rng = np.random.default_rng(t)
+    ids = rng.integers(0, clf.cfg.vocab_size, size=(6, t))
+    ids[1] = 0
+    ids[4, 3:] = 0
+    targets = rng.integers(0, 3, size=6)
+    results = []
+    for forward in (
+        lambda: clf.logits(ids, train_mode=True, dropout_rng=np.random.default_rng(5)),
+        lambda: window_gather_logits(clf, ids, dropout_rng=np.random.default_rng(5)),
+    ):
+        clf.store.zero_grad()
+        logits = forward()
+        nm.mean(nm.cross_entropy_rows(logits, targets)).backward()
+        results.append((logits.data, {n: p.grad for n, p in clf.store.items()}))
+    (new, new_grads), (ref, ref_grads) = results
+    assert np.linalg.norm(new - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(ref_grads) == 9
+    for name, g in ref_grads.items():
+        assert np.linalg.norm(new_grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+def test_logits_reject_inputs_shorter_than_the_widest_filter():
+    clf = random_classifier(6)
+    clf.logits(np.zeros((2, 5), dtype=np.int64))
+    with pytest.raises(ConfigurationError, match="widest filter"):
+        clf.logits(np.zeros((2, 4), dtype=np.int64))
+
+
+def test_classifier_file_with_the_per_width_layout_loads(tmp_path):
+    # tensor names and shapes written out by hand: conv{w}.w is (w*E, F)
+    vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(18)])
+    e, f, k = 6, 4, 2
+    cfg = ClassifierConfig(vocab_size=20, num_categories=k, max_len=7,
+                           embed_dim=e, feature_maps=f)
+    rng = np.random.default_rng(12)
+    arrays = {"embedding": rng.normal(size=(20, e))}
+    for w in (3, 4, 5):
+        arrays[f"conv{w}.w"] = rng.normal(size=(w * e, f))
+        arrays[f"conv{w}.b"] = rng.normal(size=f) * 0.1
+    arrays["head.w"] = rng.normal(size=(3 * f, k))
+    arrays["head.b"] = rng.normal(size=k) * 0.1
+    write_container(tmp_path / "clf.bin",
+                    {"kind": "eval_classifier", "config": cfg.to_dict(),
+                     "vocab": vocab.id_to_token, "val_accuracy": 0.75}, arrays)
+    clf = EvalClassifier.load(tmp_path / "clf.bin")
+    assert clf.val_accuracy == 0.75
+    ids = rng.integers(0, 20, size=(50, 7))
+    with nm.no_grad():
+        expected = window_gather_logits(clf, ids).data.argmax(axis=1)
+    assert len(set(expected)) == k
+    np.testing.assert_array_equal(clf.predict(ids), expected)
+
+
+def test_predict_memory_does_not_grow_with_rows():
+    clf = random_classifier(9, embed_dim=16, feature_maps=10)
+    ids = np.random.default_rng(4).integers(0, 40, size=(4 * PREDICT_CHUNK, 9))
+
+    def peak(rows):
+        tracemalloc.start()
+        clf.predict(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    one = peak(ids[:PREDICT_CHUNK])
+    assert peak(ids) < 1.25 * one
+    np.testing.assert_array_equal(
+        clf.predict(ids)[PREDICT_CHUNK:], clf.predict(ids[PREDICT_CHUNK:]))
 
 
 # --- category accuracy ---------------------------------------------------------

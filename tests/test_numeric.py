@@ -21,11 +21,13 @@ from catvrnn.numeric import (
     mean,
     mlp_forward,
     matmul,
+    multi_output,
     reparameterize,
     softmax,
     softplus,
     split,
     tensor_sum,
+    window_sum,
 )
 
 
@@ -337,6 +339,59 @@ def test_reparameterize_gradient_flows_to_mu_and_sigma():
     assert np.all(grad[:2] != 0) and np.all(grad[2:] != 0)
 
 
+# --- window_sum ---------------------------------------------------------------
+
+
+def window_sum_oracle(x, seq_len, widths):
+    """Loops over sequences, positions and offsets."""
+    size = x.shape[1] // sum(widths)
+    seqs = x.reshape(-1, seq_len, x.shape[1])
+    outs, start = [], 0
+    for w in widths:
+        out = np.zeros((len(seqs), seq_len - w + 1, size))
+        for s, seq in enumerate(seqs):
+            for p in range(seq_len - w + 1):
+                for k in range(w):
+                    lo = start + k * size
+                    out[s, p] += seq[p + k, lo: lo + size]
+        outs.append(out.reshape(-1, size))
+        start += w * size
+    return outs
+
+
+@pytest.mark.parametrize("seq_len,widths", [(5, (3, 4, 5)), (4, (1, 2)), (6, (2,))])
+def test_window_sum_matches_the_loop_oracle(seq_len, widths):
+    x = np.random.default_rng(seq_len).normal(size=(3 * seq_len, 2 * sum(widths)))
+    outs = window_sum(Tensor(x), seq_len, widths)
+    for out, ref in zip(outs, window_sum_oracle(x, seq_len, widths)):
+        np.testing.assert_allclose(out.data, ref, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("used", [(0, 1, 2), (1,), (0, 2)])
+def test_window_sum_gradient_matches_finite_differences(used):
+    # outputs left out of the loss get no gradient and must add nothing
+    rng = np.random.default_rng(len(used))
+    store = ParamStore()
+    x = store.add("x", rng.normal(size=(2 * 6, 3 * (2 + 3 + 4))))
+    probes = [Tensor(rng.normal(size=(2 * (6 - w + 1), 3))) for w in (2, 3, 4)]
+
+    def loss():
+        outs = window_sum(x, 6, (2, 3, 4))
+        return sum(tensor_sum(softplus(outs[i]) * probes[i]) for i in used)
+
+    report = check_gradient(loss, store, tolerance=1e-6, max_checks=400)
+    assert report.passed, report.summary()
+
+
+def test_window_sum_rejects_ragged_shapes():
+    with pytest.raises(ConfigurationError):
+        window_sum(Tensor(np.zeros((7, 12))), 3, (3, 1))  # rows not whole sequences
+    with pytest.raises(ConfigurationError):
+        window_sum(Tensor(np.zeros((6, 10))), 3, (3, 1))  # columns not whole blocks
+    with pytest.raises(ConfigurationError):
+        window_sum(Tensor(np.zeros((6, 12))), 3, (4, 2))  # window longer than sequence
+
+
 # --- cross entropy ---------------------------------------------------------------
 
 
@@ -488,6 +543,41 @@ def test_check_gradient_subsamples_large_stores():
                             tolerance=1e-5, max_checks=210)
     assert report.passed
     assert report.total_checked == 210
+
+
+def test_check_gradient_resolves_tiny_entries_at_the_default_step():
+    # correct entries of 1e-8 and 3e-7 in a loss of ~3: the central
+    # difference's rounding (~eps * 3 / 1e-5) is far above 1e-4 of them
+    c = np.array([1e-8, 3e-7, 1e-8])
+    store = ParamStore()
+    w = store.add("w", np.array([0.7, -1.3, 2.0]))
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(50, 3)))
+    rest = Tensor(rng.normal(size=10))
+
+    def loss():
+        return (mean(tensor_sum(softplus(x * w) * c, axis=-1))
+                + tensor_sum(softplus(rest)))
+
+    report = check_gradient(loss, store, tolerance=1e-4)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("err", [0.01, 0.0])
+def test_check_gradient_fails_one_percent_off_a_tiny_entry(err):
+    # d loss / d w = c; the backward is off by ``err`` on the 3e-7 entry only
+    c = np.array([3e-7, 0.5, -0.25])
+    store = ParamStore()
+    w = store.add("w", np.array([1.0, 1.0, 1.0]))
+    wrong = c * np.array([1.0 + err, 1.0, 1.0])
+
+    def loss():
+        (out,) = multi_output([np.asarray(c @ w.data)], [w],
+                              lambda grads: [grads[0] * wrong])
+        return out
+
+    report = check_gradient(loss, store, tolerance=1e-4)
+    assert report.passed == (err == 0.0), report.summary()
 
 
 # --- ParamStore and Rng -------------------------------------------------------------------

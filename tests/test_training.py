@@ -1,9 +1,11 @@
 """Optimizer behavior, epoch loop determinism, and checkpoint persistence."""
 
 import builtins
+import hashlib
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from catvrnn.data import (
     save_corpus,
     write_json,
 )
+from catvrnn.evaluation import train_eval_classifier
+from catvrnn import training
 from catvrnn.training import (
+    CHECKPOINT_VERSION,
     AdamState,
     Checkpoint,
     TrainPlan,
@@ -301,6 +306,63 @@ def test_checkpoint_version_mismatch(tmp_path):
                      + raw[8 + hlen:])
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
+
+
+CREATED = "2026-01-02T03:04:05Z"
+
+
+def reference_container_bytes(meta, arrays):
+    """The container as the copying writer laid it out: every blob cast to
+    little endian and joined before hashing, with ``CREATED`` as the time."""
+    manifest, chunks, offset = [], [], 0
+    for name, arr in arrays.items():
+        blob = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
+        manifest.append({"name": name, "shape": list(arr.shape),
+                         "dtype": arr.dtype.name, "offset": offset})
+        chunks.append(blob)
+        offset += len(blob)
+    body = b"".join(chunks)
+    header = dict(meta, format_version=CHECKPOINT_VERSION, created=CREATED,
+                  manifest=manifest, body_sha256=hashlib.sha256(body).hexdigest())
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return struct.pack("<Q", len(header_bytes)) + header_bytes + body
+
+
+def test_container_bytes_match_the_copying_writer(tmp_path, monkeypatch):
+    # the timestamp pinned, a model checkpoint, a classifier file and odd
+    # arrays (transposed, big-endian, 0-d, empty) are byte for byte the
+    # reference layout
+    monkeypatch.setattr(training.time, "strftime", lambda *_: CREATED)
+    written = []
+    real = training.write_container
+
+    def recording(path, meta, arrays):
+        written.append((path, meta, arrays))
+        real(path, meta, arrays)
+
+    monkeypatch.setattr(training, "write_container", recording)
+    cfg, params, adam, rng = trained_setup(tmp_path)
+    save_checkpoint(tmp_path / "model.ckpt",
+                    Checkpoint.capture(params, 3, "d", rng=rng, adam=adam))
+    monkeypatch.setattr("catvrnn.evaluation.write_container", recording)
+    corpus = make_synthetic_corpus(2, 20, 8, (5, 7), seed=3)
+    train_eval_classifier(corpus, seed=1, epochs=1).save(tmp_path / "clf.bin")
+    recording(tmp_path / "odd.bin", {"kind": "odd"}, {
+        "t": np.arange(6.0).reshape(2, 3).T,
+        "big": np.arange(4, dtype=">f4"),
+        "scalar": np.float64(2.5),
+        "empty": np.zeros((0, 3)),
+    })
+
+    assert [path.name for path, _, _ in written] == ["model.ckpt", "clf.bin", "odd.bin"]
+    for path, meta, arrays in written:
+        ref = tmp_path / f"{path.name}.ref"
+        ref.write_bytes(reference_container_bytes(meta, arrays))
+        assert path.read_bytes() == ref.read_bytes(), path.name
+        assert checkpoint_digest(path) == checkpoint_digest(ref)
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    for name, t in params.store.items():
+        np.testing.assert_array_equal(loaded.tensors[name], t.data)
 
 
 def test_generation_identical_before_save_and_after_load(tmp_path):
