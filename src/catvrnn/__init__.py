@@ -5,7 +5,6 @@ category-accuracy / perplexity / BLEU evaluation suite."""
 from .errors import ConfigurationError, DataError, NumericError
 from .numeric import (
     GaussianParams,
-    GruWeights,
     ParamStore,
     Rng,
     Tensor,
@@ -25,9 +24,6 @@ from .model import (
     ModelConfig,
     SequenceForward,
     Recurrent,
-    StepOutput,
-    cell_buffers,
-    cell_step,
     cell_weights,
     forward_stepwise,
     forward_teacher,

@@ -518,7 +518,7 @@ def _max_rel_diff(a: SequenceForward, b: SequenceForward) -> float:
 def hoisted_difference(x_ids, cats, params: CatVrnnParams, cfg: ModelConfig,
                        seed: int) -> float:
     """Max relative difference between forward_teacher, which training runs,
-    and a fold of cell_step, which generate runs, in both train modes;
+    and a fold of model._step, which generate runs, in both train modes;
     infinite when the two draw different random numbers."""
     worst = 0.0
     for train_mode in (True, False):
@@ -562,7 +562,7 @@ def cmd_grad_check(opts: dict) -> int:
         for entry in sorted(report.per_param, key=lambda e: -e.max_rel_err)[:3]:
             print(f"      {entry.name}: {entry.max_rel_err:.3e} "
                   f"({entry.checked} checked)")
-        print(f"      forward_teacher vs cell_step fold: max rel diff {diff:.3e}")
+        print(f"      forward_teacher vs _step fold: max rel diff {diff:.3e}")
     print(f"overall: {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tol {tol:.1e})")
     return 0 if ok else 3
 

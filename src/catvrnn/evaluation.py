@@ -33,6 +33,11 @@ BLEU_EPS = 1e-9
 BLEU_ORDERS = (2, 3, 4, 5)
 # rows the classifier scores per call in ``predict``
 PREDICT_CHUNK = 256
+# the classifier fit's minibatch size and Adam step size
+CLF_BATCH = 32
+CLF_LR = 1e-3
+# sentences per teacher-forced pass in ``perplexity``
+PPL_BATCH = 64
 
 
 # --- convolutional sentence classifier --------------------------------------
@@ -173,15 +178,14 @@ class EvalClassifier:
 
 
 def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
-                          batch_size: int = 32, lr: float = 1e-3,
-                          val_fraction: float = 0.1,
-                          max_len: int | None = None) -> EvalClassifier:
+                          val_fraction: float = 0.1) -> EvalClassifier:
     """Train the scoring classifier on real data with a stratified validation
-    split; the resulting weights are a pure function of (corpus, seed)."""
+    split; the resulting weights are a pure function of (corpus, seed). Its
+    inputs are as wide as the corpus's longest sentence, and at least 5."""
     if corpus.num_categories < 2:
         raise DataError("classifier training needs at least two categories")
     vocab = build_vocabulary(corpus)
-    t = max(max_len or corpus.max_length(), 5)
+    t = max(corpus.max_length(), 5)
     cfg = ClassifierConfig(vocab_size=len(vocab),
                            num_categories=corpus.num_categories, max_len=t)
     rng = Rng(seed)
@@ -202,12 +206,12 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
 
     train_batch = clf.encode_sentences(train_sents)
     val_batch = clf.encode_sentences(val_sents)
-    adam = AdamState(clf.store, lr=lr)
+    adam = AdamState(clf.store, lr=CLF_LR)
     dropout_rng = rng.stream("dropout")
     for epoch in range(1, epochs + 1):
         order = rng.keyed(f"clf-ep{epoch}").permutation(len(train_sents))
-        for start in range(0, len(order), batch_size):
-            idx = order[start: start + batch_size]
+        for start in range(0, len(order), CLF_BATCH):
+            idx = order[start: start + CLF_BATCH]
             logits = clf.logits(train_batch.inputs[idx], train_mode=True,
                                 dropout_rng=dropout_rng)
             loss = nm.mean(nm.cross_entropy_rows(logits, train_batch.categories[idx]))
@@ -238,7 +242,7 @@ def category_accuracy(samples: list[tuple[list[str], int]],
 
 
 def perplexity(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
-               vocab: Vocabulary, seed: int = 0, batch_size: int = 64) -> float:
+               vocab: Vocabulary, seed: int = 0) -> float:
     """exp of the mean per-token cross-entropy under teacher forcing.
 
     Scored positions per sentence: the real tokens plus one terminating PAD
@@ -252,8 +256,8 @@ def perplexity(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
     ll_sum = 0.0
     n_positions = 0
     with nm.no_grad():
-        for start in range(0, len(batch), batch_size):
-            sl = slice(start, start + batch_size)
+        for start in range(0, len(batch), PPL_BATCH):
+            sl = slice(start, start + PPL_BATCH)
             fwd = forward_teacher(batch.inputs[sl], batch.categories[sl], params,
                                   cfg, rng, train_mode=False)
             scored = np.minimum(batch.lengths[sl] + 1, cfg.max_len)

@@ -1,6 +1,6 @@
 """The category-steered variational RNN: hidden-state initialization, the
-single-step cell, the unrolled multi-task forward pass, the joint loss,
-and free-running generation.
+unrolled multi-task forward pass, the joint loss, and free-running
+generation.
 
 The network couples a per-step VAE (encoder over token-embedding and previous
 hidden state, decoder emitting vocabulary logits) with a GRU recurrence over
@@ -19,13 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from . import numeric as nm
 from .data import PAD_ID
-from .numeric import (
-    GaussianParams,
-    GruWeights,
-    ParamStore,
-    Rng,
-    Tensor,
-)
+from .numeric import GaussianParams, ParamStore, Rng, Tensor
 
 SIGMA_FLOOR = 1e-6
 
@@ -106,17 +100,6 @@ class ModelConfig:
 
 
 @dataclass
-class StepOutput:
-    """Result of one cell step: next hidden state, vocabulary logits, and the
-    sampled latent with its posterior."""
-
-    h_next: Tensor
-    logits: Tensor
-    latent: Tensor
-    posterior: GaussianParams
-
-
-@dataclass
 class SequenceForward:
     """Unrolled forward pass: vocabulary logits of every step, (T, B, V)
     time-major, final-state class logits, accumulated KL when enabled, and
@@ -187,12 +170,13 @@ class CatVrnnParams:
         ]
         self.out_layer = (w("out.w", cfg.dec_out, V), b("out.b", V))
 
-        gin = E + L
-        self.gru = GruWeights(
-            w_xr=w("gru.xr", gin, H), w_hr=w("gru.hr", H, H), b_r=b("gru.br", H),
-            w_xu=w("gru.xu", gin, H), w_hu=w("gru.hu", H, H), b_u=b("gru.bu", H),
-            w_xn=w("gru.xn", gin, H), w_hn=w("gru.hn", H, H), b_n=b("gru.bn", H),
-        )
+        # per gate (reset, update, candidate): input side over [x, z], hidden
+        # side, bias; keyed "xr", "hr", "br", ... like their store names
+        self.gru = {}
+        for gate in "run":
+            self.gru["x" + gate] = w(f"gru.x{gate}", E + L, H)
+            self.gru["h" + gate] = w(f"gru.h{gate}", H, H)
+            self.gru["b" + gate] = b(f"gru.b{gate}", H)
         self.classifier = (w("cls.w", H, K), b("cls.b", K))
 
         if cfg.init_mode == "adaptive":
@@ -334,60 +318,43 @@ class CellWeights:
     generate call. ``enc_x`` and ``gru_x`` are the embedding rows of
     ``enc.fc1.w`` and of the GRU's fused input side, ``gru_b`` the GRU's
     biases, ``recurrent`` what the recurrence step multiplies, and
-    ``prior_head`` the prior's mu and sigma layers side by side.
-    ``vocabulary`` is the token side of a step (see ``_inputs``) for every
-    vocabulary entry, which ``cell_step`` looks up."""
+    ``prior_head`` the prior's mu and sigma layers side by side."""
 
     enc_x: Tensor
     gru_x: Tensor
     gru_b: Tensor
     recurrent: Recurrent
     prior_head: tuple[Tensor, Tensor] | None
-    vocabulary: tuple[Tensor, Tensor] | None = None
 
 
 def _fused_head(mu: tuple[Tensor, Tensor], sigma: tuple[Tensor, Tensor]):
     return (nm.concat([mu[0], sigma[0]], axis=1), nm.concat([mu[1], sigma[1]]))
 
 
-def cell_weights(params: CatVrnnParams, vocabulary: bool = False) -> CellWeights:
-    """The views of ``CellWeights``; with ``vocabulary`` also the token side of
-    every vocabulary entry, which pays when more rows will be stepped than
-    the vocabulary has (``generate``: count * max_len rows)."""
+def cell_weights(params: CatVrnnParams) -> CellWeights:
+    """The views of ``CellWeights``."""
     cfg = params.cfg
     gru = params.gru
     enc_x, enc_h = nm.split(params.enc_stack[0][0], [cfg.embed_dim, cfg.hidden_dim],
                             axis=0)
-    gru_x, gru_z = nm.split(nm.concat([gru.w_xr, gru.w_xu, gru.w_xn], axis=1),
+    gru_x, gru_z = nm.split(nm.concat([gru["xr"], gru["xu"], gru["xn"]], axis=1),
                             [cfg.embed_dim, cfg.latent_dim], axis=0)
     featz = ([t for layer in params.feat_z for t in layer]
              if cfg.use_feature_extractors else [])
     recurrent = Recurrent(enc_h, *params.enc_stack[1],
                           *_fused_head(params.mu_head, params.sigma_head), gru_z,
-                          nm.concat([gru.w_hr, gru.w_hu], axis=1), gru.w_hn, *featz)
+                          nm.concat([gru["hr"], gru["hu"]], axis=1), gru["hn"], *featz)
     prior_head = (_fused_head(params.prior_mu, params.prior_sigma)
                   if cfg.use_kl_term else None)
-    w = CellWeights(enc_x=enc_x, gru_x=gru_x,
-                    gru_b=nm.concat([gru.b_r, gru.b_u, gru.b_n]),
-                    recurrent=recurrent, prior_head=prior_head)
-    if vocabulary:
-        w.vocabulary = _inputs(np.arange(cfg.vocab_size), params, w)
-    return w
-
-
-def _checked_ids(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    if x_ids.size and (x_ids.min() < 0 or x_ids.max() >= cfg.vocab_size):
-        raise DataError(
-            f"token id out of range [0, {cfg.vocab_size}): "
-            f"{x_ids.min()}..{x_ids.max()}"
-        )
-    return x_ids
+    return CellWeights(enc_x=enc_x, gru_x=gru_x,
+                       gru_b=nm.concat([gru["br"], gru["bu"], gru["bn"]]),
+                       recurrent=recurrent, prior_head=prior_head)
 
 
 # A step is four pieces. Only the recurrence needs the previous step's state;
 # the others take any number of rows, so forward_teacher runs them once over
-# all steps while cell_step runs them on one step's rows (``_inputs`` once
-# over the vocabulary, in cell_weights).
+# all steps while ``_step`` looks up the token side in a table of the whole
+# vocabulary and decodes one step's rows.
 
 
 def _inputs(x_ids: np.ndarray, params: CatVrnnParams, w: CellWeights):
@@ -659,43 +626,36 @@ def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams,
     return nm.kl_gaussians(posterior, _gaussian(trunk, w.prior_head))
 
 
-def cell_buffers(cfg: ModelConfig, w: CellWeights, count: int) -> SimpleNamespace:
-    """Every array a ``cell_step`` over ``count`` rows writes, so that a caller
-    stepping many times allocates them once."""
-    widths = {**_step_widths(w.recurrent), "enc_x": cfg.enc_width,
+def _step_arrays(params: CatVrnnParams, w: CellWeights, count: int):
+    """What ``_step`` over ``count`` rows reads and writes, built once per
+    call: the recurrence's arrays, the token side (``_inputs``) of every
+    vocabulary entry, and every array a step writes."""
+    cfg = params.cfg
+    rec = w.recurrent.arrays()
+    table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params, w))
+    widths = {**_step_widths(rec), "enc_x": cfg.enc_width,
               "gru_x": 3 * cfg.hidden_dim, "h": cfg.hidden_dim,
               "h_next": cfg.hidden_dim, "zh": cfg.latent_dim + cfg.hidden_dim,
               "dec1": cfg.dec_width, "dec2": cfg.dec_out, "logits": cfg.vocab_size}
-    return _Steps(widths, count, 1, (), cfg.np_dtype()).at(0)
+    return rec, table, _Steps(widths, count, 1, (), cfg.np_dtype()).at(0)
 
 
-def cell_step(h_prev: Tensor, x_ids: np.ndarray, params: CatVrnnParams,
-              cfg: ModelConfig, rng: Rng, weights: CellWeights | None = None,
-              buffers: SimpleNamespace | None = None) -> StepOutput:
-    """One time step over a batch of token ids, in numpy without the tape:
-    the step ``generate`` runs.
-
-    Looks up the tokens' share of the encoder and GRU inputs, runs
-    ``recur_step`` with one latent draw, and decodes vocabulary logits from
-    latent + previous hidden state. The prior net and KL are not computed;
-    sampling does not use them. ``weights`` are ``cell_weights(params,
-    vocabulary=True)`` and ``buffers`` ``cell_buffers`` for as many rows,
-    each built here when not given. The outputs are views of the buffers,
-    which the next step with the same buffers overwrites.
-    """
-    x_ids = _checked_ids(np.atleast_1d(np.asarray(x_ids, dtype=np.int64)), cfg)
-    w = weights if weights is not None else cell_weights(params, vocabulary=True)
-    b = buffers if buffers is not None else cell_buffers(cfg, w, len(x_ids))
-    for side, rows in zip(w.vocabulary, (b.enc_x, b.gru_x)):
-        np.take(side.data, x_ids, axis=0, out=rows, mode="clip")  # ids checked
-    # h_prev may be the last step's h_next buffer, which this step rewrites
-    np.copyto(b.h, h_prev.data)
-    _draw_normal(rng.stream("latent"), b.eps)
-    h_next, z, mu, sigma = recur_step(b.h, b.enc_x, b.gru_x, b.eps,
-                                      w.recurrent.arrays(), b)
-    np.concatenate([z, b.h], axis=1, out=b.zh)
-    return StepOutput(h_next=Tensor(h_next), logits=Tensor(_emit_into(b.zh, params, b)),
-                      latent=Tensor(z), posterior=GaussianParams(Tensor(mu), Tensor(sigma)))
+def _step(x_ids: np.ndarray, params: CatVrnnParams, rec: Recurrent,
+          table: tuple[np.ndarray, np.ndarray], b: SimpleNamespace,
+          stream: np.random.Generator):
+    """One time step over token ids in [0, V), in numpy without the tape, on
+    the arrays ``b`` of ``_step_arrays``: from the states in ``b.h_next``
+    (kept in ``b.h``), looks the tokens' rows up in ``table``, runs
+    ``recur_step`` with one latent draw from ``stream``, and decodes
+    vocabulary logits from latent + previous state into ``b.logits``. The
+    prior net and KL are not computed; sampling does not use them."""
+    for side, rows in zip(table, (b.enc_x, b.gru_x)):
+        np.take(side, x_ids, axis=0, out=rows, mode="clip")
+    np.copyto(b.h, b.h_next)
+    _draw_normal(stream, b.eps)
+    recur_step(b.h, b.enc_x, b.gru_x, b.eps, rec, b)
+    np.concatenate([b.z, b.h], axis=1, out=b.zh)
+    _emit_into(b.zh, params, b)
 
 
 def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -708,7 +668,12 @@ def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
         )
     if np.any(x_ids[:, 0] != PAD_ID):
         raise DataError("inputs must start with the PAD token")
-    return _checked_ids(x_ids, cfg)
+    if x_ids.size and (x_ids.min() < 0 or x_ids.max() >= cfg.vocab_size):
+        raise DataError(
+            f"token id out of range [0, {cfg.vocab_size}): "
+            f"{x_ids.min()}..{x_ids.max()}"
+        )
+    return x_ids
 
 
 def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
@@ -720,7 +685,7 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
     initialization, T cell steps, and the classifier on the final hidden
     state. Per-step KL values are summed when enabled.
 
-    Computes what a fold of ``cell_step`` computes, with the same draws, but
+    Computes what ``forward_stepwise`` computes, with the same draws, but
     only the recurrence runs step by step, as one tape op: the token side
     runs once over all ``T*B`` rows before it, and the decoder, output layer
     and prior once over the stacked states after it.
@@ -745,24 +710,30 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
 
 def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
                      rng: Rng, train_mode: bool = True) -> SequenceForward:
-    """``forward_teacher`` as a fold of ``cell_step``, the step ``generate``
-    runs, plus the prior's KL of each step; the reference the one-op pass is
+    """``forward_teacher`` as a fold of ``_step``, the step ``generate`` runs,
+    plus the prior's KL of each step; the reference the one-op pass is
     checked against. Not differentiable."""
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
-    w = cell_weights(params, vocabulary=True)
-    h = init_hidden(c, params, rng, train_mode, batch)
-    logits, kl_sum = [], None
-    for t in range(T):
-        step = cell_step(h, x_ids[:, t], params, cfg, rng, weights=w)
-        logits.append(step.logits.data)
-        if cfg.use_kl_term:
-            kl = _kl(step.posterior, h, params, w)
-            kl_sum = kl if kl_sum is None else nm.add(kl_sum, kl)
-        h = step.h_next
-    return SequenceForward(logits=Tensor(np.stack(logits)),
-                           class_logits=nm.linear(h, *params.classifier),
-                           kl_sum=kl_sum, final_hidden=h)
+    with nm.no_grad():
+        w = cell_weights(params)
+        rec, table, b = _step_arrays(params, w, batch)
+        b.h_next[...] = init_hidden(c, params, rng, train_mode, batch).data
+        logits = np.empty((T, batch, cfg.vocab_size), dtype=cfg.np_dtype())
+        kl_sum = None
+        for t in range(T):
+            _step(x_ids[:, t], params, rec, table, b, rng.stream("latent"))
+            logits[t] = b.logits
+            if cfg.use_kl_term:
+                # b.h holds the step's previous state, b.head its posterior
+                posterior = GaussianParams(Tensor(b.head[:, :cfg.latent_dim]),
+                                           Tensor(b.sigma))
+                kl = _kl(posterior, Tensor(b.h), params, w)
+                kl_sum = kl if kl_sum is None else nm.add(kl_sum, kl)
+        h = Tensor(b.h_next)
+        return SequenceForward(logits=Tensor(logits),
+                               class_logits=nm.linear(h, *params.classifier),
+                               kl_sum=kl_sum, final_hidden=h)
 
 
 def _loss_mask(targets: np.ndarray) -> np.ndarray:
@@ -828,17 +799,16 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         raise ConfigurationError("count must be >= 1")
     stream = rng.stream("sampling")
     with nm.no_grad():
-        w = cell_weights(params, vocabulary=True)
-        h = init_hidden(c, params, rng, train_mode=False, batch=count)
-    buffers = cell_buffers(cfg, w, count)
+        rec, table, b = _step_arrays(params, cell_weights(params), count)
+        b.h_next[...] = init_hidden(c, params, rng, train_mode=False, batch=count).data
     probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
     below = np.empty((count, cfg.vocab_size), dtype=bool)
     x = np.full(count, PAD_ID, dtype=np.int64)
     sampled = np.empty((count, cfg.max_len), dtype=np.int64)
     for t in range(cfg.max_len):
-        step = cell_step(h, x, params, cfg, rng, weights=w, buffers=buffers)
+        _step(x, params, rec, table, b, rng.stream("latent"))
         # nm.softmax(logits / temperature), in place
-        np.divide(step.logits.data, cfg.temperature, out=probs)
+        np.divide(b.logits, cfg.temperature, out=probs)
         probs -= probs.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
@@ -846,7 +816,6 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         x = np.less(cum, stream.random((count, 1)), out=below).sum(axis=1)
         np.clip(x, 0, cfg.vocab_size - 1, out=x)
         sampled[:, t] = x
-        h = step.h_next
     out = []
     for row in sampled:
         stop = np.flatnonzero(row == PAD_ID)

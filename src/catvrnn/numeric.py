@@ -547,29 +547,6 @@ def mlp_forward(x: Tensor, stack: Sequence[tuple[Tensor, Tensor]],
 
 
 @dataclass
-class GruWeights:
-    """Weights for a single GRU cell; input-to-hidden, hidden-to-hidden, bias
-    for the reset, update, and candidate paths."""
-
-    w_xr: Tensor
-    w_hr: Tensor
-    b_r: Tensor
-    w_xu: Tensor
-    w_hu: Tensor
-    b_u: Tensor
-    w_xn: Tensor
-    w_hn: Tensor
-    b_n: Tensor
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            "xr": self.w_xr, "hr": self.w_hr, "br": self.b_r,
-            "xu": self.w_xu, "hu": self.w_hu, "bu": self.b_u,
-            "xn": self.w_xn, "hn": self.w_hn, "bn": self.b_n,
-        }
-
-
-@dataclass
 class GaussianParams:
     """Diagonal Gaussian: mean and strictly positive standard deviation."""
 

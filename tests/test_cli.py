@@ -439,7 +439,7 @@ def test_grad_check_fails_when_training_and_sampling_paths_diverge(monkeypatch,
 
     assert run_cli("grad-check", "--max-checks", "20") == 0
     out = capsys.readouterr().out
-    assert out.count("forward_teacher vs cell_step fold") == len(cli.GRAD_CHECK_VARIANTS)
+    assert out.count("forward_teacher vs _step fold") == len(cli.GRAD_CHECK_VARIANTS)
     # a skewed training pass still has consistent gradients, but no longer
     # matches the cell that generate runs
     monkeypatch.setattr(cli, "forward_teacher", skewed)

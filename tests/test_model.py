@@ -3,6 +3,7 @@ unrolled forward, the joint loss, generation, and parameter accounting."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from catvrnn.model import (
     CatVrnnParams,
     ModelConfig,
     SequenceForward,
-    cell_step,
     forward_stepwise,
     forward_teacher,
     generate,
@@ -156,42 +156,59 @@ def test_zero_init_is_zero_and_rng_independent():
     assert a.data.sum() == 0.0
 
 
-# --- cell_step ------------------------------------------------------------------------
+# --- the step generate runs, observed through forward_stepwise and generate -----------
 
 
-def test_cell_step_shape_contract():
+def record_steps(monkeypatch) -> list[SimpleNamespace]:
+    """Copies of the arrays each ``model._step`` writes, for every step run
+    after this call."""
+    from catvrnn import model
+
+    steps, original = [], model._step
+
+    def recording(x_ids, params, rec, table, b, stream):
+        original(x_ids, params, rec, table, b, stream)
+        steps.append(SimpleNamespace(**{k: v.copy() for k, v in vars(b).items()}))
+
+    monkeypatch.setattr(model, "_step", recording)
+    return steps
+
+
+def test_cell_step_shape_contract(monkeypatch):
     cfg = tiny_cfg()
     params = CatVrnnParams(cfg, Rng(0))
-    h = init_hidden_static(0, cfg, Rng(1), batch=3)
-    step = cell_step(h, np.array([1, 2, 3]), params, cfg, Rng(2))
-    assert step.logits.shape == (3, cfg.vocab_size)
-    assert step.h_next.shape == (3, cfg.hidden_dim)
-    assert step.latent.shape == (3, cfg.latent_dim)
+    steps = record_steps(monkeypatch)
+    forward_stepwise(padded([[1], [2], [3]], cfg.max_len), 0, params, cfg, Rng(2))
+    assert len(steps) == cfg.max_len
+    for step in steps:
+        assert step.logits.shape == (3, cfg.vocab_size)
+        assert step.h_next.shape == (3, cfg.hidden_dim)
+        assert step.z.shape == (3, cfg.latent_dim)
 
 
-def test_cell_step_deterministic_under_fixed_seed():
+def test_cell_step_deterministic_under_fixed_seed(monkeypatch):
     cfg = tiny_cfg()
     params = CatVrnnParams(cfg, Rng(0))
-    h = init_hidden_zero(cfg, batch=2)
-    ids = np.array([4, 7])
-    a = cell_step(h, ids, params, cfg, Rng(9))
-    b = cell_step(h, ids, params, cfg, Rng(9))
-    np.testing.assert_array_equal(a.logits.data, b.logits.data)
-    np.testing.assert_array_equal(a.h_next.data, b.h_next.data)
-    np.testing.assert_array_equal(a.latent.data, b.latent.data)
+    steps = record_steps(monkeypatch)
+    assert generate(1, 2, params, cfg, Rng(9)) == generate(1, 2, params, cfg, Rng(9))
+    a, b = steps[:cfg.max_len], steps[cfg.max_len:]
+    assert len(a) == len(b) == cfg.max_len
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x.logits, y.logits)
+        np.testing.assert_array_equal(x.h_next, y.h_next)
+        np.testing.assert_array_equal(x.z, y.z)
 
 
 def test_cell_step_rejects_bad_token():
     cfg = tiny_cfg()
     params = CatVrnnParams(cfg, Rng(0))
-    h = init_hidden_zero(cfg)
     with pytest.raises(DataError):
-        cell_step(h, np.array([cfg.vocab_size]), params, cfg, Rng(0))
+        forward_stepwise(padded([[cfg.vocab_size]], cfg.max_len), 0, params, cfg, Rng(0))
 
 
-def test_cell_step_gradient_check():
-    # cell_step runs without the tape; its step on the tape is the one-op
-    # recurrence over one step's rows, as forward_teacher runs it
+def test_single_step_recurrence_gradient_check():
+    # generate's step runs without the tape; on the tape, the same step is the
+    # one-op recurrence over one step's rows, as forward_teacher runs it
     from catvrnn.model import _emit, _inputs, cell_weights, recurrence
 
     cfg = tiny_cfg()
@@ -210,11 +227,13 @@ def test_cell_step_gradient_check():
     assert report.passed, report.summary()
 
 
-def test_cell_step_sigma_strictly_positive():
+def test_cell_step_sigma_strictly_positive(monkeypatch):
     cfg = tiny_cfg()
     params = CatVrnnParams.zeros(cfg)
-    step = cell_step(init_hidden_zero(cfg), np.array([0]), params, cfg, Rng(0))
-    assert np.all(step.posterior.sigma.data > 0)
+    steps = record_steps(monkeypatch)
+    generate(0, 1, params, cfg, Rng(0))
+    assert len(steps) == cfg.max_len
+    assert all(np.all(step.sigma > 0) for step in steps)
 
 
 # --- forward_teacher ----------------------------------------------------------------------
@@ -239,28 +258,6 @@ def test_forward_shapes_and_class_normalization():
     w, b = (params.store["cls.w"].data, params.store["cls.b"].data)
     np.testing.assert_array_equal(fwd.class_logits.data,
                                   fwd.final_hidden.data @ w + b)
-
-
-def test_forward_equals_fold_of_cell_step():
-    cfg = tiny_cfg()
-    params = CatVrnnParams(cfg, Rng(0))
-    x = padded([[2, 3], [4, 5]], cfg.max_len)
-
-    fwd = forward_teacher(x, 0, params, cfg, Rng(6), train_mode=True)
-
-    rng = Rng(6)
-    from catvrnn.model import init_hidden
-
-    h = init_hidden(0, params, rng, train_mode=True, batch=2)
-    manual = []
-    for t in range(cfg.max_len):
-        step = cell_step(h, x[:, t], params, cfg, rng)
-        manual.append(step.logits.data)
-        h = step.h_next
-    # the hoisted pass sums in another order: equal up to rounding
-    for a, b in zip(fwd.logits.data, manual):
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-    np.testing.assert_allclose(fwd.final_hidden.data, h.data, rtol=1e-12)
 
 
 @pytest.mark.parametrize("train_mode", [True, False])
@@ -301,16 +298,10 @@ def test_float32_model_computes_in_float32(kw, monkeypatch):
     mean(out.total).backward()
     assert {t.grad.dtype for _, t in params.store.items()} == {np.dtype(np.float32)}
 
-    steps = []
-
-    def recording_step(*args, **kwargs):
-        steps.append(cell_step(*args, **kwargs))
-        return steps[-1]
-
-    monkeypatch.setattr("catvrnn.model.cell_step", recording_step)
+    steps = record_steps(monkeypatch)
     generate(0, 3, params, cfg, Rng(2))
     assert len(steps) == cfg.max_len
-    assert {t.dtype for s in steps for t in (s.h_next, s.logits, s.latent)} \
+    assert {t.dtype for s in steps for t in (s.h_next, s.logits, s.z)} \
         == {np.dtype(np.float32)}
 
 
