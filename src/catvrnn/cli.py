@@ -86,20 +86,10 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_scalar(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            continue
-    return low
-
-
-def load_config_file(path) -> dict:
-    """Flat key=value file; # starts a comment."""
+def load_config_file(path, parser: argparse.ArgumentParser) -> dict:
+    """Flat key=value file; # starts a comment. Values stay strings, which
+    argparse converts with each option's own type as it converts a flag.
+    A switch (an option whose default is a bool) takes true or false."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -107,8 +97,14 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip().replace("-", "_")] = _parse_scalar(value)
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        key = key.replace("-", "_")
+        if isinstance(parser.get_default(key), bool):
+            if value.lower() not in ("true", "false"):
+                raise UsageError(f"{path}:{lineno}: {key} is a switch: "
+                                 f"expected true or false, got {value!r}")
+            value = value.lower() == "true"
+        values[key] = value
     return values
 
 
@@ -257,7 +253,9 @@ def _check_resume_options(opts: dict, cfg: ModelConfig):
                          f"these differ from it: {', '.join(clash)}")
 
 
-def cmd_train(opts: dict) -> int:
+def cmd_train(opts: dict, ckpt: Checkpoint | None = None) -> int:
+    """Train from scratch, or on from ``ckpt``, the ``--resume`` checkpoint
+    that ``run`` read."""
     corpus = load_corpus(opts["corpus"])
     if corpus.max_length() > opts["max_len"]:
         raise DataError(
@@ -270,8 +268,7 @@ def cmd_train(opts: dict) -> int:
                      lr=opts["lr"], grad_clip=opts["grad_clip"])
     start_epoch = 0
     adam = None
-    if opts["resume"]:
-        ckpt = load_checkpoint(opts["resume"])
+    if ckpt is not None:
         if plan.epochs <= ckpt.epoch:
             raise UsageError(f"--epochs {plan.epochs} leaves nothing to train "
                              f"after the checkpoint's epoch {ckpt.epoch}")
@@ -351,7 +348,7 @@ def cmd_generate(opts: dict) -> int:
     cats = None
     if opts["categories"]:
         try:
-            cats = [int(c) for c in str(opts["categories"]).split(",")]
+            cats = [int(c) for c in opts["categories"].split(",")]
         except ValueError:
             raise UsageError("-c expects comma-separated category ids, "
                              f"got {opts['categories']!r}")
@@ -426,6 +423,9 @@ def add_evaluate_parser(sub):
 
 
 def cmd_evaluate(opts: dict) -> int:
+    for key in ("bleu_cap", "classifier_epochs"):
+        if opts[key] < 1:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, got {opts[key]}")
     corpus = load_corpus(opts["corpus"])
     if opts["generated"]:
         gen_corpus = load_corpus(opts["generated"],
@@ -607,7 +607,8 @@ def run(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    file_values = load_config_file(args.config) if args.config else {}
+    subparser = subparsers[args.command]
+    file_values = load_config_file(args.config, subparser) if args.config else {}
     unknown = set(file_values) - set(_options(args))
     if unknown:
         raise UsageError(f"unknown config file keys: {sorted(unknown)}")
@@ -618,7 +619,7 @@ def run(argv=None) -> int:
     ckpt_values = _checkpoint_options(ckpt) if ckpt else {}
     if file_values or ckpt_values:
         # these become the subcommand's defaults, so flags still win
-        subparsers[args.command].set_defaults(**{**ckpt_values, **file_values})
+        subparser.set_defaults(**{**ckpt_values, **file_values})
         args = parser.parse_args(argv)
     flags = vars(build_parser(argparse.SUPPRESS)[0].parse_args(argv))
     if ckpt is not None and ckpt.plan is None:
@@ -635,7 +636,8 @@ def run(argv=None) -> int:
                   else "checkpoint" if key in ckpt_values else "default")
         print(f"  {key} = {opts[key]} ({source})")
     _, command = COMMANDS[args.command]
-    return command(opts)
+    # train --resume gets the checkpoint read above, not a second read
+    return command(opts) if ckpt is None else command(opts, ckpt)
 
 
 def main(argv=None) -> int:

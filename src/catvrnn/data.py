@@ -162,8 +162,7 @@ def decode_ids(ids, vocab: Vocabulary) -> list[str]:
 # --- corpus file I/O --------------------------------------------------------
 
 
-def load_corpus(path, num_categories: int | None = None,
-                provenance: str | None = None) -> LabeledCorpus:
+def load_corpus(path, num_categories: int | None = None) -> LabeledCorpus:
     """Parse a corpus TSV; malformed lines are reported with their numbers."""
     path = Path(path)
     try:
@@ -195,7 +194,7 @@ def load_corpus(path, num_categories: int | None = None,
         raise DataError(f"{path}: no sentences found")
     k = num_categories if num_categories is not None else max_cat + 1
     return LabeledCorpus(sentences=sentences, num_categories=k,
-                         provenance=provenance or path.name)
+                         provenance=path.name)
 
 
 @contextmanager

@@ -715,14 +715,14 @@ class GradCheckReport:
 
 def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-4,
                    fd_step: float = 1e-5, max_checks: int = 256,
-                   sample_seed: int = 0, corrupt: bool = False) -> GradCheckReport:
+                   corrupt: bool = False) -> GradCheckReport:
     """Compare analytic gradients of a scalar loss to central finite differences.
 
     ``loss_fn`` must be a pure function of the parameter values (re-seed any
     noise inside it). Every parameter element is checked when the total count
     is at most ``max_checks``; otherwise a uniform random subsample of
-    ``max_checks`` elements is used. Relative error uses the denominator
-    max(|analytic|, |numeric|, noise / tolerance), where noise =
+    ``max_checks`` elements, drawn with seed 0, is used. Relative error uses
+    the denominator max(|analytic|, |numeric|, noise / tolerance), where noise =
     eps * max(|f+|, |f-|) / fd_step is the rounding error of the central
     difference itself: an entry smaller than noise / tolerance cannot be
     resolved to the tolerance, so its error is judged against that floor.
@@ -745,7 +745,7 @@ def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-
 
     elements = [(name, i) for name, t in named.items() for i in range(t.data.size)]
     if len(elements) > max_checks:
-        picker = np.random.default_rng(sample_seed)
+        picker = np.random.default_rng(0)
         chosen = picker.choice(len(elements), size=max_checks, replace=False)
         elements = [elements[i] for i in sorted(chosen)]
 

@@ -44,6 +44,9 @@ class TrainPlan:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
+        if not self.lr > 0 or not (self.grad_clip is None or self.grad_clip > 0):
+            raise ConfigurationError(f"lr and grad_clip must be > 0, got lr "
+                                     f"{self.lr} and grad_clip {self.grad_clip}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in
@@ -196,7 +199,6 @@ class Checkpoint:
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     plan: TrainPlan | None = None
-    version: int = CHECKPOINT_VERSION
 
     @classmethod
     def capture(cls, params: CatVrnnParams, epoch: int, vocab_digest: str,
@@ -348,7 +350,6 @@ def load_checkpoint(path) -> Checkpoint:
         adam_v={n[len("adam.v."):]: a for n, a in arrays.items()
                 if n.startswith("adam.v.")},
         plan=TrainPlan(**plan) if plan is not None else None,
-        version=int(header["format_version"]),
     )
 
 

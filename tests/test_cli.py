@@ -249,6 +249,36 @@ def test_train_resume_without_a_recorded_plan_needs_the_plan_flags(tmp_path, tra
                    "--batch-size", "16", "--lr", "1e-3") == 0
 
 
+@pytest.mark.parametrize("flag", [("--lr", "-0.01"), ("--lr", "0"),
+                                  ("--grad-clip", "0"), ("--grad-clip", "-1")])
+def test_train_rejects_a_non_positive_lr_or_grad_clip(tmp_path, synth_corpus_file,
+                                                      capsys, flag):
+    out = tmp_path / "run"
+    code = run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
+                   "--epochs", "1", "--embed-dim", "6", "--hidden-dim", "5",
+                   "--latent-dim", "3", "--max-len", "7", *flag)
+    assert code == 1
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_resume_reads_the_checkpoint_once(tmp_path, trained_run,
+                                                synth_corpus_file, monkeypatch):
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counted)
+    out = tmp_path / "resumed"
+    assert run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
+                   "--epochs", "4",
+                   "--resume", str(trained_run / "epoch_0003.ckpt")) == 0
+    assert len(reads) == 1
+    assert (out / "epoch_0004.ckpt").exists()
+
+
 # --- generate -----------------------------------------------------------------------
 
 
@@ -418,6 +448,20 @@ def test_evaluate_classifier_file_missing_a_tensor(tmp_path, synth_corpus_file,
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [("--bleu-cap", "0"), ("--bleu-cap", "-1"),
+                                  ("--classifier-epochs", "0")])
+def test_evaluate_rejects_a_cap_or_epochs_below_one_before_loading(tmp_path,
+                                                                   synth_corpus_file,
+                                                                   capsys, flag):
+    # a missing checkpoint would exit 2 if evaluate read it first
+    code = run_cli("evaluate", "--corpus", str(synth_corpus_file),
+                   "--checkpoint", str(tmp_path / "none.ckpt"),
+                   "--out", str(tmp_path / "report.json"), *flag)
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # --- grad-check -----------------------------------------------------------------------
 
 
@@ -485,6 +529,48 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     code = run_cli("build-data", "--synthetic", "--config", str(cfg_file),
                    "--output", str(tmp_path / "c.tsv"))
     assert code == 1
+
+
+def test_config_file_and_flags_build_one_checkpoint(tmp_path, synth_corpus_file):
+    cfg_file = tmp_path / "omega.cfg"
+    cfg_file.write_text("omega = 7\n", encoding="utf-8")
+    train = ("train", "--corpus", str(synth_corpus_file), "--epochs", "1",
+             "--batch-size", "16", "--embed-dim", "6", "--hidden-dim", "5",
+             "--latent-dim", "3", "--max-len", "7")
+    from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+    assert run_cli(*train, "--out", str(from_file), "--config", str(cfg_file)) == 0
+    assert run_cli(*train, "--out", str(from_flag), "--omega", "7") == 0
+    assert (checkpoint_digest(from_file / "epoch_0001.ckpt")
+            == checkpoint_digest(from_flag / "epoch_0001.ckpt"))
+
+
+@pytest.mark.parametrize("line", ["use_kl = no", "feature_extractors = off",
+                                  "epochs = 1.5", "batch_size = 2.5"])
+def test_config_file_value_the_option_cannot_take_is_usage_error(tmp_path,
+                                                                 synth_corpus_file,
+                                                                 capsys, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
+                   "--config", str(cfg_file))
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_switch_takes_true_or_false_in_any_case(tmp_path,
+                                                            synth_corpus_file, capsys):
+    cfg_file = tmp_path / "kl.cfg"
+    cfg_file.write_text("use-kl = FALSE\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
+                   "--epochs", "1", "--batch-size", "16", "--embed-dim", "6",
+                   "--hidden-dim", "5", "--latent-dim", "3", "--max-len", "7",
+                   "--config", str(cfg_file)) == 0
+    assert "use_kl = False (file)" in capsys.readouterr().out
+    config = json.loads((out / "run_config.json").read_text())
+    assert config["model"]["use_kl_term"] is False
 
 
 def test_unknown_command_is_usage_error():
