@@ -31,8 +31,10 @@ log = logging.getLogger(__name__)
 
 BLEU_EPS = 1e-9
 BLEU_ORDERS = (2, 3, 4, 5)
-# rows the classifier scores per call in ``predict``
-PREDICT_CHUNK = 256
+# rows the classifier scores per call in ``predict``: a chunk's products
+# are (rows * T, 1200) floats, so at the fit's batch size scoring needs no
+# larger block than the fit already used
+PREDICT_CHUNK = 32
 # the classifier fit's minibatch size and Adam step size
 CLF_BATCH = 32
 CLF_LR = 1e-3
