@@ -86,11 +86,12 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_config_file(path, parser: argparse.ArgumentParser) -> dict:
+def load_config_file(path, parser: argparse.ArgumentParser) -> tuple[dict, dict]:
     """Flat key=value file; # starts a comment. Values stay strings, which
     argparse converts with each option's own type as it converts a flag.
-    A switch (an option whose default is a bool) takes true or false."""
-    values = {}
+    A switch (an option whose default is a bool) takes true or false.
+    Returns the values and each key's line number."""
+    values, lines = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -105,7 +106,8 @@ def load_config_file(path, parser: argparse.ArgumentParser) -> dict:
                                  f"expected true or false, got {value!r}")
             value = value.lower() == "true"
         values[key] = value
-    return values
+        lines[key] = lineno
+    return values, lines
 
 
 # --- build-data ---------------------------------------------------------------
@@ -608,7 +610,8 @@ def run(argv=None) -> int:
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     subparser = subparsers[args.command]
-    file_values = load_config_file(args.config, subparser) if args.config else {}
+    file_values, file_lines = (load_config_file(args.config, subparser) if args.config
+                               else ({}, {}))
     unknown = set(file_values) - set(_options(args))
     if unknown:
         raise UsageError(f"unknown config file keys: {sorted(unknown)}")
@@ -620,7 +623,17 @@ def run(argv=None) -> int:
     if file_values or ckpt_values:
         # these become the subcommand's defaults, so flags still win
         subparser.set_defaults(**{**ckpt_values, **file_values})
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except UsageError as e:
+            # the flags parsed above, so a file value is at fault: argparse
+            # names its option as "argument [-x/]--key: ..."
+            named = str(e).split(":", 1)[0].removeprefix("argument ").split("/")
+            key = next((k for k in file_values if f"--{k.replace('_', '-')}" in named),
+                       None)
+            if key is None:
+                raise
+            raise UsageError(f"{args.config}:{file_lines[key]}: {e}") from e
     flags = vars(build_parser(argparse.SUPPRESS)[0].parse_args(argv))
     if ckpt is not None and ckpt.plan is None:
         missing = [f"--{k.replace('_', '-')}" for k in ("batch_size", "lr")

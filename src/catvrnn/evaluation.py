@@ -218,6 +218,8 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
                                 dropout_rng=dropout_rng)
             loss = nm.mean(nm.cross_entropy_rows(logits, train_batch.categories[idx]))
             optimizer_step(clf.store, loss, adam)
+            # the batch's tape goes before the next forward builds its own
+            del logits, loss
     preds = clf.predict(val_batch.inputs)
     clf.val_accuracy = float((preds == val_batch.categories).mean())
     log.info("classifier validation accuracy: %.4f", clf.val_accuracy)
@@ -267,8 +269,10 @@ def perplexity(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
             active = scored[None, :] > np.arange(cfg.max_len)[:, None]
             nll = nm.cross_entropy_rows(fwd.logits.data[active],
                                         batch.targets[sl].T[active])
-            ll_sum += float(nll.data.sum())
+            ll_sum += float(nll.data.sum(dtype=np.float64))
             n_positions += int(active.sum())
+            # the batch's logits go before the next forward makes its own
+            del fwd, nll
     return float(np.exp(ll_sum / n_positions))
 
 

@@ -813,8 +813,10 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
         np.cumsum(probs, axis=1, out=cum)
-        x = np.less(cum, stream.random((count, 1)), out=below).sum(axis=1)
-        np.clip(x, 0, cfg.vocab_size - 1, out=x)
+        # a row's total can round below 1: a draw past it takes the last
+        # token of nonzero probability, not one past the end
+        u = np.minimum(stream.random((count, 1)), np.nextafter(cum[:, -1:], -np.inf))
+        x = np.less(cum, u, out=below).sum(axis=1)
         sampled[:, t] = x
     out = []
     for row in sampled:

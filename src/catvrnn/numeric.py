@@ -116,35 +116,8 @@ class Tensor:
                 node._backward_fn(node.grad)
                 node.grad = None  # passed on to the parents: free it now
 
-    # --- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis=axis)
 
 
 def _lift(x, like: Tensor | None = None) -> Tensor:
@@ -222,26 +195,41 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a = _lift(a)
-    b = _lift(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim != 2:
+    """``a @ b``: ``linear`` without a bias."""
+    return linear(a, b)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w``, plus ``b`` when given, as one op: the bias is added in place
+    into the product, so no separate pre-bias array is kept. ``x`` is a
+    vector or a matrix, ``w`` a matrix."""
+    x = _lift(x)
+    w = _lift(w)
+    if x.data.ndim not in (1, 2) or w.data.ndim != 2:
         raise ConfigurationError(
-            f"matmul supports vector/matrix @ matrix, got {a.shape} @ {b.shape}"
+            f"matmul supports vector/matrix @ matrix, got {x.shape} @ {w.shape}"
         )
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ConfigurationError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise ConfigurationError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
+    data = x.data @ w.data
+    parents = (x, w)
+    if b is not None:
+        b = _lift(b)
+        data += b.data
+        parents = (x, w, b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                b._accumulate(np.outer(a.data, g))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            if x.data.ndim == 1:
+                w._accumulate(np.outer(x.data, g))
             else:
-                b._accumulate(a.data.T @ g)
+                w._accumulate(x.data.T @ g)
+        if b is not None and b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _make(data, (a, b), backward)
+    return _make(data, parents, backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -473,26 +461,30 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
-
-
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-row negative log-likelihood from logits: (B, V), (B,) -> (B,)."""
+    """Per-row negative log-likelihood from logits: (B, V), (B,) -> (B,).
+
+    Keeps each row's max ``m`` and log-sum-exp ``ls`` rather than the (B, V)
+    log-softmax; the backward rebuilds the softmax as ``exp((x - m) - ls)``
+    into the gradient buffer, with the forward's ops in its order."""
     logits = _lift(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size and (targets.min() < 0 or targets.max() >= logits.data.shape[-1]):
         raise ConfigurationError(
             f"target id out of range [0, {logits.data.shape[-1]})"
         )
-    logp = _log_softmax_np(logits.data)
-    rows = np.arange(logits.data.shape[0])
-    data = -logp[rows, targets]
+    x = logits.data
+    m = x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, m)
+    ls = np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
+    rows = np.arange(x.shape[0])
+    data = (x[rows, targets] - m[:, 0]) - ls[:, 0]
+    np.negative(data, out=data)
 
     def backward(g):
-        grad = np.exp(logp)
+        grad = np.subtract(x, m)
+        grad -= ls
+        np.exp(grad, out=grad)
         grad *= g[:, None]
         grad[rows, targets] -= g
         logits._accumulate(grad)
@@ -512,11 +504,6 @@ def reparameterize(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray,
 
 
 # --- model-facing composite primitives ------------------------------------
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
 
 
 def mlp_forward(x: Tensor, stack: Sequence[tuple[Tensor, Tensor]],

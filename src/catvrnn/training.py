@@ -154,7 +154,8 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
 
     The shuffle order depends only on (rng seed, epoch), so resuming from a
     checkpoint replays the identical order. The batch loss is the mean of
-    per-sentence losses; reported stats are exact means over all sentences.
+    per-sentence losses; reported stats are means over all sentences, summed
+    in float64 whatever the model's dtype.
     """
     n = inputs.shape[0]
     if n == 0:
@@ -172,10 +173,12 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
                 f"non-finite loss at epoch {epoch}, batch starting {start}"
             )
         optimizer_step(params.store, batch_loss, state, plan.grad_clip)
-        gen_sum += float(breakdown.gen_nll.data.sum())
-        cls_sum += float(breakdown.cls_nll.data.sum())
+        gen_sum += float(breakdown.gen_nll.data.sum(dtype=np.float64))
+        cls_sum += float(breakdown.cls_nll.data.sum(dtype=np.float64))
         if breakdown.kl is not None:
-            kl_sum += float(breakdown.kl.data.sum())
+            kl_sum += float(breakdown.kl.data.sum(dtype=np.float64))
+        # the batch's tape goes before the next forward builds its own
+        del fwd, breakdown, batch_loss
     return EpochStats(epoch=epoch, mean_gen_nll=gen_sum / n,
                       mean_cls_nll=cls_sum / n, mean_kl=kl_sum / n,
                       n_sentences=n)

@@ -550,12 +550,12 @@ def test_config_file_value_the_option_cannot_take_is_usage_error(tmp_path,
                                                                  synth_corpus_file,
                                                                  capsys, line):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(line + "\n", encoding="utf-8")
+    cfg_file.write_text("seed = 3\n" + line + "\n", encoding="utf-8")
     out = tmp_path / "run"
     code = run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
                    "--config", str(cfg_file))
     assert code == 1
-    assert "usage error:" in capsys.readouterr().err
+    assert f"usage error: {cfg_file}:2: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -221,7 +221,7 @@ def test_single_step_recurrence_gradient_check():
         h_prev, z, _, _, h_next = recurrence(h, enc_x, gru_x, w.recurrent,
                                              Rng(7).stream("latent"))
         ce = nm.cross_entropy_rows(_emit(z, h_prev, params), np.array([1, 2]))
-        return mean(nm.add(ce, tensor_sum(h_next * h_next, axis=-1)))
+        return mean(nm.add(ce, tensor_sum(nm.mul(h_next, h_next), axis=-1)))
 
     report = check_gradient(loss, params.store, tolerance=1e-4)
     assert report.passed, report.summary()
@@ -486,6 +486,25 @@ def test_generate_respects_temperature_config():
     warm = generate(0, 10, params, tiny_cfg(temperature=1.0), Rng(1))
     cold = generate(0, 10, params, tiny_cfg(temperature=1e-3), Rng(1))
     assert warm != cold
+
+
+def test_float32_sampling_never_draws_past_a_row_total_below_one():
+    # zero weights make the logits out.b: 12 equal and one at -1e4, whose
+    # float32 cumulative sum ends at 0.9999999, below a draw of nextafter(1, 0)
+    cfg = tiny_cfg(vocab_size=13, dtype="float32")
+    params = CatVrnnParams.zeros(cfg)
+    params.store["out.b"].data[-1] = -1e4
+
+    class TopDraws(Rng):
+        def stream(self, name):
+            if name != "sampling":
+                return super().stream(name)
+            top = np.nextafter(1.0, 0.0)
+            return SimpleNamespace(random=lambda shape: np.full(shape, top))
+
+    seqs = generate(0, 4, params, cfg, TopDraws(0))
+    assert all(len(seq) == cfg.max_len for seq in seqs)
+    assert all(cfg.vocab_size - 1 not in seq for seq in seqs)
 
 
 def test_generate_skips_the_prior_net(monkeypatch):

@@ -1,6 +1,7 @@
 """Numeric core: forward values against independent oracles, gradients
 against central finite differences."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,12 +16,15 @@ from catvrnn.numeric import (
     ParamStore,
     Rng,
     Tensor,
+    add,
     check_gradient,
     cross_entropy_rows,
     kl_gaussians,
+    linear,
     mean,
     mlp_forward,
     matmul,
+    mul,
     multi_output,
     reparameterize,
     softmax,
@@ -71,6 +75,39 @@ def test_mlp_matches_hand_rolled_matrix_arithmetic():
     out = mlp_forward(Tensor(x), [(Tensor(w1), Tensor(b1)), (Tensor(w2), Tensor(b2))],
                       ["relu", "none"])
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (4,)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_is_the_matmul_add_pair_as_one_op(x_shape, bias):
+    rng = np.random.default_rng(41)
+    store = ParamStore()
+    x = store.add("x", rng.normal(size=x_shape))
+    w = store.add("w", rng.normal(size=(4, 3)))
+    b = store.add("b", rng.normal(size=3)) if bias else None
+    probe = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+
+    def value_and_grads(op):
+        store.zero_grad()
+        out = op()
+        tensor_sum(mul(out, probe)).backward()
+        return out.data, {name: t.grad for name, t in store.items()}
+
+    value, grads = value_and_grads(lambda: linear(x, w, b))
+    if bias:
+        expected, expected_grads = value_and_grads(lambda: add(matmul(x, w), b))
+    else:
+        g = probe.data
+        expected = x.data @ w.data
+        expected_grads = {"x": g @ w.data.T, "w": (np.outer(x.data, g) if x.data.ndim == 1
+                                                   else x.data.T @ g)}
+    np.testing.assert_array_equal(value, expected)
+    assert grads.keys() == expected_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, expected_grads[name])
+    report = check_gradient(lambda: tensor_sum(mul(linear(x, w, b), probe)), store,
+                            tolerance=1e-6)
+    assert report.passed, report.summary()
 
 
 def test_mlp_dimension_mismatch_raises():
@@ -268,7 +305,7 @@ def test_recurrence_gradient_of_each_output(output, featz):
     def loss():
         outs = recurrence(h0, enc_x, gru_x, w, Rng(4).stream("latent"))
         probe = Tensor(np.random.default_rng(k).normal(size=outs[k].shape))
-        return tensor_sum(outs[k] * probe)
+        return tensor_sum(mul(outs[k], probe))
 
     # tiny entries need the wider step to rise above rounding
     report = check_gradient(loss, store, tolerance=1e-4, fd_step=1e-3, max_checks=400)
@@ -287,7 +324,8 @@ def test_gru_gradient_matches_finite_differences():
     weights = Tensor(rng.normal(size=(2, h)))
 
     report = check_gradient(
-        lambda: tensor_sum(recurrence(hv, x, gx, w, Rng(2).stream("latent"))[4] * weights),
+        lambda: tensor_sum(mul(recurrence(hv, x, gx, w, Rng(2).stream("latent"))[4],
+                               weights)),
         {name: store[name] for name in ("rec5", "rec6", "rec7")}, tolerance=1e-4
     )
     assert report.passed, report.summary()
@@ -334,7 +372,7 @@ def test_reparameterize_gradient_flows_to_mu_and_sigma():
     store, w = recurrence_params(rng, 2, 3, 2)
     z = recurrence(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 6))),
                    Tensor(np.ones((1, 9))), w, Rng(1).stream("latent"))[1]
-    tensor_sum(z * z).backward()
+    tensor_sum(mul(z, z)).backward()
     grad = w.head_b.grad
     assert np.all(grad[:2] != 0) and np.all(grad[2:] != 0)
 
@@ -377,7 +415,8 @@ def test_window_sum_gradient_matches_finite_differences(used):
 
     def loss():
         outs = window_sum(x, 6, (2, 3, 4))
-        return sum(tensor_sum(softplus(outs[i]) * probes[i]) for i in used)
+        return functools.reduce(add, (tensor_sum(mul(softplus(outs[i]), probes[i]))
+                                      for i in used))
 
     report = check_gradient(loss, store, tolerance=1e-6, max_checks=400)
     assert report.passed, report.summary()
@@ -423,6 +462,36 @@ def test_cross_entropy_matches_log_sum_exp_oracle():
     expected = float(lse - mp.mpf(logits[target]))
     got = one_row_ce(logits, target)
     assert abs(got - expected) < 1e-10
+
+
+def reference_cross_entropy(x, targets, g):
+    """The cross-entropy and its logit gradient for row weights ``g``,
+    computed through the full (rows, V) log-softmax; cross_entropy_rows
+    keeps only each row's max and log-sum-exp."""
+    logp = x - x.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    rows = np.arange(x.shape[0])
+    grad = np.exp(logp)
+    grad *= g[:, None]
+    grad[rows, targets] -= g
+    return -logp[rows, targets], grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cross_entropy_equals_the_log_softmax_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(31)
+    x = (rng.normal(size=(9, 13)) * 4).astype(dtype)
+    x[2, -1] = x[5, :6] = x[7, 3] = -1e4
+    targets = rng.integers(0, 13, size=9)
+    targets[7] = 3  # a target whose logit is -1e4
+    g = rng.uniform(0.5, 2.0, size=9).astype(dtype)
+    logits = Tensor(x, requires_grad=True)
+    ce = cross_entropy_rows(logits, targets)
+    tensor_sum(mul(ce, Tensor(g))).backward()
+    value, grad = reference_cross_entropy(x, targets, g)
+    assert ce.data.dtype == logits.grad.dtype == dtype
+    np.testing.assert_array_equal(ce.data, value)
+    np.testing.assert_array_equal(logits.grad, grad)
 
 
 def test_cross_entropy_rejects_out_of_range_target():
@@ -507,9 +576,9 @@ def test_check_gradient_passes_linear_regression():
     y = Tensor(rng.normal(size=(20, 1)))
 
     def loss():
-        pred = x @ w + b
-        err = pred - y
-        return mean(err * err)
+        pred = add(matmul(x, w), b)
+        err = add(pred, mul(y, -1.0))
+        return mean(mul(err, err))
 
     report = check_gradient(loss, store, tolerance=1e-6)
     assert report.passed, report.summary()
@@ -520,7 +589,7 @@ def test_check_gradient_corrupted_backward_fails():
     w = store.add("w", np.array([1.0, 2.0]))
 
     def loss():
-        return tensor_sum(w * w)
+        return tensor_sum(mul(w, w))
 
     assert check_gradient(loss, store, tolerance=1e-4).passed
     assert not check_gradient(loss, store, tolerance=1e-4, corrupt=True).passed
@@ -530,7 +599,7 @@ def test_check_gradient_rejects_nonscalar():
     store = ParamStore()
     w = store.add("w", np.ones(3))
     with pytest.raises(ConfigurationError):
-        check_gradient(lambda: w * 2.0, store)
+        check_gradient(lambda: mul(w, 2.0), store)
 
 
 def test_check_gradient_subsamples_large_stores():
@@ -539,7 +608,7 @@ def test_check_gradient_subsamples_large_stores():
     w = store.add("w", rng.normal(size=(40, 20)))
     x = Tensor(rng.normal(size=(4, 40)))
 
-    report = check_gradient(lambda: tensor_sum((x @ w) * (x @ w)), store,
+    report = check_gradient(lambda: tensor_sum(mul(matmul(x, w), matmul(x, w))), store,
                             tolerance=1e-5, max_checks=210)
     assert report.passed
     assert report.total_checked == 210
@@ -556,8 +625,8 @@ def test_check_gradient_resolves_tiny_entries_at_the_default_step():
     rest = Tensor(rng.normal(size=10))
 
     def loss():
-        return (mean(tensor_sum(softplus(x * w) * c, axis=-1))
-                + tensor_sum(softplus(rest)))
+        return add(mean(tensor_sum(mul(softplus(mul(x, w)), c), axis=-1)),
+                   tensor_sum(softplus(rest)))
 
     report = check_gradient(loss, store, tolerance=1e-4)
     assert report.passed, report.summary()
@@ -672,14 +741,14 @@ def test_rng_state_roundtrip():
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ConfigurationError):
-        (t * 2.0).backward()
+        mul(t, 2.0).backward()
 
 
 def test_broadcast_bias_gradient():
     store = ParamStore()
     b = store.add("b", np.zeros(3))
     x = Tensor(np.ones((4, 3)))
-    report = check_gradient(lambda: tensor_sum((x + b) * (x + b)), store,
+    report = check_gradient(lambda: tensor_sum(mul(add(x, b), add(x, b))), store,
                             tolerance=1e-6)
     assert report.passed
 
@@ -706,8 +775,8 @@ def test_split_gradient_with_unused_and_reused_pieces():
         a, _, b = split(softplus(matmul(x, w)), [2, 3, 2])
         # rows of a parameter: the top row used, the rest unused
         top, _ = split(w, [1, 3], axis=0)
-        return (tensor_sum(a * a) + tensor_sum(a * b)
-                + tensor_sum(top * top * 0.5))
+        return add(add(tensor_sum(mul(a, a)), tensor_sum(mul(a, b))),
+                   tensor_sum(mul(mul(top, top), 0.5)))
 
     report = check_gradient(loss, store, tolerance=1e-6)
     assert report.passed, report.summary()
@@ -739,7 +808,6 @@ def test_composite_graph_gradient_across_seeds(seed):
     probe = Tensor(rng.normal(size=(3, 4)))
 
     def loss(seed=seed):
-        from catvrnn.numeric import add
         feat = mlp_forward(x, [(w1, b1)], ["relu"])
         deep = mlp_forward(x, [(w1, b1), (w2, b2)], ["relu", "none"])
         sigma = add(softplus(raw), 1e-6)
@@ -750,8 +818,8 @@ def test_composite_graph_gradient_across_seeds(seed):
             Rng(seed + 50).stream("latent"))
         ce = cross_entropy_rows(add(feat, z), targets)
         kl = add(kl_gaussians(q, p), kl_gaussians(GaussianParams(mu_z, sigma_z), p))
-        return mean(add(add(add(ce, kl), tensor_sum(h_next * h_next, axis=-1)),
-                        tensor_sum(deep * probe, axis=-1)))
+        return mean(add(add(add(ce, kl), tensor_sum(mul(h_next, h_next), axis=-1)),
+                        tensor_sum(mul(deep, probe), axis=-1)))
 
     report = check_gradient(loss, store, tolerance=1e-4, max_checks=230)
     assert report.passed, report.summary()

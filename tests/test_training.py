@@ -6,6 +6,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,59 @@ def test_loss_decreases_on_synthetic_corpus():
                             params, state, cfg, rng, epoch, plan)
         totals.append(stats.mean_total(cfg))
     assert all(t < totals[0] for t in totals[19:])
+
+
+def test_epoch_means_sum_float32_terms_in_float64(monkeypatch):
+    cfg = tiny_cfg(dtype="float32", use_kl_term=True)
+    rng = Rng(6)
+    params = CatVrnnParams(cfg, rng)
+    inputs, targets, cats = tiny_corpus_arrays(
+        cfg, [[2, 3, 4], [5, 6], [7, 8, 9, 10], [11, 12], [3, 5, 7], [9]],
+        [0, 1, 0, 1, 0, 1])
+    plan = TrainPlan(epochs=1, batch_size=3)
+    state = AdamState.from_plan(params.store, plan)
+    batches = []
+
+    def capture(*args, **kwargs):
+        batches.append(training_joint_loss(*args, **kwargs))
+        return batches[-1]
+
+    training_joint_loss = training.joint_loss
+    monkeypatch.setattr(training, "joint_loss", capture)
+    stats = train_epoch(inputs, targets, cats, params, state, cfg, rng, 1, plan)
+    assert len(batches) == 2
+    for mean_name, term in (("mean_gen_nll", "gen_nll"), ("mean_cls_nll", "cls_nll"),
+                            ("mean_kl", "kl")):
+        assert getattr(batches[0], term).data.dtype == np.float32
+        wide = sum(getattr(b, term).data.astype(np.float64).sum() for b in batches)
+        np.testing.assert_allclose(getattr(stats, mean_name), wide / len(inputs),
+                                   rtol=1e-15)
+
+
+def test_an_epoch_holds_one_batch_tape_at_a_time():
+    # desk shape, 32-sentence batches: with each batch's tape freed before
+    # the next forward, two batches peak no higher than one
+    corpus = make_synthetic_corpus(2, 32, 50, (5, 12), seed=11)
+    vocab = build_vocabulary(corpus)
+    cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=48,
+                      hidden_dim=128, latent_dim=16, max_len=13)
+    batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
+    plan = TrainPlan(epochs=1, batch_size=32)
+
+    def peak(n):
+        rng = Rng(0)
+        params = CatVrnnParams(cfg, rng)
+        state = AdamState.from_plan(params.store, plan)
+        tracemalloc.start()
+        try:
+            train_epoch(batch.inputs[:n], batch.targets[:n], batch.categories[:n],
+                        params, state, cfg, rng, 1, plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(32), peak(64)
+    assert two <= 1.1 * one, (one / 2**20, two / 2**20)
 
 
 # --- checkpoints -------------------------------------------------------------------
