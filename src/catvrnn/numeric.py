@@ -478,8 +478,7 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     e = np.subtract(x, m)
     ls = np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
     rows = np.arange(x.shape[0])
-    data = (x[rows, targets] - m[:, 0]) - ls[:, 0]
-    np.negative(data, out=data)
+    data = ls[:, 0] - (x[rows, targets] - m[:, 0])
 
     def backward(g):
         grad = np.subtract(x, m)
