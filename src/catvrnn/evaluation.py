@@ -89,29 +89,35 @@ class EvalClassifier:
         gen = rng.stream("init") if rng is not None else None
         dt = np.float64
 
-        def param(name, shape, scale=None):
+        def draw(shape, scale=None):
             if gen is None or scale is None:
-                return self.store.add(name, np.zeros(shape, dtype=dt))
-            return self.store.add(name, gen.uniform(-scale, scale, size=shape))
+                return np.zeros(shape, dtype=dt)
+            return gen.uniform(-scale, scale, size=shape)
 
-        param("embedding", (cfg.vocab_size, cfg.embed_dim), scale=0.1)
-        for w in cfg.filter_widths:
-            fan_in = w * cfg.embed_dim
-            limit = np.sqrt(6.0 / (fan_in + cfg.feature_maps))
-            param(f"conv{w}.w", (fan_in, cfg.feature_maps), scale=limit)
-            param(f"conv{w}.b", (cfg.feature_maps,))
-        head_in = cfg.feature_maps * len(cfg.filter_widths)
+        add = self.store.add
+        e, f, widths = cfg.embed_dim, cfg.feature_maps, cfg.filter_widths
+        add("embedding", draw((cfg.vocab_size, e), scale=0.1))
+        # each width's filter bank is drawn as (w*E, F), its E-row block k the
+        # filter of offset k; "conv.w" holds the blocks side by side, width by
+        # width, as (E, sum(widths)*F): the column order ``window_sum`` reads
+        banks = [draw((w * e, f), scale=np.sqrt(6.0 / (w * e + f)))
+                 .reshape(w, e, f).transpose(1, 0, 2).reshape(e, w * f) for w in widths]
+        add("conv.w", np.hstack(banks))
+        for w in widths:
+            add(f"conv{w}.b", draw(f))
+        head_in = f * len(widths)
         limit = np.sqrt(6.0 / (head_in + cfg.num_categories))
-        param("head.w", (head_in, cfg.num_categories), scale=limit)
-        param("head.b", (cfg.num_categories,))
+        add("head.w", draw((head_in, cfg.num_categories), scale=limit))
+        add("head.b", draw(cfg.num_categories))
 
     def logits(self, ids: np.ndarray, train_mode: bool = False,
                dropout_rng: np.random.Generator | None = None) -> Tensor:
         """Class logits for encoded inputs (B, T).
 
         Every token's embedding is gathered once and multiplied by every
-        filter row block of every width in one matmul; each width's
-        convolution is then the sum of its shifted blocks (``window_sum``).
+        filter's row block of every width (``conv.w``) in one matmul; each
+        width's convolution is then the sum of its shifted blocks
+        (``window_sum``).
         """
         ids = np.asarray(ids, dtype=np.int64)
         b, t = ids.shape
@@ -120,12 +126,8 @@ class EvalClassifier:
             raise ConfigurationError(
                 f"inputs of length {t} shorter than widest filter {max(widths)}"
             )
-        e = self.cfg.embed_dim
         emb = nm.gather_rows(self.store["embedding"], ids.reshape(b * t))
-        # conv{w}.w is (w*E, F), its E-row block k the filter of offset k
-        blocks = [block for w in widths
-                  for block in nm.split(self.store[f"conv{w}.w"], [e] * w, axis=0)]
-        products = nm.matmul(emb, nm.concat(blocks, axis=1))
+        products = nm.matmul(emb, self.store["conv.w"])
         pooled = []
         for w, conv in zip(widths, nm.window_sum(products, t, widths)):
             conv = nm.relu(nm.add(conv, self.store[f"conv{w}.b"]))
@@ -165,7 +167,7 @@ class EvalClassifier:
             "vocab": self.vocab.id_to_token,
             "val_accuracy": self.val_accuracy,
         }
-        write_container(path, meta, dict(self.store.state_arrays()))
+        write_container(path, meta, self.store.views(self.store.flat))
 
     @classmethod
     def load(cls, path) -> "EvalClassifier":

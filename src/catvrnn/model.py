@@ -121,91 +121,85 @@ class LossBreakdown:
     total: Tensor
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
 class CatVrnnParams:
-    """All learnable weights, registered in a ParamStore in a fixed order.
+    """All learnable weights, registered in a ParamStore in a fixed order,
+    each stored as the step multiplies it.
 
-    Groups: token embedding; encoder stack with mu/sigma heads; decoder stack
-    with the vocabulary output layer; GRU recurrence over embedding + latent;
-    classifier head; adaptive-init vector pair when configured; conditional
-    prior net when the KL term is on; feature extractors when on.
+    Groups: token embedding; encoder stack, its first layer as embedding
+    rows and hidden rows, with the mu|sigma head; decoder stack with the
+    vocabulary output layer; GRU recurrence (reset, update and candidate
+    gates side by side) over embedding + latent; classifier head;
+    adaptive-init vector pair when configured; conditional prior net when
+    the KL term is on; feature extractors when on. Each block is filled
+    from initial draws taken per layer and per gate, in that order.
     """
 
     def __init__(self, cfg: ModelConfig, rng: Rng | None = None):
         self.cfg = cfg
         self.store = ParamStore()
+        add = self.store.add
         dt = cfg.np_dtype()
         gen = rng.stream("init") if rng is not None else None
-
-        def w(name, fan_in, fan_out):
-            if gen is None:
-                return self.store.add(name, np.zeros((fan_in, fan_out), dtype=dt))
-            return self.store.add(name, _glorot(gen, fan_in, fan_out, dt))
-
-        def b(name, size):
-            return self.store.add(name, np.zeros(size, dtype=dt))
-
         V, E, H, L, K = (cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim,
                          cfg.latent_dim, cfg.num_categories)
+        ew, dw, do = cfg.enc_width, cfg.dec_width, cfg.dec_out
 
-        if gen is None:
-            emb = np.zeros((V, E), dtype=dt)
-        else:
-            emb = gen.uniform(-0.1, 0.1, size=(V, E)).astype(dt)
-        self.embedding = self.store.add("embedding", emb)
+        def uniform(limit, *shape):
+            if gen is None:
+                return np.zeros(shape, dtype=dt)
+            return gen.uniform(-limit, limit, size=shape).astype(dt)
 
-        self.enc_stack = [
-            (w("enc.fc1.w", E + H, cfg.enc_width), b("enc.fc1.b", cfg.enc_width)),
-            (w("enc.fc2.w", cfg.enc_width, H), b("enc.fc2.b", H)),
-        ]
-        self.mu_head = (w("mu.w", H, L), b("mu.b", L))
-        self.sigma_head = (w("sigma.w", H, L), b("sigma.b", L))
-        self.dec_stack = [
-            (w("dec.fc1.w", L + H, cfg.dec_width), b("dec.fc1.b", cfg.dec_width)),
-            (w("dec.fc2.w", cfg.dec_width, cfg.dec_out), b("dec.fc2.b", cfg.dec_out)),
-        ]
-        self.out_layer = (w("out.w", cfg.dec_out, V), b("out.b", V))
+        def glorot(fan_in, fan_out):
+            return uniform(np.sqrt(6.0 / (fan_in + fan_out)), fan_in, fan_out)
 
-        # per gate (reset, update, candidate): input side over [x, z], hidden
-        # side, bias; keyed "xr", "hr", "br", ... like their store names
-        self.gru = {}
-        for gate in "run":
-            self.gru["x" + gate] = w(f"gru.x{gate}", E + L, H)
-            self.gru["h" + gate] = w(f"gru.h{gate}", H, H)
-            self.gru["b" + gate] = b(f"gru.b{gate}", H)
-        self.classifier = (w("cls.w", H, K), b("cls.b", K))
+        def layer(name, fan_in, fan_out, weight=None):
+            weight = glorot(fan_in, fan_out) if weight is None else weight
+            return add(f"{name}.w", weight), add(f"{name}.b", np.zeros(fan_out, dt))
+
+        def gaussian_head(name):
+            # mu's layer, then sigma's, side by side
+            return layer(name, H, 2 * L, np.hstack([glorot(H, L), glorot(H, L)]))
+
+        self.embedding = add("embedding", uniform(0.1, V, E))
+        # the token side (embedding rows) runs over all steps at once, the
+        # hidden rows inside the recurrence
+        enc1 = glorot(E + H, ew)
+        self.enc_x = add("enc.fc1.wx", enc1[:E])
+        enc_h = add("enc.fc1.wh", enc1[E:])
+        self.enc_b = add("enc.fc1.b", np.zeros(ew, dt))
+        enc2 = layer("enc.fc2", ew, H)
+        head = gaussian_head("musigma")
+        self.dec_stack = [layer("dec.fc1", L + H, dw), layer("dec.fc2", dw, do)]
+        self.out_layer = layer("out", do, V)
+
+        # per gate (reset, update, candidate): input side over [x, z], then
+        # hidden side; the reset and update hidden sides multiply h together,
+        # the candidate's multiplies r * h
+        gates = [(glorot(E + L, H), glorot(H, H)) for _ in range(3)]
+        x_side = np.hstack([x for x, _ in gates])
+        self.gru_x = add("gru.wx", x_side[:E])
+        gru_z = add("gru.wz", x_side[E:])
+        w_ru = add("gru.w_ru", np.hstack([gates[0][1], gates[1][1]]))
+        w_hn = add("gru.w_hn", gates[2][1])
+        self.gru_b = add("gru.b", np.zeros(3 * H, dt))
+        self.classifier = layer("cls", H, K)
 
         if cfg.init_mode == "adaptive":
             # both vectors start with unit-scale entries: the bias anchors
             # category 0 away from the origin so the evaluation-time state
             # (no training noise) still carries a recognizable signature
-            if gen is None:
-                omega = np.zeros(H, dtype=dt)
-                bias = np.zeros(H, dtype=dt)
-            else:
-                omega = gen.uniform(-1.0, 1.0, size=H).astype(dt)
-                bias = gen.uniform(-1.0, 1.0, size=H).astype(dt)
-            self.init_omega = self.store.add("init.omega", omega)
-            self.init_bias = self.store.add("init.bias", bias)
+            self.init_omega = add("init.omega", uniform(1.0, H))
+            self.init_bias = add("init.bias", uniform(1.0, H))
 
         if cfg.use_kl_term:
-            self.prior_trunk = (w("prior.fc1.w", H, H), b("prior.fc1.b", H))
-            self.prior_mu = (w("prior.mu.w", H, L), b("prior.mu.b", L))
-            self.prior_sigma = (w("prior.sigma.w", H, L), b("prior.sigma.b", L))
+            self.prior_trunk = layer("prior.fc1", H, H)
+            self.prior_head = gaussian_head("prior.musigma")
 
+        featz = []
         if cfg.use_feature_extractors:
-            self.feat_x = [
-                (w("featx.fc1.w", E, E), b("featx.fc1.b", E)),
-                (w("featx.fc2.w", E, E), b("featx.fc2.b", E)),
-            ]
-            self.feat_z = [
-                (w("featz.fc1.w", L, L), b("featz.fc1.b", L)),
-                (w("featz.fc2.w", L, L), b("featz.fc2.b", L)),
-            ]
+            self.feat_x = [layer("featx.fc1", E, E), layer("featx.fc2", E, E)]
+            featz = [*layer("featz.fc1", L, L), *layer("featz.fc2", L, L)]
+        self.recurrent = Recurrent(enc_h, *enc2, *head, gru_z, w_ru, w_hn, *featz)
 
     @classmethod
     def zeros(cls, cfg: ModelConfig) -> "CatVrnnParams":
@@ -312,60 +306,21 @@ class Recurrent(NamedTuple):
         return Recurrent._make(None if t is None else t.data for t in self)
 
 
-@dataclass
-class CellWeights:
-    """Fused and split views of the cell's weights, built once per forward or
-    generate call. ``enc_x`` and ``gru_x`` are the embedding rows of
-    ``enc.fc1.w`` and of the GRU's fused input side, ``gru_b`` the GRU's
-    biases, ``recurrent`` what the recurrence step multiplies, and
-    ``prior_head`` the prior's mu and sigma layers side by side."""
-
-    enc_x: Tensor
-    gru_x: Tensor
-    gru_b: Tensor
-    recurrent: Recurrent
-    prior_head: tuple[Tensor, Tensor] | None
-
-
-def _fused_head(mu: tuple[Tensor, Tensor], sigma: tuple[Tensor, Tensor]):
-    return (nm.concat([mu[0], sigma[0]], axis=1), nm.concat([mu[1], sigma[1]]))
-
-
-def cell_weights(params: CatVrnnParams) -> CellWeights:
-    """The views of ``CellWeights``."""
-    cfg = params.cfg
-    gru = params.gru
-    enc_x, enc_h = nm.split(params.enc_stack[0][0], [cfg.embed_dim, cfg.hidden_dim],
-                            axis=0)
-    gru_x, gru_z = nm.split(nm.concat([gru["xr"], gru["xu"], gru["xn"]], axis=1),
-                            [cfg.embed_dim, cfg.latent_dim], axis=0)
-    featz = ([t for layer in params.feat_z for t in layer]
-             if cfg.use_feature_extractors else [])
-    recurrent = Recurrent(enc_h, *params.enc_stack[1],
-                          *_fused_head(params.mu_head, params.sigma_head), gru_z,
-                          nm.concat([gru["hr"], gru["hu"]], axis=1), gru["hn"], *featz)
-    prior_head = (_fused_head(params.prior_mu, params.prior_sigma)
-                  if cfg.use_kl_term else None)
-    return CellWeights(enc_x=enc_x, gru_x=gru_x,
-                       gru_b=nm.concat([gru["br"], gru["bu"], gru["bn"]]),
-                       recurrent=recurrent, prior_head=prior_head)
-
-
 # A step is four pieces. Only the recurrence needs the previous step's state;
 # the others take any number of rows, so forward_teacher runs them once over
 # all steps while ``_step`` looks up the token side in a table of the whole
 # vocabulary and decodes one step's rows.
 
 
-def _inputs(x_ids: np.ndarray, params: CatVrnnParams, w: CellWeights):
+def _inputs(x_ids: np.ndarray, params: CatVrnnParams):
     """The token side of a step: the embedding's share of the encoder's first
     layer and of the GRU's gates, biases included."""
     e = nm.gather_rows(params.embedding, x_ids)
     rec_x = e
     if params.cfg.use_feature_extractors:
         rec_x = nm.mlp_forward(e, params.feat_x, ["relu", "none"])
-    return (nm.linear(e, w.enc_x, params.enc_stack[0][1]),
-            nm.linear(rec_x, w.gru_x, w.gru_b))
+    return (nm.linear(e, params.enc_x, params.enc_b),
+            nm.linear(rec_x, params.gru_x, params.gru_b))
 
 
 def _gaussian(x: Tensor, head: tuple[Tensor, Tensor]) -> GaussianParams:
@@ -619,20 +574,19 @@ def _emit_into(zh: np.ndarray, params: CatVrnnParams, out: SimpleNamespace) -> n
     return x
 
 
-def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams,
-        w: CellWeights) -> Tensor:
+def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams) -> Tensor:
     """KL of the posterior from the prior conditioned on the previous state."""
     trunk = nm.relu(nm.linear(h_prev, *params.prior_trunk))
-    return nm.kl_gaussians(posterior, _gaussian(trunk, w.prior_head))
+    return nm.kl_gaussians(posterior, _gaussian(trunk, params.prior_head))
 
 
-def _step_arrays(params: CatVrnnParams, w: CellWeights, count: int):
+def _step_arrays(params: CatVrnnParams, count: int):
     """What ``_step`` over ``count`` rows reads and writes, built once per
     call: the recurrence's arrays, the token side (``_inputs``) of every
     vocabulary entry, and every array a step writes."""
     cfg = params.cfg
-    rec = w.recurrent.arrays()
-    table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params, w))
+    rec = params.recurrent.arrays()
+    table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params))
     widths = {**_step_widths(rec), "enc_x": cfg.enc_width,
               "gru_x": 3 * cfg.hidden_dim, "h": cfg.hidden_dim,
               "h_next": cfg.hidden_dim, "zh": cfg.latent_dim + cfg.hidden_dim,
@@ -692,16 +646,15 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
     """
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
-    w = cell_weights(params)
     h0 = init_hidden(c, params, rng, train_mode, batch)
     # time-major rows: step t is rows t*batch .. (t+1)*batch
-    enc_x, gru_x = _inputs(x_ids.T.reshape(-1), params, w)
-    h_all, z, mu, sigma, h = recurrence(h0, enc_x, gru_x, w.recurrent,
+    enc_x, gru_x = _inputs(x_ids.T.reshape(-1), params)
+    h_all, z, mu, sigma, h = recurrence(h0, enc_x, gru_x, params.recurrent,
                                         rng.stream("latent"))
     logits = _emit(z, h_all, params)
     kl_sum = None
     if cfg.use_kl_term:
-        kl = nm.reshape(_kl(GaussianParams(mu, sigma), h_all, params, w), (T, batch))
+        kl = nm.reshape(_kl(GaussianParams(mu, sigma), h_all, params), (T, batch))
         kl_sum = nm.tensor_sum(kl, axis=0)
     class_logits = nm.linear(h, *params.classifier)
     return SequenceForward(logits=nm.reshape(logits, (T, batch, cfg.vocab_size)),
@@ -716,8 +669,7 @@ def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConf
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
     with nm.no_grad():
-        w = cell_weights(params)
-        rec, table, b = _step_arrays(params, w, batch)
+        rec, table, b = _step_arrays(params, batch)
         b.h_next[...] = init_hidden(c, params, rng, train_mode, batch).data
         logits = np.empty((T, batch, cfg.vocab_size), dtype=cfg.np_dtype())
         kl_sum = None
@@ -728,7 +680,7 @@ def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConf
                 # b.h holds the step's previous state, b.head its posterior
                 posterior = GaussianParams(Tensor(b.head[:, :cfg.latent_dim]),
                                            Tensor(b.sigma))
-                kl = _kl(posterior, Tensor(b.h), params, w)
+                kl = _kl(posterior, Tensor(b.h), params)
                 kl_sum = kl if kl_sum is None else nm.add(kl_sum, kl)
         h = Tensor(b.h_next)
         return SequenceForward(logits=Tensor(logits),
@@ -799,7 +751,7 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         raise ConfigurationError("count must be >= 1")
     stream = rng.stream("sampling")
     with nm.no_grad():
-        rec, table, b = _step_arrays(params, cell_weights(params), count)
+        rec, table, b = _step_arrays(params, count)
         b.h_next[...] = init_hidden(c, params, rng, train_mode=False, batch=count).data
     probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
     below = np.empty((count, cfg.vocab_size), dtype=bool)

@@ -562,25 +562,58 @@ def kl_gaussians(q: GaussianParams, p: GaussianParams) -> Tensor:
 
 
 class ParamStore:
-    """Ordered name -> Tensor map for every learnable weight.
+    """Ordered name -> Tensor map for every learnable weight, in one buffer.
 
     Iteration order is the insertion order, which is deterministic for a
-    fixed construction sequence; names are unique.
+    fixed construction sequence; names are unique. The first use of
+    ``flat`` copies every tensor's data, in that order, into one array and
+    makes it a view of that; the layout is then fixed, and ``views`` cuts
+    any array of that size the same way (Adam's moments, the gradient).
     """
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
+        self._flat: np.ndarray | None = None
 
     def add(self, name: str, data) -> Tensor:
         if name in self._tensors:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
+        if self._flat is not None:
+            raise ConfigurationError(f"cannot add {name!r}: the store is laid out")
         t = data if isinstance(data, Tensor) else Tensor(data)
         t.requires_grad = True
         self._tensors[name] = t
         return t
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
+    @property
+    def flat(self) -> np.ndarray:
+        """Every tensor's data as one 1-d array, in insertion order."""
+        if self._flat is None:
+            self._flat = np.concatenate([t.data.reshape(-1)
+                                         for t in self._tensors.values()])
+            for t, view in zip(self._tensors.values(), self.views(self._flat).values()):
+                t.data = view
+        return self._flat
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """``flat``, an array laid out like the store's, as name -> view
+        shaped like that tensor."""
+        out, lo = {}, 0
+        for name, t in self._tensors.items():
+            out[name] = flat[lo: lo + t.data.size].reshape(t.data.shape)
+            lo += t.data.size
+        return out
+
+    def gather_grads(self) -> np.ndarray:
+        """The tensors' gradients as one new array laid out like ``flat``,
+        zero where none arrived. The tensors keep theirs until ``zero_grad``:
+        freed here, they let the allocator hand the heap's top back to the
+        system after every step, to be faulted in again by the next."""
+        grad = np.zeros_like(self.flat)
+        for t, view in zip(self._tensors.values(), self.views(grad).values()):
+            if t.grad is not None:
+                view[...] = t.grad
+        return grad
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -601,25 +634,23 @@ class ParamStore:
     def total_parameters(self) -> int:
         return sum(t.data.size for t in self._tensors.values())
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self._tensors.items()}
-
-    def load(self, arrays: dict[str, np.ndarray]):
-        """Copy ``arrays`` into the tensors, cast to each tensor's dtype. The
-        names and shapes must be exactly the store's; nothing is copied
-        otherwise."""
+    def load(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None):
+        """Copy ``arrays`` into the tensors, or into ``flat``, an array laid
+        out like the store's, cast to its dtype. The names and shapes must be
+        exactly the store's; nothing is copied otherwise."""
         names = set(self._tensors)
         if set(arrays) != names:
             raise ConfigurationError(
                 f"tensors missing {sorted(names - set(arrays))}, "
                 f"unexpected {sorted(set(arrays) - names)}"
             )
-        for name, t in self._tensors.items():
-            if np.shape(arrays[name]) != t.data.shape:
+        views = self.views(self.flat if flat is None else flat)
+        for name, view in views.items():
+            if np.shape(arrays[name]) != view.shape:
                 raise ConfigurationError(f"tensor {name!r} has shape "
-                                         f"{np.shape(arrays[name])}, expected {t.data.shape}")
-        for name, t in self._tensors.items():
-            np.copyto(t.data, arrays[name])
+                                         f"{np.shape(arrays[name])}, expected {view.shape}")
+        for name, view in views.items():
+            np.copyto(view, arrays[name])
 
 
 # --- seeded random streams -------------------------------------------------

@@ -26,7 +26,8 @@ from .data import atomic_open, atomic_write_text
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+# 2: the weights stored as the step multiplies them (fused blocks)
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -54,7 +55,9 @@ class TrainPlan:
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+    """First and second moments, each one array laid out like the store's
+    ``flat``, plus the shared step count. ``m`` and ``v`` map each tensor's
+    name to its view of them."""
 
     def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -63,8 +66,10 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.m_flat = np.zeros_like(store.flat)
+        self.v_flat = np.zeros_like(store.flat)
+        self.m = store.views(self.m_flat)
+        self.v = store.views(self.v_flat)
 
     @classmethod
     def from_plan(cls, store: ParamStore, plan: TrainPlan) -> "AdamState":
@@ -72,27 +77,41 @@ class AdamState:
                    eps=plan.eps)
 
 
-def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState):
-    """Bias-corrected Adam update applied in place to the store's tensors."""
-    missing = [name for name, _ in store.items() if name not in grads]
-    if missing:
-        raise ConfigurationError(f"missing gradient for tensor {missing[0]!r}")
+# elements adam_step updates at a time: its scratch array stays small
+# (256 KB in float64), and each piece of the four arrays stays in cache
+ADAM_CHUNK = 1 << 15
+
+
+def adam_step(store: ParamStore, grad: np.ndarray, state: AdamState):
+    """Bias-corrected Adam (Kingma & Ba 2015) on the store's ``flat``, in
+    place, from ``grad``, laid out like it and overwritten. Each element gets
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps) in that order of operations, bit for
+    bit the per-tensor formula's. One pass, ADAM_CHUNK elements at a time,
+    with one scratch array of that size and the piece of ``grad``."""
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for name, t in store.items():
-        g = grads[name]
-        if g.shape != t.data.shape:
-            raise ConfigurationError(
-                f"gradient shape {g.shape} does not match {name!r} {t.data.shape}"
-            )
-        m = state.m[name]
-        v = state.v[name]
+    scratch = np.empty(min(ADAM_CHUNK, grad.size), dtype=grad.dtype)
+    for lo in range(0, grad.size, ADAM_CHUNK):
+        g, m, v, p = (a[lo: lo + ADAM_CHUNK]
+                      for a in (grad, state.m_flat, state.v_flat, store.flat))
+        tmp = scratch[: g.size]
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        t.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += tmp
+        # the step, in g; the denominator in tmp
+        np.divide(m, bc1, out=g)
+        g *= state.lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        g /= tmp
+        p -= g
 
 
 @dataclass
@@ -121,30 +140,21 @@ class EpochStats:
         }
 
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """``grads`` scaled down to a global norm of at most ``max_norm``. The
-    scaled gradients are new arrays: the tape may hand one buffer to two
-    tensors, or a read-only broadcast view."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= max_norm:
-        return grads
-    scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}
-
-
 def optimizer_step(store: ParamStore, loss: Tensor, state: AdamState,
                    grad_clip: float | None = None):
-    """Backpropagate the scalar ``loss`` into freshly zeroed gradients, clip
-    them to a global norm of ``grad_clip`` when given, and apply one Adam
+    """Backpropagate the scalar ``loss`` into freshly zeroed gradients, gather
+    them into one array (``ParamStore.gather_grads``), scale it down to a
+    global norm of ``grad_clip`` when given and larger, and apply one Adam
     update. Parameters outside the loss get zero gradients, which leaves
     them unchanged under Adam's zero-initialized moments."""
     store.zero_grad()
     loss.backward()
-    grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-             for name, t in store.items()}
+    grad = store.gather_grads()
     if grad_clip is not None:
-        grads = _clip_grads(grads, grad_clip)
-    adam_step(store, grads, state)
+        norm = float(np.linalg.norm(grad))
+        if norm > grad_clip:
+            grad *= grad_clip / norm
+    adam_step(store, grad, state)
 
 
 def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
@@ -235,11 +245,12 @@ class Checkpoint:
         adam = AdamState(store, lr=s["lr"], beta1=s["beta1"], beta2=s["beta2"],
                          eps=s["eps"])
         adam.step = int(s["step"])
-        for name in adam.m:
-            if name not in self.adam_m:
-                raise DataError(f"checkpoint missing optimizer moment for {name!r}")
-            adam.m[name] = self.adam_m[name].copy()
-            adam.v[name] = self.adam_v[name].copy()
+        for which, arrays, flat in (("m", self.adam_m, adam.m_flat),
+                                    ("v", self.adam_v, adam.v_flat)):
+            try:
+                store.load(arrays, flat)
+            except ConfigurationError as e:
+                raise DataError(f"checkpoint optimizer moments adam.{which}: {e}") from e
         return adam
 
 

@@ -135,14 +135,19 @@ def window_gather_logits(clf, ids, dropout_rng=None):
     """The classifier's logits with one window gather and one matmul per
     filter width, the reference the one-gather form is checked against."""
     b, t = ids.shape
+    widths, f = clf.cfg.filter_widths, clf.cfg.feature_maps
+    # conv.w (E, sum(widths)*F) holds each width's offset blocks side by
+    # side; stacked by rows, a width's blocks are its (w*E, F) filter bank
+    blocks = nm.split(clf.store["conv.w"], [f] * sum(widths), axis=1)
     pooled = []
-    for w in clf.cfg.filter_widths:
+    for w in widths:
         npos = t - w + 1
         win = np.lib.stride_tricks.sliding_window_view(ids, w, axis=1)
         emb = nm.gather_rows(clf.store["embedding"], win.reshape(b * npos * w))
         emb = nm.reshape(emb, (b * npos, w * clf.cfg.embed_dim))
-        conv = nm.relu(nm.linear(emb, clf.store[f"conv{w}.w"],
-                                 clf.store[f"conv{w}.b"]))
+        bank = nm.concat(blocks[:w], axis=0)
+        blocks = blocks[w:]
+        conv = nm.relu(nm.linear(emb, bank, clf.store[f"conv{w}.b"]))
         pooled.append(nm.max_pool_rows(conv, npos))
     features = nm.concat(pooled, axis=-1)
     if dropout_rng is not None:
@@ -184,7 +189,7 @@ def test_logits_and_gradients_match_the_window_gather_reference(t):
         results.append((logits.data, {n: p.grad for n, p in clf.store.items()}))
     (new, new_grads), (ref, ref_grads) = results
     assert np.linalg.norm(new - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert len(ref_grads) == 9
+    assert len(ref_grads) == 7
     for name, g in ref_grads.items():
         assert np.linalg.norm(new_grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
 
@@ -196,16 +201,16 @@ def test_logits_reject_inputs_shorter_than_the_widest_filter():
         clf.logits(np.zeros((2, 4), dtype=np.int64))
 
 
-def test_classifier_file_with_the_per_width_layout_loads(tmp_path):
-    # tensor names and shapes written out by hand: conv{w}.w is (w*E, F)
+def test_classifier_file_with_the_hand_written_layout_loads(tmp_path):
+    # tensor names and shapes written out by hand: conv.w is (E, 12*F)
     vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(18)])
     e, f, k = 6, 4, 2
     cfg = ClassifierConfig(vocab_size=20, num_categories=k, max_len=7,
                            embed_dim=e, feature_maps=f)
     rng = np.random.default_rng(12)
-    arrays = {"embedding": rng.normal(size=(20, e))}
+    arrays = {"embedding": rng.normal(size=(20, e)),
+              "conv.w": rng.normal(size=(e, (3 + 4 + 5) * f))}
     for w in (3, 4, 5):
-        arrays[f"conv{w}.w"] = rng.normal(size=(w * e, f))
         arrays[f"conv{w}.b"] = rng.normal(size=f) * 0.1
     arrays["head.w"] = rng.normal(size=(3 * f, k))
     arrays["head.b"] = rng.normal(size=k) * 0.1

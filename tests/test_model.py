@@ -2,6 +2,7 @@
 unrolled forward, the joint loss, generation, and parameter accounting."""
 
 import dataclasses
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catvrnn.cli import GRAD_CHECK_VARIANTS, grad_check_config
+from catvrnn.data import Vocabulary
 from catvrnn.errors import ConfigurationError, DataError
+from catvrnn.evaluation import ClassifierConfig, EvalClassifier
 from catvrnn.numeric import Rng, Tensor, check_gradient, mean, tensor_sum
 from catvrnn import numeric as nm
 from catvrnn.model import (
@@ -209,16 +212,15 @@ def test_cell_step_rejects_bad_token():
 def test_single_step_recurrence_gradient_check():
     # generate's step runs without the tape; on the tape, the same step is the
     # one-op recurrence over one step's rows, as forward_teacher runs it
-    from catvrnn.model import _emit, _inputs, cell_weights, recurrence
+    from catvrnn.model import _emit, _inputs, recurrence
 
     cfg = tiny_cfg()
     params = CatVrnnParams(cfg, Rng(0))
 
     def loss():
         h = init_hidden_zero(cfg, batch=2)
-        w = cell_weights(params)
-        enc_x, gru_x = _inputs(np.array([3, 5]), params, w)
-        h_prev, z, _, _, h_next = recurrence(h, enc_x, gru_x, w.recurrent,
+        enc_x, gru_x = _inputs(np.array([3, 5]), params)
+        h_prev, z, _, _, h_next = recurrence(h, enc_x, gru_x, params.recurrent,
                                              Rng(7).stream("latent"))
         ce = nm.cross_entropy_rows(_emit(z, h_prev, params), np.array([1, 2]))
         return mean(nm.add(ce, tensor_sum(nm.mul(h_next, h_next), axis=-1)))
@@ -573,6 +575,54 @@ def test_classifier_head_delta_per_category():
     d = parameter_count(CatVrnnParams.zeros(c5)) - parameter_count(
         CatVrnnParams.zeros(c2))
     assert d == (c2.hidden_dim + 1) * 3
+
+
+# --- parameter layout ---------------------------------------------------------------------------
+
+
+def store_sha256(store) -> str:
+    h = hashlib.sha256()
+    for name, t in store.items():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def test_fused_blocks_hold_the_per_gate_draws():
+    # The golden digest is of grad-check's ablation variant (every optional
+    # group) at Rng(0). It was computed from the weights as drawn per layer
+    # and per gate (enc.fc1.w, mu.w, sigma.w, gru.xr, gru.hr, gru.br, ...)
+    # re-laid by hand into the stored blocks: enc.fc1.w's embedding rows as
+    # wx and hidden rows as wh; mu|sigma side by side as musigma (the
+    # prior's likewise); the GRU's xr|xu|xn side by side, embedding rows as
+    # wx and latent rows as wz; hr|hu as w_ru, hn as w_hn and br|bu|bn as b.
+    # Each name and its bytes were hashed in the store's order.
+    params = CatVrnnParams(grad_check_config("ablation"), Rng(0))
+    assert len(params.store) == 35
+    assert store_sha256(params.store) == (
+        "0c5e1dcd17635caf3b4e7bb24b87899d99fe6c0718cb55e03ef43a361fa46bf2")
+    cfg = ModelConfig(vocab_size=50, num_categories=2)
+    params = CatVrnnParams.zeros(cfg)
+    assert len(params.store) == 21
+    assert parameter_count(params) == count_from_config(cfg)
+
+
+def test_each_store_is_views_of_one_buffer():
+    # check_gradient perturbs t.data.reshape(-1)[i] in place: that must reach
+    # the weight the forward reads, and Adam's one pass over the buffer must
+    # reach every tensor
+    vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(10)])
+    clf = EvalClassifier(ClassifierConfig(vocab_size=12, num_categories=2, max_len=6),
+                         vocab, rng=Rng(1))
+    for store in (CatVrnnParams(grad_check_config("ablation"), Rng(0)).store, clf.store):
+        flat = store.flat
+        lo = 0
+        for name, t in store.items():
+            assert t.data.dtype == flat.dtype and t.data.flags.c_contiguous, name
+            t.data.reshape(-1)[-1] = 123.0
+            lo += t.data.size
+            assert flat[lo - 1] == 123.0, name
+        assert lo == flat.size
 
 
 # --- config validation ------------------------------------------------------------------------

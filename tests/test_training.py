@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catvrnn.errors import ConfigurationError, DataError
-from catvrnn.numeric import ParamStore, Rng, Tensor, mean
+from catvrnn.errors import DataError
+from catvrnn.numeric import ParamStore, Rng, Tensor, add, mul, tensor_sum
 from catvrnn.model import CatVrnnParams, ModelConfig, forward_teacher, generate
 from catvrnn.data import (
     Vocabulary,
@@ -23,14 +23,13 @@ from catvrnn.data import (
     save_corpus,
     write_json,
 )
-from catvrnn.evaluation import train_eval_classifier
+from catvrnn.evaluation import EvalClassifier, train_eval_classifier
 from catvrnn import training
 from catvrnn.training import (
     CHECKPOINT_VERSION,
     AdamState,
     Checkpoint,
     TrainPlan,
-    _clip_grads,
     adam_step,
     checkpoint_digest,
     load_checkpoint,
@@ -64,7 +63,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
     w = store.add("w", np.array([1.0, -2.0, 3.0]))
     state = AdamState(store)
     before = w.data.copy()
-    adam_step(store, {"w": np.zeros(3)}, state)
+    adam_step(store, np.zeros(3), state)
     np.testing.assert_array_equal(w.data, before)
 
 
@@ -72,22 +71,13 @@ def test_adam_first_step_magnitude_is_lr():
     store = ParamStore()
     w = store.add("w", np.array([0.0]))
     state = AdamState(store, lr=1e-3)
-    adam_step(store, {"w": np.array([2.5])}, state)
+    adam_step(store, np.array([2.5]), state)
     # bias-corrected first step moves by ~ -lr * sign(g)
     assert abs(w.data[0] + 1e-3) < 1e-9
     store2 = ParamStore()
     w2 = store2.add("w", np.array([0.0]))
-    adam_step(store2, {"w": np.array([-0.01])}, AdamState(store2, lr=1e-3))
+    adam_step(store2, np.array([-0.01]), AdamState(store2, lr=1e-3))
     assert abs(w2.data[0] - 1e-3) < 1e-9
-
-
-def test_adam_missing_gradient_names_tensor():
-    store = ParamStore()
-    store.add("w", np.zeros(2))
-    store.add("other", np.zeros(2))
-    state = AdamState(store)
-    with pytest.raises(ConfigurationError, match="other"):
-        adam_step(store, {"w": np.zeros(2)}, state)
 
 
 def test_adam_optimizes_scalar_quadratic_and_matches_reference():
@@ -110,28 +100,75 @@ def test_adam_optimizes_scalar_quadratic_and_matches_reference():
 
     for t in range(100):
         g = 2.0 * (w.data - 3.0)
-        adam_step(store, {"w": g.copy()}, state)
+        adam_step(store, g.copy(), state)
         assert abs(w.data[0] - trajectory[t]) < 1e-12
     assert abs(w.data[0] - 3.0) < 0.5
+
+
+def reference_adam(params, grads, m, v, lr, beta1, beta2, eps, step):
+    """Adam over per-tensor arrays, as one loop over the tensors: the
+    formula ``adam_step`` runs over the store's one buffer."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for p, g, mt, vt in zip(params, grads, m, v):
+        mt *= beta1
+        mt += (1.0 - beta1) * g
+        vt *= beta2
+        vt += (1.0 - beta2) * (g * g)
+        p -= lr * (mt / bc1) / (np.sqrt(vt / bc2) + eps)
+
+
+@pytest.mark.parametrize("chunk", [training.ADAM_CHUNK, 7])   # 7: pieces cut tensors
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit(dtype, chunk, monkeypatch):
+    monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
+    rng = np.random.default_rng(6)
+    shapes = [(4, 3), (5,), (2, 2, 2)]
+    store = ParamStore()
+    for i, shape in enumerate(shapes):
+        store.add(f"t{i}", rng.normal(size=shape).astype(dtype))
+    state = AdamState(store, lr=0.01)
+    ref = [t.data.copy() for _, t in store.items()]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    for step in range(1, 6):
+        grads = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        grads[0][0, :] = -0.0  # signed zeros, and a row that stays at zero
+        grads[1][::2] *= 1e-3
+        reference_adam(ref, grads, ref_m, ref_v, 0.01, 0.9, 0.999, 1e-8, step)
+        adam_step(store, np.concatenate([g.reshape(-1) for g in grads]), state)
+        for (name, t), p, m, v in zip(store.items(), ref, ref_m, ref_v):
+            assert t.data.dtype == dtype
+            assert t.data.tobytes() == p.tobytes(), (name, step)
+            assert state.m[name].tobytes() == m.tobytes(), (name, step)
+            assert state.v[name].tobytes() == v.tobytes(), (name, step)
 
 
 # --- gradient clipping -------------------------------------------------------------
 
 
 def test_clip_grads_scales_an_aliased_pair_once():
-    # add's backward hands both parents one buffer when their shapes match
-    g = np.array([3.0, 4.0])
-    clipped = _clip_grads({"a": g, "b": g}, 1.0)
-    norm = math.sqrt(sum(float((v * v).sum()) for v in clipped.values()))
-    assert abs(norm - 1.0) < 1e-12
-    np.testing.assert_array_equal(g, [3.0, 4.0])
+    # add's backward hands both parents one buffer when their shapes match;
+    # the gathered gradient is clipped once, to a global norm of 1
+    store = ParamStore()
+    a = store.add("a", np.zeros(2))
+    b = store.add("b", np.zeros(2))
+    state = AdamState(store)
+    loss = tensor_sum(mul(add(a, b), Tensor(np.array([3.0, 4.0]))))
+    training.optimizer_step(store, loss, state, grad_clip=1.0)
+    # the first moment is (1 - beta1) times the clipped gradient
+    clipped = np.array([3.0, 4.0]) / math.sqrt(50.0)
+    np.testing.assert_allclose(state.m["a"], 0.1 * clipped, rtol=1e-12)
+    np.testing.assert_allclose(state.m["b"], 0.1 * clipped, rtol=1e-12)
 
 
 def test_clip_grads_accepts_read_only_views():
     # tensor_sum's backward hands out read-only broadcast views
-    g = np.broadcast_to(np.array(2.0), (2, 2))
-    clipped = _clip_grads({"w": g}, 1.0)
-    np.testing.assert_allclose(clipped["w"], np.full((2, 2), 0.5), atol=1e-15)
+    store = ParamStore()
+    w = store.add("w", np.zeros((2, 2)))
+    state = AdamState(store)
+    training.optimizer_step(store, tensor_sum(w), state, grad_clip=1.0)
+    np.testing.assert_allclose(state.m["w"], np.full((2, 2), 0.1 * 0.5), rtol=1e-12)
 
 
 # --- train_epoch ------------------------------------------------------------------
@@ -346,20 +383,54 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_version_mismatch(tmp_path):
+def rewrite_container(path, edit):
+    """Rewrite the container at ``path`` with ``edit(header, arrays)`` applied
+    and the body digest recomputed, so that only the edit is wrong."""
+    header, arrays = training.read_container(path)
+    edit(header, arrays)
+    training.write_container(path, header, arrays)
+
+
+@pytest.mark.parametrize("kind, version", [
+    ("model", 1), ("classifier", 1),    # every file of the per-gate layout
+    ("model", CHECKPOINT_VERSION + 1),
+])
+def test_checkpoint_version_mismatch(tmp_path, kind, version):
+    path = tmp_path / kind
+    if kind == "model":
+        cfg, params, adam, rng = trained_setup(tmp_path)
+        save_checkpoint(path, Checkpoint.capture(params, 3, "d", rng=rng, adam=adam))
+        load = load_checkpoint
+    else:
+        corpus = make_synthetic_corpus(2, 20, 8, (5, 7), seed=3)
+        train_eval_classifier(corpus, seed=1, epochs=1).save(path)
+        load = EvalClassifier.load
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8: 8 + hlen])
+    assert header["format_version"] == CHECKPOINT_VERSION
+    header["format_version"] = version
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(struct.pack("<Q", len(header_bytes)) + header_bytes + raw[8 + hlen:])
+    with pytest.raises(DataError, match=f"unsupported format version {version}"):
+        load(path)
+
+
+@pytest.mark.parametrize("moment, edit", [
+    ("adam.v", lambda arrays: arrays.pop("adam.v.gru.wx")),
+    ("adam.m", lambda arrays: arrays.update({"adam.m.gru.b": np.zeros(5)})),
+], ids=["missing", "misshaped"])
+def test_resume_rejects_optimizer_moments_that_do_not_fit_the_store(tmp_path, moment,
+                                                                     edit):
+    # a missing or misshaped moment is a data error naming the tensor, raised
+    # before training starts rather than inside the first adam_step
     cfg, params, adam, rng = trained_setup(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, Checkpoint.capture(params, 3, "d", rng=rng, adam=adam))
-    import struct
-
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[:8])
-    header = raw[8: 8 + hlen].decode("utf-8").replace(
-        '"format_version": 1', '"format_version": 99')
-    path.write_bytes(struct.pack("<Q", len(header.encode())) + header.encode()
-                     + raw[8 + hlen:])
-    with pytest.raises(DataError, match="version"):
-        load_checkpoint(path)
+    rewrite_container(path, lambda header, arrays: edit(arrays))
+    ckpt = load_checkpoint(path)
+    with pytest.raises(DataError, match=rf"{moment}: .*gru\.(wx|b)"):
+        ckpt.build_adam(ckpt.build_params().store)
 
 
 CREATED = "2026-01-02T03:04:05Z"
