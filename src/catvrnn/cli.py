@@ -16,7 +16,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -297,7 +297,7 @@ def cmd_train(opts: dict, ckpt: Checkpoint | None = None) -> int:
     vocab.save(out_dir / "vocab.txt")
 
     batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
-    config_echo = {"seed": opts["seed"], "plan": plan.to_dict(),
+    config_echo = {"seed": opts["seed"], "plan": asdict(plan),
                    "model": cfg.to_dict(), "corpus": str(opts["corpus"])}
     write_json(out_dir / "run_config.json", config_echo)
 

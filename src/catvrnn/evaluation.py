@@ -25,7 +25,8 @@ from .data import (
     decode_ids,
     encode_batch,
 )
-from .training import AdamState, optimizer_step, read_container, write_container
+from .training import (AdamState, header_errors, optimizer_step, read_container,
+                       write_container)
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +39,12 @@ PREDICT_CHUNK = 32
 # the classifier fit's minibatch size and Adam step size
 CLF_BATCH = 32
 CLF_LR = 1e-3
+# the classifier's sizes (Kim 2014): embedding width, filter widths, feature
+# maps per width, and the dropout rate of the fit
+CLF_EMBED = 128
+CLF_WIDTHS = (3, 4, 5)
+CLF_MAPS = 100
+CLF_DROPOUT = 0.5
 # sentences per teacher-forced pass in ``perplexity``
 PPL_BATCH = 64
 
@@ -50,20 +57,12 @@ class ClassifierConfig:
     vocab_size: int
     num_categories: int
     max_len: int
-    embed_dim: int = 128
-    filter_widths: tuple[int, ...] = (3, 4, 5)
-    feature_maps: int = 100
-    dropout: float = 0.5
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["filter_widths"] = list(self.filter_widths)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":
-        d = dict(d)
-        d["filter_widths"] = tuple(d["filter_widths"])
         return cls(**d)
 
 
@@ -77,10 +76,9 @@ class EvalClassifier:
 
     def __init__(self, cfg: ClassifierConfig, vocab: Vocabulary,
                  rng: Rng | None = None):
-        if cfg.max_len < max(cfg.filter_widths):
+        if cfg.max_len < max(CLF_WIDTHS):
             raise ConfigurationError(
-                f"max_len {cfg.max_len} shorter than widest filter "
-                f"{max(cfg.filter_widths)}"
+                f"max_len {cfg.max_len} shorter than widest filter {max(CLF_WIDTHS)}"
             )
         self.cfg = cfg
         self.vocab = vocab
@@ -95,7 +93,7 @@ class EvalClassifier:
             return gen.uniform(-scale, scale, size=shape)
 
         add = self.store.add
-        e, f, widths = cfg.embed_dim, cfg.feature_maps, cfg.filter_widths
+        e, f, widths = CLF_EMBED, CLF_MAPS, CLF_WIDTHS
         add("embedding", draw((cfg.vocab_size, e), scale=0.1))
         # each width's filter bank is drawn as (w*E, F), its E-row block k the
         # filter of offset k; "conv.w" holds the blocks side by side, width by
@@ -121,22 +119,21 @@ class EvalClassifier:
         """
         ids = np.asarray(ids, dtype=np.int64)
         b, t = ids.shape
-        widths = self.cfg.filter_widths
-        if t < max(widths):
+        if t < max(CLF_WIDTHS):
             raise ConfigurationError(
-                f"inputs of length {t} shorter than widest filter {max(widths)}"
+                f"inputs of length {t} shorter than widest filter {max(CLF_WIDTHS)}"
             )
         emb = nm.gather_rows(self.store["embedding"], ids.reshape(b * t))
         products = nm.matmul(emb, self.store["conv.w"])
         pooled = []
-        for w, conv in zip(widths, nm.window_sum(products, t, widths)):
+        for w, conv in zip(CLF_WIDTHS, nm.window_sum(products, t, CLF_WIDTHS)):
             conv = nm.relu(nm.add(conv, self.store[f"conv{w}.b"]))
             pooled.append(nm.max_pool_rows(conv, t - w + 1))
         features = nm.concat(pooled, axis=-1)
-        if train_mode and self.cfg.dropout > 0:
+        if train_mode:
             if dropout_rng is None:
                 raise ConfigurationError("training-mode logits need a dropout rng")
-            keep = 1.0 - self.cfg.dropout
+            keep = 1.0 - CLF_DROPOUT
             mask = (dropout_rng.random(features.data.shape) < keep) / keep
             features = nm.mul(features, Tensor(mask))
         return nm.linear(features, self.store["head.w"], self.store["head.b"])
@@ -174,8 +171,9 @@ class EvalClassifier:
         header, arrays = read_container(path)
         if header.get("kind") != "eval_classifier":
             raise DataError(f"{path}: not an eval-classifier checkpoint")
-        clf = cls(ClassifierConfig.from_dict(header["config"]),
-                  Vocabulary(header["vocab"]))
+        with header_errors(path):
+            clf = cls(ClassifierConfig.from_dict(header["config"]),
+                      Vocabulary(header["vocab"]))
         clf.store.load(arrays)
         clf.val_accuracy = header.get("val_accuracy")
         return clf

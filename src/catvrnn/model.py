@@ -30,10 +30,10 @@ INIT_MODES = ("none", "static", "adaptive")
 class ModelConfig:
     """Dimensions and switches for one model instance.
 
-    ``enc_width``/``dec_width``/``dec_out`` default to ``2*hidden_dim``,
-    ``hidden_dim``, and ``embed_dim``; at the default sizes this gives the
-    556-512-256 encoder and 384-256-300 decoder stacks, and keeps the
-    vocabulary-dependent parameter count at 601 per vocabulary entry.
+    The encoder's layers are ``2*hidden_dim`` and ``hidden_dim`` wide, the
+    decoder's ``hidden_dim`` and ``embed_dim``: at the default sizes the
+    556-512-256 encoder and 384-256-300 decoder stacks, with 601 parameters
+    per vocabulary entry.
     """
 
     vocab_size: int
@@ -49,23 +49,14 @@ class ModelConfig:
     use_classification: bool = True
     mask_pad_loss: bool = False
     temperature: float = 1.0
-    enc_width: int | None = None
-    dec_width: int | None = None
-    dec_out: int | None = None
     dtype: str = "float64"
 
     def __post_init__(self):
-        if self.enc_width is None:
-            self.enc_width = 2 * self.hidden_dim
-        if self.dec_width is None:
-            self.dec_width = self.hidden_dim
-        if self.dec_out is None:
-            self.dec_out = self.embed_dim
         self.validate()
 
     def validate(self):
         dims = (self.vocab_size, self.embed_dim, self.hidden_dim, self.latent_dim,
-                self.max_len, self.enc_width, self.dec_width, self.dec_out)
+                self.max_len)
         if any(d < 1 for d in dims):
             raise ConfigurationError(f"all dimensions must be >= 1, got {dims}")
         if self.num_categories < 1:
@@ -142,7 +133,6 @@ class CatVrnnParams:
         gen = rng.stream("init") if rng is not None else None
         V, E, H, L, K = (cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim,
                          cfg.latent_dim, cfg.num_categories)
-        ew, dw, do = cfg.enc_width, cfg.dec_width, cfg.dec_out
 
         def uniform(limit, *shape):
             if gen is None:
@@ -163,14 +153,14 @@ class CatVrnnParams:
         self.embedding = add("embedding", uniform(0.1, V, E))
         # the token side (embedding rows) runs over all steps at once, the
         # hidden rows inside the recurrence
-        enc1 = glorot(E + H, ew)
+        enc1 = glorot(E + H, 2 * H)
         self.enc_x = add("enc.fc1.wx", enc1[:E])
         enc_h = add("enc.fc1.wh", enc1[E:])
-        self.enc_b = add("enc.fc1.b", np.zeros(ew, dt))
-        enc2 = layer("enc.fc2", ew, H)
+        self.enc_b = add("enc.fc1.b", np.zeros(2 * H, dt))
+        enc2 = layer("enc.fc2", 2 * H, H)
         head = gaussian_head("musigma")
-        self.dec_stack = [layer("dec.fc1", L + H, dw), layer("dec.fc2", dw, do)]
-        self.out_layer = layer("out", do, V)
+        self.dec_stack = [layer("dec.fc1", L + H, H), layer("dec.fc2", H, E)]
+        self.out_layer = layer("out", E, V)
 
         # per gate (reset, update, candidate): input side over [x, z], then
         # hidden side; the reset and update hidden sides multiply h together,
@@ -587,10 +577,10 @@ def _step_arrays(params: CatVrnnParams, count: int):
     cfg = params.cfg
     rec = params.recurrent.arrays()
     table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params))
-    widths = {**_step_widths(rec), "enc_x": cfg.enc_width,
+    widths = {**_step_widths(rec), "enc_x": 2 * cfg.hidden_dim,
               "gru_x": 3 * cfg.hidden_dim, "h": cfg.hidden_dim,
               "h_next": cfg.hidden_dim, "zh": cfg.latent_dim + cfg.hidden_dim,
-              "dec1": cfg.dec_width, "dec2": cfg.dec_out, "logits": cfg.vocab_size}
+              "dec1": cfg.hidden_dim, "dec2": cfg.embed_dim, "logits": cfg.vocab_size}
     return rec, table, _Steps(widths, count, 1, (), cfg.np_dtype()).at(0)
 
 

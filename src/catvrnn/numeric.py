@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DataError, NumericError
 
 DEFAULT_DTYPE = np.float64
 
@@ -637,18 +637,19 @@ class ParamStore:
     def load(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None):
         """Copy ``arrays`` into the tensors, or into ``flat``, an array laid
         out like the store's, cast to its dtype. The names and shapes must be
-        exactly the store's; nothing is copied otherwise."""
+        exactly the store's; otherwise nothing is copied, and the DataError
+        says what differs, as the arrays come from a file."""
         names = set(self._tensors)
         if set(arrays) != names:
-            raise ConfigurationError(
+            raise DataError(
                 f"tensors missing {sorted(names - set(arrays))}, "
                 f"unexpected {sorted(set(arrays) - names)}"
             )
         views = self.views(self.flat if flat is None else flat)
         for name, view in views.items():
             if np.shape(arrays[name]) != view.shape:
-                raise ConfigurationError(f"tensor {name!r} has shape "
-                                         f"{np.shape(arrays[name])}, expected {view.shape}")
+                raise DataError(f"tensor {name!r} has shape "
+                                f"{np.shape(arrays[name])}, expected {view.shape}")
         for name, view in views.items():
             np.copyto(view, arrays[name])
 
@@ -730,14 +731,14 @@ class GradCheckReport:
         )
 
 
-def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-4,
-                   fd_step: float = 1e-5, max_checks: int = 256,
-                   corrupt: bool = False) -> GradCheckReport:
+def check_gradient(loss_fn: Callable[[], Tensor], store: ParamStore,
+                   tolerance: float = 1e-4, fd_step: float = 1e-5,
+                   max_checks: int = 256, corrupt: bool = False) -> GradCheckReport:
     """Compare analytic gradients of a scalar loss to central finite differences.
 
     ``loss_fn`` must be a pure function of the parameter values (re-seed any
-    noise inside it). Every parameter element is checked when the total count
-    is at most ``max_checks``; otherwise a uniform random subsample of
+    noise inside it). Every element of ``store.flat`` is checked when there
+    are at most ``max_checks``; otherwise a uniform random subsample of
     ``max_checks`` elements, drawn with seed 0, is used. Relative error uses
     the denominator max(|analytic|, |numeric|, noise / tolerance), where noise =
     eps * max(|f+|, |f-|) / fd_step is the rounding error of the central
@@ -746,32 +747,30 @@ def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-
     ``corrupt=True`` perturbs the analytic gradients before comparison, as
     a negative control that must fail.
     """
-    named = dict(params.items()) if isinstance(params, ParamStore) else dict(params)
-    for t in named.values():
-        t.grad = None
+    store.zero_grad()
     loss = loss_fn()
     if loss.data.size != 1:
         raise ConfigurationError("check_gradient requires a scalar-valued loss")
     loss.backward()
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in named.items()
-    }
+    analytic = store.gather_grads()
     if corrupt:
-        analytic = {name: g * 1.01 + 1e-3 for name, g in analytic.items()}
+        analytic = analytic * 1.01 + 1e-3
 
-    elements = [(name, i) for name, t in named.items() for i in range(t.data.size)]
-    if len(elements) > max_checks:
+    flat = store.flat
+    elements = np.arange(flat.size)
+    if flat.size > max_checks:
         picker = np.random.default_rng(0)
-        chosen = picker.choice(len(elements), size=max_checks, replace=False)
-        elements = [elements[i] for i in sorted(chosen)]
+        elements = np.sort(picker.choice(flat.size, size=max_checks, replace=False))
+    names = store.names()
+    # the index in ``names`` of the tensor that holds each checked element
+    owners = np.searchsorted(np.cumsum([store[n].data.size for n in names]),
+                             elements, side="right")
 
     eps = float(np.finfo(loss.data.dtype).eps)
     tiny = float(np.finfo(loss.data.dtype).tiny)
-    errs: dict[str, float] = {name: 0.0 for name in named}
-    counts: dict[str, int] = {name: 0 for name in named}
-    for name, i in elements:
-        flat = named[name].data.reshape(-1)
+    errs = dict.fromkeys(names, 0.0)
+    counts = dict.fromkeys(names, 0)
+    for i, owner in zip(elements, owners):
         orig = flat[i]
         flat[i] = orig + fd_step
         f_plus = loss_fn().item()
@@ -779,23 +778,20 @@ def check_gradient(loss_fn: Callable[[], Tensor], params, tolerance: float = 1e-
         f_minus = loss_fn().item()
         flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * fd_step)
-        a = float(analytic[name].reshape(-1)[i])
+        a = float(analytic[i])
         noise = eps * max(abs(f_plus), abs(f_minus)) / fd_step
         rel = abs(a - numeric) / max(abs(a), abs(numeric), noise / tolerance, tiny)
+        name = names[owner]
         errs[name] = max(errs[name], rel)
         counts[name] += 1
 
     worst = max(errs, key=errs.get)
-    report = GradCheckReport(
+    return GradCheckReport(
         passed=errs[worst] < tolerance,
         tolerance=tolerance,
         max_rel_err=errs[worst],
         worst_param=worst,
         total_checked=len(elements),
-        per_param=[
-            GradCheckEntry(name, errs[name], counts[name])
-            for name in named
-            if counts[name]
-        ],
+        per_param=[GradCheckEntry(name, errs[name], counts[name])
+                   for name in names if counts[name]],
     )
-    return report

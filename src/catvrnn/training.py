@@ -14,7 +14,8 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,13 @@ from .data import atomic_open, atomic_write_text
 
 log = logging.getLogger(__name__)
 
-# 2: the weights stored as the step multiplies them (fused blocks)
-CHECKPOINT_VERSION = 2
+# 3: headers without layer widths, Adam's betas and epsilon, classifier sizes
+CHECKPOINT_VERSION = 3
+
+# Adam's decay rates and denominator floor (Kingma & Ba 2015's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -37,9 +43,6 @@ class TrainPlan:
     epochs: int = 250
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -49,22 +52,14 @@ class TrainPlan:
             raise ConfigurationError(f"lr and grad_clip must be > 0, got lr "
                                      f"{self.lr} and grad_clip {self.grad_clip}")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("epochs", "batch_size", "lr", "beta1", "beta2", "eps", "grad_clip")}
-
 
 class AdamState:
     """First and second moments, each one array laid out like the store's
     ``flat``, plus the shared step count. ``m`` and ``v`` map each tensor's
     name to its view of them."""
 
-    def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m_flat = np.zeros_like(store.flat)
         self.v_flat = np.zeros_like(store.flat)
@@ -73,8 +68,7 @@ class AdamState:
 
     @classmethod
     def from_plan(cls, store: ParamStore, plan: TrainPlan) -> "AdamState":
-        return cls(store, lr=plan.lr, beta1=plan.beta1, beta2=plan.beta2,
-                   eps=plan.eps)
+        return cls(store, lr=plan.lr)
 
 
 # elements adam_step updates at a time: its scratch array stays small
@@ -90,26 +84,26 @@ def adam_step(store: ParamStore, grad: np.ndarray, state: AdamState):
     bit the per-tensor formula's. One pass, ADAM_CHUNK elements at a time,
     with one scratch array of that size and the piece of ``grad``."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     scratch = np.empty(min(ADAM_CHUNK, grad.size), dtype=grad.dtype)
     for lo in range(0, grad.size, ADAM_CHUNK):
         g, m, v, p = (a[lo: lo + ADAM_CHUNK]
                       for a in (grad, state.m_flat, state.v_flat, store.flat))
         tmp = scratch[: g.size]
-        np.multiply(g, 1.0 - state.beta1, out=tmp)
-        m *= state.beta1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        m *= BETA1
         m += tmp
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - state.beta2
-        v *= state.beta2
+        tmp *= 1.0 - BETA2
+        v *= BETA2
         v += tmp
         # the step, in g; the denominator in tmp
         np.divide(m, bc1, out=g)
         g *= state.lr
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         g /= tmp
         p -= g
 
@@ -226,9 +220,7 @@ class Checkpoint:
             plan=plan,
         )
         if adam is not None:
-            ckpt.adam_scalars = {"lr": adam.lr, "beta1": adam.beta1,
-                                 "beta2": adam.beta2, "eps": adam.eps,
-                                 "step": adam.step}
+            ckpt.adam_scalars = {"lr": adam.lr, "step": adam.step}
             ckpt.adam_m = {k: v.copy() for k, v in adam.m.items()}
             ckpt.adam_v = {k: v.copy() for k, v in adam.v.items()}
         return ckpt
@@ -241,15 +233,13 @@ class Checkpoint:
     def build_adam(self, store: ParamStore) -> AdamState | None:
         if self.adam_scalars is None:
             return None
-        s = self.adam_scalars
-        adam = AdamState(store, lr=s["lr"], beta1=s["beta1"], beta2=s["beta2"],
-                         eps=s["eps"])
-        adam.step = int(s["step"])
+        adam = AdamState(store, lr=self.adam_scalars["lr"])
+        adam.step = self.adam_scalars["step"]
         for which, arrays, flat in (("m", self.adam_m, adam.m_flat),
                                     ("v", self.adam_v, adam.v_flat)):
             try:
                 store.load(arrays, flat)
-            except ConfigurationError as e:
+            except DataError as e:
                 raise DataError(f"checkpoint optimizer moments adam.{which}: {e}") from e
         return adam
 
@@ -341,30 +331,43 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "vocab_digest": ckpt.vocab_digest,
         "rng": ckpt.rng_state,
         "adam": ckpt.adam_scalars,
-        "plan": ckpt.plan.to_dict() if ckpt.plan is not None else None,
+        "plan": asdict(ckpt.plan) if ckpt.plan is not None else None,
     }
     write_container(path, meta, arrays)
+
+
+@contextmanager
+def header_errors(path):
+    """Turns a header that does not build what its reader builds from it (a
+    missing or unknown key, a value of the wrong type or out of range) into
+    a DataError naming the file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: damaged header: {e!r}") from e
 
 
 def load_checkpoint(path) -> Checkpoint:
     header, arrays = read_container(path)
     if header.get("kind") != "model":
         raise DataError(f"{path}: not a model checkpoint ({header.get('kind')!r})")
-    plan = header.get("plan")
-    return Checkpoint(
-        config=ModelConfig.from_dict(header["config"]),
-        tensors={n[len("param."):]: a for n, a in arrays.items()
-                 if n.startswith("param.")},
-        epoch=int(header["epoch"]),
-        vocab_digest=header["vocab_digest"],
-        rng_state=header.get("rng"),
-        adam_scalars=header.get("adam"),
-        adam_m={n[len("adam.m."):]: a for n, a in arrays.items()
-                if n.startswith("adam.m.")},
-        adam_v={n[len("adam.v."):]: a for n, a in arrays.items()
-                if n.startswith("adam.v.")},
-        plan=TrainPlan(**plan) if plan is not None else None,
-    )
+    with header_errors(path):
+        plan, adam = header.get("plan"), header.get("adam")
+        return Checkpoint(
+            config=ModelConfig.from_dict(header["config"]),
+            tensors={n[len("param."):]: a for n, a in arrays.items()
+                     if n.startswith("param.")},
+            epoch=int(header["epoch"]),
+            vocab_digest=header["vocab_digest"],
+            rng_state=header.get("rng"),
+            adam_scalars=None if adam is None else {"lr": float(adam["lr"]),
+                                                     "step": int(adam["step"])},
+            adam_m={n[len("adam.m."):]: a for n, a in arrays.items()
+                    if n.startswith("adam.m.")},
+            adam_v={n[len("adam.v."):]: a for n, a in arrays.items()
+                    if n.startswith("adam.v.")},
+            plan=TrainPlan(**plan) if plan is not None else None,
+        )
 
 
 def checkpoint_digest(path) -> str:

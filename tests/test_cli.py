@@ -17,7 +17,9 @@ from catvrnn.data import (
 )
 from catvrnn.data import LabeledCorpus, LabeledSentence
 from catvrnn.evaluation import ClassifierConfig, EvalClassifier
+from catvrnn.model import ModelConfig
 from catvrnn.training import (
+    TrainPlan,
     checkpoint_digest,
     load_checkpoint,
     read_container,
@@ -444,8 +446,65 @@ def test_evaluate_classifier_file_missing_a_tensor(tmp_path, synth_corpus_file,
     code = run_cli("evaluate", "--corpus", str(synth_corpus_file),
                    "--generated", str(synth_corpus_file),
                    "--classifier", str(partial))
-    assert code == 1
-    assert "configuration error:" in capsys.readouterr().err
+    assert code == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_generate_checkpoint_missing_a_tensor(tmp_path, trained_run, capsys):
+    header, arrays = read_container(trained_run / "epoch_0003.ckpt")
+    del arrays["param.gru.b"]
+    partial = tmp_path / "partial.ckpt"
+    write_container(partial, header, arrays)
+    code = run_cli("generate", "--checkpoint", str(partial),
+                   "--vocab", str(trained_run / "vocab.txt"),
+                   "--out", str(tmp_path / "gen.tsv"))
+    assert code == 2
+    assert "data error: tensors missing ['gru.b']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("model", lambda header: header["config"].update(unknown=1)),
+    ("classifier", lambda header: header["config"].update(unknown=1)),
+    ("model", lambda header: header.pop("epoch")),
+    ("model", lambda header: header["plan"].update(unknown=1)),
+    ("model", lambda header: header["plan"].update(epochs=0)),
+    ("model", lambda header: header["adam"].pop("step")),
+], ids=["config-key", "classifier-config-key", "no-epoch", "plan-key", "plan-epochs",
+        "no-adam-step"])
+def test_damaged_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
+                                                        synth_corpus_file, capsys,
+                                                        kind, edit):
+    damaged = tmp_path / "damaged"
+    if kind == "model":
+        source = trained_run / "epoch_0003.ckpt"
+        argv = ("generate", "--checkpoint", str(damaged),
+                "--vocab", str(trained_run / "vocab.txt"),
+                "--out", str(tmp_path / "gen.tsv"))
+    else:
+        corpus = load_corpus(synth_corpus_file)
+        vocab = build_vocabulary(corpus)
+        source = tmp_path / "full.clf"
+        EvalClassifier(ClassifierConfig(len(vocab), corpus.num_categories, max_len=7),
+                       vocab).save(source)
+        argv = ("evaluate", "--corpus", str(synth_corpus_file),
+                "--generated", str(synth_corpus_file), "--classifier", str(damaged))
+    header, arrays = read_container(source)
+    edit(header)
+    write_container(damaged, header, arrays)
+    assert run_cli(*argv) == 2
+    assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
+
+
+def test_every_config_field_is_set_by_an_option_or_the_corpus():
+    # a field that no option sets and the corpus does not determine is a
+    # setting no run can reach
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert set(names(ModelConfig)) == {*cli.MODEL_OPTIONS.values(), "vocab_size",
+                                       "num_categories"}
+    assert names(TrainPlan) == cli.PLAN_OPTIONS
+    assert names(ClassifierConfig) == ("vocab_size", "num_categories", "max_len")
 
 
 @pytest.mark.parametrize("flag", [("--bleu-cap", "0"), ("--bleu-cap", "-1"),

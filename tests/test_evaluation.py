@@ -24,6 +24,10 @@ from catvrnn.data import (
 )
 from catvrnn.training import write_container
 from catvrnn.evaluation import (
+    CLF_DROPOUT,
+    CLF_EMBED,
+    CLF_MAPS,
+    CLF_WIDTHS,
     PREDICT_CHUNK,
     ClassifierConfig,
     EvalClassifier,
@@ -135,7 +139,7 @@ def window_gather_logits(clf, ids, dropout_rng=None):
     """The classifier's logits with one window gather and one matmul per
     filter width, the reference the one-gather form is checked against."""
     b, t = ids.shape
-    widths, f = clf.cfg.filter_widths, clf.cfg.feature_maps
+    widths, f = CLF_WIDTHS, CLF_MAPS
     # conv.w (E, sum(widths)*F) holds each width's offset blocks side by
     # side; stacked by rows, a width's blocks are its (w*E, F) filter bank
     blocks = nm.split(clf.store["conv.w"], [f] * sum(widths), axis=1)
@@ -144,23 +148,22 @@ def window_gather_logits(clf, ids, dropout_rng=None):
         npos = t - w + 1
         win = np.lib.stride_tricks.sliding_window_view(ids, w, axis=1)
         emb = nm.gather_rows(clf.store["embedding"], win.reshape(b * npos * w))
-        emb = nm.reshape(emb, (b * npos, w * clf.cfg.embed_dim))
+        emb = nm.reshape(emb, (b * npos, w * CLF_EMBED))
         bank = nm.concat(blocks[:w], axis=0)
         blocks = blocks[w:]
         conv = nm.relu(nm.linear(emb, bank, clf.store[f"conv{w}.b"]))
         pooled.append(nm.max_pool_rows(conv, npos))
     features = nm.concat(pooled, axis=-1)
     if dropout_rng is not None:
-        keep = 1.0 - clf.cfg.dropout
+        keep = 1.0 - CLF_DROPOUT
         mask = (dropout_rng.random(features.data.shape) < keep) / keep
         features = nm.mul(features, Tensor(mask))
     return nm.linear(features, clf.store["head.w"], clf.store["head.b"])
 
 
-def random_classifier(max_len, vocab_size=40, seed=3, **kw):
+def random_classifier(max_len, vocab_size=40, seed=3):
     vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(vocab_size - 2)])
-    cfg = ClassifierConfig(vocab_size=vocab_size, num_categories=3,
-                           max_len=max_len, **kw)
+    cfg = ClassifierConfig(vocab_size=vocab_size, num_categories=3, max_len=max_len)
     clf = EvalClassifier(cfg, vocab, rng=Rng(seed))
     rng = np.random.default_rng(seed)
     for name, t in clf.store.items():
@@ -204,9 +207,8 @@ def test_logits_reject_inputs_shorter_than_the_widest_filter():
 def test_classifier_file_with_the_hand_written_layout_loads(tmp_path):
     # tensor names and shapes written out by hand: conv.w is (E, 12*F)
     vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(18)])
-    e, f, k = 6, 4, 2
-    cfg = ClassifierConfig(vocab_size=20, num_categories=k, max_len=7,
-                           embed_dim=e, feature_maps=f)
+    e, f, k = CLF_EMBED, CLF_MAPS, 2
+    cfg = ClassifierConfig(vocab_size=20, num_categories=k, max_len=7)
     rng = np.random.default_rng(12)
     arrays = {"embedding": rng.normal(size=(20, e)),
               "conv.w": rng.normal(size=(e, (3 + 4 + 5) * f))}
@@ -227,7 +229,7 @@ def test_classifier_file_with_the_hand_written_layout_loads(tmp_path):
 
 
 def test_predict_memory_does_not_grow_with_rows():
-    clf = random_classifier(9, embed_dim=16, feature_maps=10)
+    clf = random_classifier(9)
     ids = np.random.default_rng(4).integers(0, 40, size=(4 * PREDICT_CHUNK, 9))
 
     def peak(rows):

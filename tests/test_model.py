@@ -534,12 +534,11 @@ def count_from_config(cfg: ModelConfig) -> int:
     """Independent enumeration of the parameter count from the architecture."""
     V, E, H, L, K = (cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim,
                      cfg.latent_dim, cfg.num_categories)
-    ew, dw, do = cfg.enc_width, cfg.dec_width, cfg.dec_out
     total = V * E
-    total += (E + H) * ew + ew + ew * H + H          # encoder
+    total += (E + H) * 2 * H + 2 * H + 2 * H * H + H  # encoder
     total += 2 * (H * L + L)                          # mu and sigma heads
-    total += (L + H) * dw + dw + dw * do + do         # decoder
-    total += do * V + V                               # output layer
+    total += (L + H) * H + H + H * E + E              # decoder
+    total += E * V + V                                # output layer
     total += 3 * ((E + L) * H + H * H + H)            # gru gates
     total += H * K + K                                # classifier
     if cfg.init_mode == "adaptive":

@@ -393,6 +393,7 @@ def rewrite_container(path, edit):
 
 @pytest.mark.parametrize("kind, version", [
     ("model", 1), ("classifier", 1),    # every file of the per-gate layout
+    ("model", 2), ("classifier", 2),    # every file with widths and betas
     ("model", CHECKPOINT_VERSION + 1),
 ])
 def test_checkpoint_version_mismatch(tmp_path, kind, version):
