@@ -46,6 +46,7 @@ from .data import (
     filter_by_length,
     load_corpus,
     make_synthetic_corpus,
+    read_text,
     save_corpus,
     subsample_per_category,
     write_json,
@@ -92,7 +93,7 @@ def load_config_file(path, parser: argparse.ArgumentParser) -> tuple[dict, dict]
     A switch (an option whose default is a bool) takes true or false.
     Returns the values and each key's line number."""
     values, lines = {}, {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -385,20 +386,21 @@ def cmd_generate(opts: dict) -> int:
 EMPTY_KEY = "empty"
 
 
-def _empty_samples(path) -> list[tuple[list[str], int]]:
+def _empty_samples(path, num_categories: int) -> list[tuple[list[str], int]]:
     """The empty samples of a generated TSV, from the per-category counts
-    that ``generate`` writes into its header; none when it has no count."""
+    that ``generate`` writes into its header; none when it has no count.
+    The counts may not name a category past ``num_categories``."""
     prefix = f"# {EMPTY_KEY}="
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if line.startswith(prefix):
             try:
                 counts = json.loads(line[len(prefix):])
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}: bad {prefix!r} header: {e}") from e
-            if not (isinstance(counts, list)
+            if not (isinstance(counts, list) and len(counts) <= num_categories
                     and all(isinstance(k, int) and k >= 0 for k in counts)):
-                raise DataError(f"{path}: {prefix!r} needs a list of counts, "
-                                f"got {counts!r}")
+                raise DataError(f"{path}: {prefix!r} needs a list of at most "
+                                f"{num_categories} counts, got {counts!r}")
             return [([], c) for c, k in enumerate(counts) for _ in range(k)]
     return []
 
@@ -434,7 +436,7 @@ def cmd_evaluate(opts: dict) -> int:
                                  num_categories=corpus.num_categories)
         # the empty samples count as misses, as when evaluate samples them
         generated = ([(list(s.tokens), s.category) for s in gen_corpus.sentences]
-                     + _empty_samples(opts["generated"]))
+                     + _empty_samples(opts["generated"], corpus.num_categories))
     elif not opts["checkpoint"]:
         raise UsageError("evaluate needs --checkpoint or --generated")
     ppl, model = None, {}

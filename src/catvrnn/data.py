@@ -98,8 +98,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        try:
+            return cls(read_text(path).splitlines())
+        except ConfigurationError as e:
+            raise DataError(f"{path}: {e}") from e
 
 
 def build_vocabulary(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
@@ -166,7 +168,7 @@ def load_corpus(path, num_categories: int | None = None) -> LabeledCorpus:
     """Parse a corpus TSV; malformed lines are reported with their numbers."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as e:
         raise DataError(f"cannot read corpus file {path}: {e}") from e
     sentences = []
@@ -210,6 +212,15 @@ def atomic_open(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; a file that is not UTF-8 is a data
+    error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
 
 
 def atomic_write_text(path, text: str):

@@ -585,18 +585,16 @@ def _step_arrays(params: CatVrnnParams, count: int):
 
 
 def _step(x_ids: np.ndarray, params: CatVrnnParams, rec: Recurrent,
-          table: tuple[np.ndarray, np.ndarray], b: SimpleNamespace,
-          stream: np.random.Generator):
+          table: tuple[np.ndarray, np.ndarray], b: SimpleNamespace):
     """One time step over token ids in [0, V), in numpy without the tape, on
     the arrays ``b`` of ``_step_arrays``: from the states in ``b.h_next``
     (kept in ``b.h``), looks the tokens' rows up in ``table``, runs
-    ``recur_step`` with one latent draw from ``stream``, and decodes
-    vocabulary logits from latent + previous state into ``b.logits``. The
-    prior net and KL are not computed; sampling does not use them."""
+    ``recur_step`` with the latent draw the caller put in ``b.eps``, and
+    decodes vocabulary logits from latent + previous state into ``b.logits``.
+    The prior net and KL are not computed; sampling does not use them."""
     for side, rows in zip(table, (b.enc_x, b.gru_x)):
         np.take(side, x_ids, axis=0, out=rows, mode="clip")
     np.copyto(b.h, b.h_next)
-    _draw_normal(stream, b.eps)
     recur_step(b.h, b.enc_x, b.gru_x, b.eps, rec, b)
     np.concatenate([b.z, b.h], axis=1, out=b.zh)
     _emit_into(b.zh, params, b)
@@ -664,7 +662,8 @@ def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConf
         logits = np.empty((T, batch, cfg.vocab_size), dtype=cfg.np_dtype())
         kl_sum = None
         for t in range(T):
-            _step(x_ids[:, t], params, rec, table, b, rng.stream("latent"))
+            _draw_normal(rng.stream("latent"), b.eps)
+            _step(x_ids[:, t], params, rec, table, b)
             logits[t] = b.logits
             if cfg.use_kl_term:
                 # b.h holds the step's previous state, b.head its posterior
@@ -730,8 +729,14 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
     The hidden state comes from the evaluation-mode initialization, the input
     starts at PAD, and each sampled token feeds back as the next input.
     Sampling is multinomial over softmax(logits / temperature) from the
-    sampling stream; each sequence is truncated at its first PAD emission.
-    The steps' (count, width) arrays are allocated once per call.
+    sampling stream; each sequence ends at its first PAD emission.
+
+    A sequence leaves the step's arrays once it has emitted PAD, so each
+    step computes only the rows still running, as the first ``n`` rows of
+    arrays allocated once per call. Every step still draws the full
+    (count, L) latent and (count, 1) sampling blocks and takes the running
+    rows' share, so each row gets the draws it would get in a full batch and
+    the streams advance by the same amount whenever rows stop.
     """
     if not 0 <= int(c) < cfg.num_categories:
         raise ConfigurationError(
@@ -739,29 +744,42 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         )
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    stream = rng.stream("sampling")
+    latent, stream = rng.stream("latent"), rng.stream("sampling")
     with nm.no_grad():
-        rec, table, b = _step_arrays(params, count)
-        b.h_next[...] = init_hidden(c, params, rng, train_mode=False, batch=count).data
+        rec, table, full = _step_arrays(params, count)
+        full.h_next[...] = init_hidden(c, params, rng, train_mode=False, batch=count).data
+    eps = np.empty((count, cfg.latent_dim), dtype=cfg.np_dtype())
     probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
     below = np.empty((count, cfg.vocab_size), dtype=bool)
+    # the sequence in each slot of the step's arrays, the running ones only
+    rows = np.arange(count)
     x = np.full(count, PAD_ID, dtype=np.int64)
     sampled = np.empty((count, cfg.max_len), dtype=np.int64)
+    stops = np.full(count, cfg.max_len)
     for t in range(cfg.max_len):
-        _step(x, params, rec, table, b, rng.stream("latent"))
+        _draw_normal(latent, eps)
+        draws = stream.random((count, 1))
+        n = len(rows)
+        if n == 0:
+            continue
+        b = SimpleNamespace(**{name: a[:n] for name, a in vars(full).items()})
+        np.take(eps, rows, axis=0, out=b.eps)
+        _step(x, params, rec, table, b)
         # nm.softmax(logits / temperature), in place
-        np.divide(b.logits, cfg.temperature, out=probs)
-        probs -= probs.max(axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        np.cumsum(probs, axis=1, out=cum)
+        p, s = probs[:n], cum[:n]
+        np.divide(b.logits, cfg.temperature, out=p)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        np.cumsum(p, axis=1, out=s)
         # a row's total can round below 1: a draw past it takes the last
         # token of nonzero probability, not one past the end
-        u = np.minimum(stream.random((count, 1)), np.nextafter(cum[:, -1:], -np.inf))
-        x = np.less(cum, u, out=below).sum(axis=1)
-        sampled[:, t] = x
-    out = []
-    for row in sampled:
-        stop = np.flatnonzero(row == PAD_ID)
-        out.append(row[: stop[0]].tolist() if stop.size else row.tolist())
-    return out
+        u = np.minimum(draws[rows], np.nextafter(s[:, -1:], -np.inf))
+        x = np.less(s, u, out=below[:n]).sum(axis=1)
+        sampled[rows, t] = x
+        running = x != PAD_ID
+        if not running.all():
+            stops[rows[~running]] = t
+            rows, x = rows[running], x[running]
+            full.h_next[:len(rows)] = b.h_next[running]
+    return [row[:stop] for row, stop in zip(sampled.tolist(), stops.tolist())]

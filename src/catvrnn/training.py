@@ -116,14 +116,6 @@ class EpochStats:
     mean_kl: float
     n_sentences: int
 
-    def mean_total(self, cfg: ModelConfig) -> float:
-        total = self.mean_gen_nll
-        if cfg.use_classification:
-            total += self.mean_cls_nll
-        if cfg.use_kl_term:
-            total += self.mean_kl
-        return total
-
     def to_dict(self) -> dict:
         return {
             "epoch": self.epoch,

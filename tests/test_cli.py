@@ -495,6 +495,56 @@ def test_damaged_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
     assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["corpus", "vocab", "generated", "config"])
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, trained_run,
+                                                          synth_corpus_file, capsys,
+                                                          reader):
+    bad = tmp_path / "bad"
+    source = {"corpus": synth_corpus_file, "vocab": trained_run / "vocab.txt",
+              "generated": synth_corpus_file}.get(reader)
+    text = source.read_bytes() if source else b"seed = 1\n"
+    bad.write_bytes(text + b"\xff\n")
+    argv = {
+        "corpus": ("train", "--corpus", str(bad), "--out", str(tmp_path / "run")),
+        "vocab": ("generate", "--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+                  "--vocab", str(bad), "--out", str(tmp_path / "gen.tsv")),
+        "generated": ("evaluate", "--corpus", str(synth_corpus_file),
+                      "--generated", str(bad)),
+        "config": ("train", "--config", str(bad), "--corpus", str(synth_corpus_file),
+                   "--out", str(tmp_path / "run")),
+    }[reader]
+    assert run_cli(*argv) == 2
+    assert f"data error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda tokens: tokens + tokens[-1:],
+    lambda tokens: tokens[1:],
+], ids=["duplicate-token", "no-specials"])
+def test_damaged_vocab_file_is_a_data_error_naming_it(tmp_path, trained_run, capsys,
+                                                      damage):
+    vocab = tmp_path / "vocab.txt"
+    tokens = (trained_run / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    vocab.write_text("\n".join(damage(tokens)) + "\n", encoding="utf-8")
+    code = run_cli("generate", "--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+                   "--vocab", str(vocab), "--out", str(tmp_path / "gen.tsv"))
+    assert code == 2
+    assert f"data error: {vocab}: vocabulary" in capsys.readouterr().err
+
+
+def test_evaluate_generated_rejects_empty_counts_past_the_corpus_categories(
+        tmp_path, synth_corpus_file, capsys):
+    # the corpus has 2 categories; counts for categories 2 and 3 name none
+    generated = tmp_path / "gen.tsv"
+    generated.write_text("# empty=[0, 0, 3, 4]\n" + synth_corpus_file.read_text(),
+                         encoding="utf-8")
+    code = run_cli("evaluate", "--corpus", str(synth_corpus_file),
+                   "--generated", str(generated), "--classifier-epochs", "1")
+    assert code == 2
+    assert f"data error: {generated}: '# empty=' needs a list of at most 2 counts" \
+        in capsys.readouterr().err
+
+
 def test_every_config_field_is_set_by_an_option_or_the_corpus():
     # a field that no option sets and the corpus does not determine is a
     # setting no run can reach

@@ -169,8 +169,8 @@ def record_steps(monkeypatch) -> list[SimpleNamespace]:
 
     steps, original = [], model._step
 
-    def recording(x_ids, params, rec, table, b, stream):
-        original(x_ids, params, rec, table, b, stream)
+    def recording(x_ids, params, rec, table, b):
+        original(x_ids, params, rec, table, b)
         steps.append(SimpleNamespace(**{k: v.copy() for k, v in vars(b).items()}))
 
     monkeypatch.setattr(model, "_step", recording)
@@ -194,8 +194,9 @@ def test_cell_step_deterministic_under_fixed_seed(monkeypatch):
     params = CatVrnnParams(cfg, Rng(0))
     steps = record_steps(monkeypatch)
     assert generate(1, 2, params, cfg, Rng(9)) == generate(1, 2, params, cfg, Rng(9))
-    a, b = steps[:cfg.max_len], steps[cfg.max_len:]
-    assert len(a) == len(b) == cfg.max_len
+    # each call runs its steps until its last row stops
+    a, b = steps[:len(steps) // 2], steps[len(steps) // 2:]
+    assert 1 <= len(a) == len(b) <= cfg.max_len
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.logits, y.logits)
         np.testing.assert_array_equal(x.h_next, y.h_next)
@@ -236,6 +237,80 @@ def test_cell_step_sigma_strictly_positive(monkeypatch):
     generate(0, 1, params, cfg, Rng(0))
     assert len(steps) == cfg.max_len
     assert all(np.all(step.sigma > 0) for step in steps)
+
+
+# --- generate against the full-batch sampler ----------------------------------------
+
+
+def generate_full_batch(c, count, params, cfg, rng):
+    """``generate`` as a full batch: every row runs every step, and each is
+    cut at its first PAD at the end."""
+    from catvrnn import model
+
+    stream = rng.stream("sampling")
+    with nm.no_grad():
+        rec, table, b = model._step_arrays(params, count)
+        b.h_next[...] = model.init_hidden(c, params, rng, train_mode=False,
+                                          batch=count).data
+    probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
+    x = np.full(count, PAD_ID, dtype=np.int64)
+    sampled = np.empty((count, cfg.max_len), dtype=np.int64)
+    for t in range(cfg.max_len):
+        model._draw_normal(rng.stream("latent"), b.eps)
+        model._step(x, params, rec, table, b)
+        np.divide(b.logits, cfg.temperature, out=probs)
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        np.cumsum(probs, axis=1, out=cum)
+        u = np.minimum(stream.random((count, 1)), np.nextafter(cum[:, -1:], -np.inf))
+        x = (cum < u).sum(axis=1)
+        sampled[:, t] = x
+    out = []
+    for row in sampled:
+        stop = np.flatnonzero(row == PAD_ID)
+        out.append(row[: stop[0]].tolist() if stop.size else row.tolist())
+    return out
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(dtype="float32"),
+    dict(init_mode="adaptive", num_categories=3, use_feature_extractors=True),
+    dict(init_mode="adaptive", num_categories=3, use_feature_extractors=True,
+         dtype="float32"),
+], ids=["float64", "float32", "adaptive-featz", "adaptive-featz-float32"])
+@pytest.mark.parametrize("pad_bias", [0.0, 2.0])
+def test_generate_matches_the_full_batch_sampler(kw, pad_bias):
+    cfg = tiny_cfg(max_len=8, **kw)
+    params = CatVrnnParams(cfg, Rng(4))
+    # a larger PAD logit stops the rows at many different steps
+    params.out_layer[1].data[PAD_ID] += pad_bias
+    rng, ref = Rng(11), Rng(11)
+    for c in range(cfg.num_categories):
+        got = generate(c, 40, params, cfg, rng)
+        assert got == generate_full_batch(c, 40, params, cfg, ref)
+        assert rng.state() == ref.state()
+    # the rows stopped at many different steps
+    lengths = {len(ids) for ids in got}
+    assert len(lengths) >= 5 and max(lengths) <= cfg.max_len
+    assert 0 in lengths or not pad_bias
+
+
+def test_generate_with_every_row_stopped_at_step_zero_advances_the_streams():
+    cfg = tiny_cfg(max_len=6)
+    params = CatVrnnParams(cfg, Rng(4))
+    bias = params.out_layer[1].data
+    saved = bias[PAD_ID]
+    bias[PAD_ID] = 1e4
+    rng, ref = Rng(3), Rng(3)
+    assert generate(0, 7, params, cfg, rng) == [[]] * 7
+    assert generate_full_batch(0, 7, params, cfg, ref) == [[]] * 7
+    assert rng.state() == ref.state()
+    bias[PAD_ID] = saved
+    second = generate(1, 7, params, cfg, rng)
+    assert second == generate_full_batch(1, 7, params, cfg, ref)
+    assert any(second)
 
 
 # --- forward_teacher ----------------------------------------------------------------------
