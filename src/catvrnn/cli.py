@@ -442,8 +442,13 @@ def cmd_evaluate(opts: dict) -> int:
     ppl, model = None, {}
     if opts["checkpoint"]:
         ckpt = load_checkpoint(opts["checkpoint"])
-        vocab = _vocab_for(ckpt, opts)
         cfg = ckpt.config
+        if corpus.num_categories > cfg.num_categories:
+            raise DataError(
+                f"{opts['corpus']}: {corpus.num_categories} categories, but the "
+                f"model has {cfg.num_categories}"
+            )
+        vocab = _vocab_for(ckpt, opts)
         params = ckpt.build_params()
         if not opts["generated"]:
             # sampled as generate samples, before the classifier is fitted

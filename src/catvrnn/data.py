@@ -60,12 +60,6 @@ class LabeledCorpus:
     def max_length(self) -> int:
         return max((len(s.tokens) for s in self.sentences), default=0)
 
-    def token_multiset(self) -> Counter:
-        counter: Counter = Counter()
-        for s in self.sentences:
-            counter.update(s.tokens)
-        return counter
-
 
 class Vocabulary:
     """Token <-> id maps with fixed specials PAD=0 (doubles as the start

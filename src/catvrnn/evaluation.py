@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from . import numeric as nm
 from .numeric import ParamStore, Rng, Tensor
-from .model import CatVrnnParams, ModelConfig, forward_teacher, generate
+from .model import CatVrnnParams, ModelConfig, generate, teacher_nll
 from .data import (
     Batch,
     LabeledCorpus,
@@ -45,7 +45,8 @@ CLF_EMBED = 128
 CLF_WIDTHS = (3, 4, 5)
 CLF_MAPS = 100
 CLF_DROPOUT = 0.5
-# sentences per teacher-forced pass in ``perplexity``
+# sentences per batch in ``perplexity``; each batch draws its own h0 and
+# latent blocks, so the value depends on it
 PPL_BATCH = 64
 
 
@@ -251,29 +252,21 @@ def perplexity(params: CatVrnnParams, cfg: ModelConfig, corpus: LabeledCorpus,
 
     Scored positions per sentence: the real tokens plus one terminating PAD
     when it fits inside max_len; the padding tail is excluded so PAD
-    repetition earns nothing.
+    repetition earns nothing, and is not computed.
     """
     if not corpus.sentences:
         raise DataError("cannot score an empty corpus")
     batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
-    rng = Rng(seed)
+    scored = np.minimum(batch.lengths + 1, cfg.max_len)
+    nll = teacher_nll(batch.inputs, batch.targets, scored, batch.categories,
+                      params, cfg, Rng(seed), PPL_BATCH)
+    # (T, N) like the NLL; summed a batch at a time, each in time-major order
+    active = scored > np.arange(cfg.max_len)[:, None]
     ll_sum = 0.0
-    n_positions = 0
-    with nm.no_grad():
-        for start in range(0, len(batch), PPL_BATCH):
-            sl = slice(start, start + PPL_BATCH)
-            fwd = forward_teacher(batch.inputs[sl], batch.categories[sl], params,
-                                  cfg, rng, train_mode=False)
-            scored = np.minimum(batch.lengths[sl] + 1, cfg.max_len)
-            # (T, B) like the time-major logits
-            active = scored[None, :] > np.arange(cfg.max_len)[:, None]
-            nll = nm.cross_entropy_rows(fwd.logits.data[active],
-                                        batch.targets[sl].T[active])
-            ll_sum += float(nll.data.sum(dtype=np.float64))
-            n_positions += int(active.sum())
-            # the batch's logits go before the next forward makes its own
-            del fwd, nll
-    return float(np.exp(ll_sum / n_positions))
+    for start in range(0, len(scored), PPL_BATCH):
+        sl = slice(start, start + PPL_BATCH)
+        ll_sum += float(nll[:, sl][active[:, sl]].sum(dtype=np.float64))
+    return float(np.exp(ll_sum / int(active.sum())))
 
 
 # --- BLEU ---------------------------------------------------------------------

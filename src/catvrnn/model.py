@@ -10,6 +10,7 @@ state. Category identity enters only through the initial hidden state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, asdict
 from types import SimpleNamespace
 from typing import Any, NamedTuple
@@ -576,7 +577,8 @@ def _step_arrays(params: CatVrnnParams, count: int):
     vocabulary entry, and every array a step writes."""
     cfg = params.cfg
     rec = params.recurrent.arrays()
-    table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params))
+    with nm.no_grad():
+        table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params))
     widths = {**_step_widths(rec), "enc_x": 2 * cfg.hidden_dim,
               "gru_x": 3 * cfg.hidden_dim, "h": cfg.hidden_dim,
               "h_next": cfg.hidden_dim, "zh": cfg.latent_dim + cfg.hidden_dim,
@@ -598,6 +600,44 @@ def _step(x_ids: np.ndarray, params: CatVrnnParams, rec: Recurrent,
     recur_step(b.h, b.enc_x, b.gru_x, b.eps, rec, b)
     np.concatenate([b.z, b.h], axis=1, out=b.zh)
     _emit_into(b.zh, params, b)
+
+
+def _run_steps(inputs: np.ndarray, c, params: CatVrnnParams, rng: Rng,
+               train_mode: bool, arrays, advance) -> np.ndarray:
+    """``_step`` over max_len steps for the rows of ``inputs``, on the
+    ``arrays`` of ``_step_arrays`` (for at least as many rows), from the h0
+    of ``init_hidden`` for the categories ``c``. Step ``t`` feeds each
+    running row its id in column ``t`` of ``inputs``. After the step,
+    ``advance(t, rows, b)`` reads the arrays ``b`` of the running rows,
+    whose indices into ``inputs`` are ``rows``, and returns which of them
+    keep running. Returns the final states of the rows still running.
+
+    A row that stops leaves the step's arrays, so each step computes only
+    the running rows, as the first ``n`` rows of each array. Every step
+    still draws the full (rows, L) latent block and takes the running rows'
+    share, so each row gets the draws it would get in a full batch and the
+    stream advances by the same amount whenever rows stop. ``advance`` runs
+    at every step, with no rows once every row has stopped.
+    """
+    rec, table, full = arrays
+    count = len(inputs)
+    latent = rng.stream("latent")
+    with nm.no_grad():
+        full.h_next[:count] = init_hidden(c, params, rng, train_mode, count).data
+    eps = np.empty((count, params.cfg.latent_dim), dtype=full.eps.dtype)
+    rows = np.arange(count)
+    for t in range(params.cfg.max_len):
+        _draw_normal(latent, eps)
+        n = len(rows)
+        b = SimpleNamespace(**{name: a[:n] for name, a in vars(full).items()})
+        if n:
+            np.take(eps, rows, axis=0, out=b.eps)
+            _step(inputs[rows, t], params, rec, table, b)
+        keep = advance(t, rows, b)
+        if not keep.all():
+            rows = rows[keep]
+            full.h_next[:len(rows)] = b.h_next[keep]
+    return full.h_next[:len(rows)]
 
 
 def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -656,25 +696,25 @@ def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConf
     checked against. Not differentiable."""
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
+    logits = np.empty((T, batch, cfg.vocab_size), dtype=cfg.np_dtype())
+    kls = []
+
+    def record(t, rows, b):
+        logits[t] = b.logits
+        if cfg.use_kl_term:
+            # b.h holds the step's previous state, b.head its posterior
+            posterior = GaussianParams(Tensor(b.head[:, :cfg.latent_dim]),
+                                       Tensor(b.sigma))
+            kls.append(_kl(posterior, Tensor(b.h), params))
+        return np.ones(batch, dtype=bool)
+
     with nm.no_grad():
-        rec, table, b = _step_arrays(params, batch)
-        b.h_next[...] = init_hidden(c, params, rng, train_mode, batch).data
-        logits = np.empty((T, batch, cfg.vocab_size), dtype=cfg.np_dtype())
-        kl_sum = None
-        for t in range(T):
-            _draw_normal(rng.stream("latent"), b.eps)
-            _step(x_ids[:, t], params, rec, table, b)
-            logits[t] = b.logits
-            if cfg.use_kl_term:
-                # b.h holds the step's previous state, b.head its posterior
-                posterior = GaussianParams(Tensor(b.head[:, :cfg.latent_dim]),
-                                           Tensor(b.sigma))
-                kl = _kl(posterior, Tensor(b.h), params)
-                kl_sum = kl if kl_sum is None else nm.add(kl_sum, kl)
-        h = Tensor(b.h_next)
+        h = Tensor(_run_steps(x_ids, c, params, rng, train_mode,
+                              _step_arrays(params, batch), record))
         return SequenceForward(logits=Tensor(logits),
                                class_logits=nm.linear(h, *params.classifier),
-                               kl_sum=kl_sum, final_hidden=h)
+                               kl_sum=functools.reduce(nm.add, kls) if kls else None,
+                               final_hidden=h)
 
 
 def _loss_mask(targets: np.ndarray) -> np.ndarray:
@@ -729,14 +769,10 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
     The hidden state comes from the evaluation-mode initialization, the input
     starts at PAD, and each sampled token feeds back as the next input.
     Sampling is multinomial over softmax(logits / temperature) from the
-    sampling stream; each sequence ends at its first PAD emission.
-
-    A sequence leaves the step's arrays once it has emitted PAD, so each
-    step computes only the rows still running, as the first ``n`` rows of
-    arrays allocated once per call. Every step still draws the full
-    (count, L) latent and (count, 1) sampling blocks and takes the running
-    rows' share, so each row gets the draws it would get in a full batch and
-    the streams advance by the same amount whenever rows stop.
+    sampling stream; each sequence ends at its first PAD emission, and then
+    leaves the step's arrays (``_run_steps``). Every step still draws the
+    full (count, 1) sampling block and takes the running rows' share, so the
+    stream advances by the same amount whenever rows stop.
     """
     if not 0 <= int(c) < cfg.num_categories:
         raise ConfigurationError(
@@ -744,27 +780,16 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         )
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    latent, stream = rng.stream("latent"), rng.stream("sampling")
-    with nm.no_grad():
-        rec, table, full = _step_arrays(params, count)
-        full.h_next[...] = init_hidden(c, params, rng, train_mode=False, batch=count).data
-    eps = np.empty((count, cfg.latent_dim), dtype=cfg.np_dtype())
+    stream = rng.stream("sampling")
     probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
     below = np.empty((count, cfg.vocab_size), dtype=bool)
-    # the sequence in each slot of the step's arrays, the running ones only
-    rows = np.arange(count)
-    x = np.full(count, PAD_ID, dtype=np.int64)
-    sampled = np.empty((count, cfg.max_len), dtype=np.int64)
+    # column t holds the input of step t: PAD, then the token sampled at t - 1
+    seq = np.full((count, cfg.max_len + 1), PAD_ID, dtype=np.int64)
     stops = np.full(count, cfg.max_len)
-    for t in range(cfg.max_len):
-        _draw_normal(latent, eps)
+
+    def sample(t, rows, b):
         draws = stream.random((count, 1))
         n = len(rows)
-        if n == 0:
-            continue
-        b = SimpleNamespace(**{name: a[:n] for name, a in vars(full).items()})
-        np.take(eps, rows, axis=0, out=b.eps)
-        _step(x, params, rec, table, b)
         # nm.softmax(logits / temperature), in place
         p, s = probs[:n], cum[:n]
         np.divide(b.logits, cfg.temperature, out=p)
@@ -776,10 +801,39 @@ def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
         # token of nonzero probability, not one past the end
         u = np.minimum(draws[rows], np.nextafter(s[:, -1:], -np.inf))
         x = np.less(s, u, out=below[:n]).sum(axis=1)
-        sampled[rows, t] = x
+        seq[rows, t + 1] = x
         running = x != PAD_ID
-        if not running.all():
-            stops[rows[~running]] = t
-            rows, x = rows[running], x[running]
-            full.h_next[:len(rows)] = b.h_next[running]
-    return [row[:stop] for row, stop in zip(sampled.tolist(), stops.tolist())]
+        stops[rows[~running]] = t
+        return running
+
+    _run_steps(seq, c, params, rng, False, _step_arrays(params, count), sample)
+    return [row[1:stop + 1] for row, stop in zip(seq.tolist(), stops.tolist())]
+
+
+def teacher_nll(x_ids: np.ndarray, targets: np.ndarray, scored: np.ndarray, c,
+                params: CatVrnnParams, cfg: ModelConfig, rng: Rng,
+                batch: int) -> np.ndarray:
+    """Teacher-forced NLL of the first ``scored[i]`` targets of each row
+    ``i``, (T, rows) time-major in the logits' dtype, 0 where not scored.
+
+    ``x_ids`` and ``targets`` are (rows, T) as ``encode_batch`` makes them,
+    ``c`` has one category per row. The rows run ``batch`` at a time, each
+    batch from its evaluation-mode h0 with its own (batch, L) latent draw a
+    step, which are the draws of ``forward_teacher(..., train_mode=False)``
+    over the same batch. A row leaves the step's arrays (``_run_steps``)
+    once its scored positions are done; the arrays and the token table are
+    built once for every batch.
+    """
+    x_ids = _teacher_inputs(x_ids, cfg)
+    nll = np.zeros((cfg.max_len, len(x_ids)), dtype=cfg.np_dtype())
+    arrays = _step_arrays(params, min(batch, len(x_ids)))
+    for start in range(0, len(x_ids), batch):
+        sl = slice(start, start + batch)
+        out, tgt, last = nll[:, sl], targets[sl], scored[sl]
+
+        def score(t, rows, b):
+            out[t, rows] = nm.cross_entropy_rows(b.logits, tgt[rows, t]).data
+            return last[rows] > t + 1
+
+        _run_steps(x_ids[sl], c[sl], params, rng, False, arrays, score)
+    return nll

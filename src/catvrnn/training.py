@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, NumericError
 from .numeric import ParamStore, Rng, Tensor, mean as nm_mean
 from .model import CatVrnnParams, ModelConfig, forward_teacher, joint_loss
-from .data import atomic_open, atomic_write_text
+from .data import atomic_open, atomic_write_text, read_text
 
 log = logging.getLogger(__name__)
 
@@ -296,19 +296,20 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
         )
-    if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
-        raise DataError(f"{path}: body digest mismatch")
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["manifest"]:
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        end = start + count * dtype.itemsize
-        if end > len(body):
-            raise DataError(f"{path}: truncated body")
-        arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(
-            dtype.newbyteorder("="), copy=False)
+    with header_errors(path):
+        if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
+            raise DataError(f"{path}: body digest mismatch")
+        for entry in header["manifest"]:
+            dtype = np.dtype(entry["dtype"]).newbyteorder("<")
+            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            start = entry["offset"]
+            end = start + count * dtype.itemsize
+            if end > len(body):
+                raise DataError(f"{path}: truncated body")
+            arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(
+                dtype.newbyteorder("="), copy=False)
     return header, arrays
 
 
@@ -332,9 +333,11 @@ def save_checkpoint(path, ckpt: Checkpoint):
 def header_errors(path):
     """Turns a header that does not build what its reader builds from it (a
     missing or unknown key, a value of the wrong type or out of range) into
-    a DataError naming the file."""
+    a DataError naming the file. A DataError raised inside passes as it is."""
     try:
         yield
+    except DataError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: damaged header: {e!r}") from e
 
@@ -379,10 +382,20 @@ def checkpoint_digest(path) -> str:
 def _drop_metrics_after(path: Path, epoch: int):
     """Keep only the metrics lines of epochs up to ``epoch``, so a resumed
     run logs each epoch once. A last line cut short by a crash has no
-    newline and is dropped too."""
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = [line for line in lines
-            if line.endswith("\n") and json.loads(line)["epoch"] <= epoch]
+    newline and is dropped too; any other line that is not a JSON object
+    with an integer epoch is a data error naming the file."""
+    kept = []
+    for number, line in enumerate(read_text(path).splitlines(keepends=True), 1):
+        if not line.endswith("\n"):
+            continue
+        try:
+            logged = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: line {number} is not JSON: {e}") from e
+        if not isinstance(logged, dict) or type(logged.get("epoch")) is not int:
+            raise DataError(f"{path}: line {number} has no integer epoch")
+        if logged["epoch"] <= epoch:
+            kept.append(line)
     atomic_write_text(path, "".join(kept))
 
 

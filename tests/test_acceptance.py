@@ -8,6 +8,7 @@ import itertools
 import math
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,7 +435,8 @@ def test_c09_dataset_builders():
     assert variants["10c"].num_categories == 10
     assert variants["10c"].category_counts() == [1000] * 10
     assert variants["2c"].category_counts() == [5000, 5000]
-    multisets = [v.token_multiset() for v in variants.values()]
+    multisets = [Counter(t for s in v.sentences for t in s.tokens)
+                 for v in variants.values()]
     assert all(m == multisets[0] for m in multisets)
 
     products = LabeledCorpus(

@@ -3,6 +3,7 @@ evaluation, gradient checking, config precedence, and exit codes."""
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -233,6 +234,23 @@ def test_train_resume_continues_the_checkpoint_training_plan(tmp_path,
             == checkpoint_digest(whole / "epoch_0002.ckpt"))
     config = json.loads((resumed / "run_config.json").read_text())
     assert config["plan"] == json.loads((whole / "run_config.json").read_text())["plan"]
+
+
+@pytest.mark.parametrize("line", ["garbage", "[1, 2]", '{"loss": 1.0}',
+                                  '{"epoch": "2"}'],
+                         ids=["not-json", "not-an-object", "no-epoch", "string-epoch"])
+def test_train_resume_stops_at_a_damaged_metrics_line(tmp_path, trained_run,
+                                                      synth_corpus_file, capsys, line):
+    out = tmp_path / "run"
+    out.mkdir()
+    metrics = out / "metrics.jsonl"
+    metrics.write_text((trained_run / "metrics.jsonl").read_text() + line + "\n",
+                       encoding="utf-8")
+    code = run_cli("train", "--corpus", str(synth_corpus_file), "--out", str(out),
+                   "--epochs", "4", "--resume", str(trained_run / "epoch_0003.ckpt"))
+    assert code == 2
+    assert f"data error: {metrics}: line 4 " in capsys.readouterr().err
+    assert not (out / "epoch_0004.ckpt").exists()
 
 
 def test_train_resume_without_a_recorded_plan_needs_the_plan_flags(tmp_path, trained_run,
@@ -495,6 +513,38 @@ def test_damaged_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
     assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
 
 
+def rewrite_header(source, dest, edit):
+    """Copy the container ``source`` to ``dest`` with ``edit`` applied to its
+    JSON header; the body stays as written."""
+    raw = source.read_bytes()
+    (size,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8:8 + size])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    dest.write_bytes(struct.pack("<Q", len(text)) + text + raw[8 + size:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header.pop("body_sha256"),
+    lambda header: header.pop("manifest"),
+    lambda header: header["manifest"][0].pop("name"),
+    lambda header: header["manifest"][0].pop("dtype"),
+    lambda header: header["manifest"][0].pop("shape"),
+    lambda header: header["manifest"][0].pop("offset"),
+    lambda header: header["manifest"][0].update(dtype="float99"),
+], ids=["no-body-sha256", "no-manifest", "no-name", "no-dtype", "no-shape",
+        "no-offset", "unknown-dtype"])
+def test_damaged_container_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
+                                                                  capsys, edit):
+    damaged = tmp_path / "damaged.ckpt"
+    rewrite_header(trained_run / "epoch_0003.ckpt", damaged, edit)
+    code = run_cli("generate", "--checkpoint", str(damaged),
+                   "--vocab", str(trained_run / "vocab.txt"),
+                   "--out", str(tmp_path / "gen.tsv"))
+    assert code == 2
+    assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reader", ["corpus", "vocab", "generated", "config"])
 def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, trained_run,
                                                           synth_corpus_file, capsys,
@@ -530,6 +580,24 @@ def test_damaged_vocab_file_is_a_data_error_naming_it(tmp_path, trained_run, cap
                    "--vocab", str(vocab), "--out", str(tmp_path / "gen.tsv"))
     assert code == 2
     assert f"data error: {vocab}: vocabulary" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_corpus_with_more_categories_than_the_model(
+        tmp_path, trained_run, synth_corpus_file, capsys, monkeypatch):
+    # the model has 2 categories; the corpus adds a sentence of category 2
+    three = tmp_path / "three.tsv"
+    save_corpus(three, LabeledCorpus(
+        sentences=[*load_corpus(synth_corpus_file).sentences,
+                   LabeledSentence(("w0",), 2)], num_categories=3))
+
+    def sample(*args, **kwargs):
+        raise AssertionError("evaluate sampled before checking the corpus")
+
+    monkeypatch.setattr(cli, "sample_categories", sample)
+    code = run_cli("evaluate", "--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+                   "--vocab", str(trained_run / "vocab.txt"), "--corpus", str(three))
+    assert code == 2
+    assert f"data error: {three}: 3 categories" in capsys.readouterr().err
 
 
 def test_evaluate_generated_rejects_empty_counts_past_the_corpus_categories(

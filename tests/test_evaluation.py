@@ -28,6 +28,7 @@ from catvrnn.evaluation import (
     CLF_EMBED,
     CLF_MAPS,
     CLF_WIDTHS,
+    PPL_BATCH,
     PREDICT_CHUNK,
     ClassifierConfig,
     EvalClassifier,
@@ -338,6 +339,60 @@ def test_perplexity_rejects_empty():
     empty = LabeledCorpus(sentences=[], num_categories=1)
     with pytest.raises(DataError):
         perplexity(CatVrnnParams.zeros(cfg), cfg, empty, vocab)
+
+
+def perplexity_full_batch(params, cfg, corpus, vocab, seed=0):
+    """``perplexity`` as ``forward_teacher`` over every step of every row of
+    each PPL_BATCH sentences, scoring the positions it counts afterwards."""
+    batch = encode_batch(corpus.sentences, vocab, cfg.max_len)
+    rng = Rng(seed)
+    ll_sum = 0.0
+    n_positions = 0
+    with nm.no_grad():
+        for start in range(0, len(batch), PPL_BATCH):
+            sl = slice(start, start + PPL_BATCH)
+            fwd = forward_teacher(batch.inputs[sl], batch.categories[sl], params,
+                                  cfg, rng, train_mode=False)
+            scored = np.minimum(batch.lengths[sl] + 1, cfg.max_len)
+            active = scored[None, :] > np.arange(cfg.max_len)[:, None]
+            nll = nm.cross_entropy_rows(fwd.logits.data[active],
+                                        batch.targets[sl].T[active])
+            ll_sum += float(nll.data.sum(dtype=np.float64))
+            n_positions += int(active.sum())
+    return float(np.exp(ll_sum / n_positions))
+
+
+def mixed_length_corpus(num_categories, max_len):
+    """A first batch whose rows all stop before the last step, one of them a
+    single token, then a short last batch of any lengths, one of them
+    max_len."""
+    rng = np.random.default_rng(8)
+    lengths = [1, *rng.integers(1, max_len - 1, PPL_BATCH - 1), max_len,
+               *rng.integers(1, max_len + 1, PPL_BATCH // 2)]
+    return LabeledCorpus(sentences=[
+        LabeledSentence(tuple(f"w{j}" for j in rng.integers(0, 9, n)),
+                        i % num_categories)
+        for i, n in enumerate(lengths)], num_categories=num_categories)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(init_mode="static"),
+    dict(init_mode="none"),
+    dict(init_mode="adaptive", num_categories=3, use_feature_extractors=True,
+         use_kl_term=True),
+], ids=["static", "none", "adaptive-featz-kl"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_perplexity_matches_the_full_batch_pass(kw, dtype):
+    kw = dict(kw)
+    k = kw.pop("num_categories", 2)
+    corpus = mixed_length_corpus(k, max_len=8)
+    vocab = build_vocabulary(corpus)
+    cfg = ModelConfig(vocab_size=len(vocab), num_categories=k, embed_dim=7,
+                      hidden_dim=6, latent_dim=4, max_len=8, dtype=dtype, **kw)
+    params = CatVrnnParams(cfg, Rng(5))
+    got = perplexity(params, cfg, corpus, vocab, seed=7)
+    assert got == perplexity_full_batch(params, cfg, corpus, vocab, seed=7)
+    assert len(corpus) > PPL_BATCH and len(corpus) % PPL_BATCH
 
 
 # --- BLEU ---------------------------------------------------------------------------
