@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
-from .numeric import Rng, check_gradient, mean as nm_mean, no_grad
+from .numeric import Rng, check_gradient
 from .model import (
     CatVrnnParams,
     ModelConfig,
@@ -31,6 +31,7 @@ from .model import (
     forward_stepwise,
     forward_teacher,
     joint_loss,
+    loss_and_grad,
     parameter_count,
 )
 from .data import (
@@ -520,8 +521,8 @@ def _max_rel_diff(a: SequenceForward, b: SequenceForward) -> float:
              (a.final_hidden, b.final_hidden)]
     if a.kl_sum is not None:
         pairs.append((a.kl_sum, b.kl_sum))
-    return max(float(np.max(np.abs(x.data - y.data) / np.maximum(
-        np.maximum(np.abs(x.data), np.abs(y.data)), 1e-8))) for x, y in pairs)
+    return max(float(np.max(np.abs(x - y) / np.maximum(
+        np.maximum(np.abs(x), np.abs(y)), 1e-8))) for x, y in pairs)
 
 
 def hoisted_difference(x_ids, cats, params: CatVrnnParams, cfg: ModelConfig,
@@ -532,9 +533,8 @@ def hoisted_difference(x_ids, cats, params: CatVrnnParams, cfg: ModelConfig,
     worst = 0.0
     for train_mode in (True, False):
         hoisted, stepwise = Rng(seed), Rng(seed)
-        with no_grad():
-            a = forward_teacher(x_ids, cats, params, cfg, hoisted, train_mode)
-            b = forward_stepwise(x_ids, cats, params, cfg, stepwise, train_mode)
+        a = forward_teacher(x_ids, cats, params, cfg, hoisted, train_mode)
+        b = forward_stepwise(x_ids, cats, params, cfg, stepwise, train_mode)
         if hoisted.state() != stepwise.state():
             return float("inf")
         worst = max(worst, _max_rel_diff(a, b))
@@ -560,9 +560,11 @@ def cmd_grad_check(opts: dict) -> int:
         def loss_fn(cfg=cfg, params=params):
             fwd = forward_teacher(x_ids, cats, params, cfg, Rng(seed + 1),
                                   train_mode=True)
-            return nm_mean(joint_loss(fwd, targets, cats, cfg).total)
+            return joint_loss(fwd, targets, cats, cfg).total.mean()
 
-        report = check_gradient(loss_fn, params.store, tolerance=tol,
+        analytic = np.empty_like(params.store.flat)
+        loss_and_grad(x_ids, targets, cats, params, cfg, Rng(seed + 1), analytic)
+        report = check_gradient(loss_fn, params.store, analytic, tolerance=tol,
                                 max_checks=opts["max_checks"], corrupt=corrupt)
         diff = hoisted_difference(x_ids, cats, params, cfg, seed + 1)
         worst = max(worst, report.max_rel_err, diff)

@@ -25,8 +25,8 @@ from .data import (
     decode_ids,
     encode_batch,
 )
-from .training import (AdamState, header_errors, optimizer_step, read_container,
-                       write_container)
+from .training import (AdamState, check_dtype, header_errors, optimizer_step,
+                       read_container, write_container)
 
 log = logging.getLogger(__name__)
 
@@ -175,6 +175,7 @@ class EvalClassifier:
         with header_errors(path):
             clf = cls(ClassifierConfig.from_dict(header["config"]),
                       Vocabulary(header["vocab"]))
+        check_dtype(path, arrays, np.float64)
         clf.store.load(arrays)
         clf.val_accuracy = header.get("val_accuracy")
         return clf
@@ -218,7 +219,9 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
             logits = clf.logits(train_batch.inputs[idx], train_mode=True,
                                 dropout_rng=dropout_rng)
             loss = nm.mean(nm.cross_entropy_rows(logits, train_batch.categories[idx]))
-            optimizer_step(clf.store, loss, adam)
+            clf.store.zero_grad()
+            loss.backward()
+            optimizer_step(clf.store, clf.store.gather_grads(), adam)
             # the batch's tape goes before the next forward builds its own
             del logits, loss
     preds = clf.predict(val_batch.inputs)

@@ -10,17 +10,16 @@ state. Category identity enters only through the initial hidden state.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, asdict
 from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, NumericError
 from . import numeric as nm
 from .data import PAD_ID
-from .numeric import GaussianParams, ParamStore, Rng, Tensor
+from .numeric import ParamStore, Rng
 
 SIGMA_FLOOR = 1e-6
 
@@ -97,20 +96,20 @@ class SequenceForward:
     time-major, final-state class logits, accumulated KL when enabled, and
     the final hidden state."""
 
-    logits: Tensor
-    class_logits: Tensor
-    kl_sum: Tensor | None
-    final_hidden: Tensor
+    logits: np.ndarray
+    class_logits: np.ndarray
+    kl_sum: np.ndarray | None
+    final_hidden: np.ndarray
 
 
 @dataclass
 class LossBreakdown:
     """Per-sentence loss terms; ``total`` is what training minimizes."""
 
-    gen_nll: Tensor
-    cls_nll: Tensor
-    kl: Tensor | None
-    total: Tensor
+    gen_nll: np.ndarray
+    cls_nll: np.ndarray
+    kl: np.ndarray | None
+    total: np.ndarray
 
 
 class CatVrnnParams:
@@ -160,8 +159,9 @@ class CatVrnnParams:
         self.enc_b = add("enc.fc1.b", np.zeros(2 * H, dt))
         enc2 = layer("enc.fc2", 2 * H, H)
         head = gaussian_head("musigma")
-        self.dec_stack = [layer("dec.fc1", L + H, H), layer("dec.fc2", H, E)]
-        self.out_layer = layer("out", E, V)
+        self.decoder = [layer("dec.fc1", L + H, H), layer("dec.fc2", H, E),
+                        layer("out", E, V)]
+        self.out_layer = self.decoder[-1]
 
         # per gate (reset, update, candidate): input side over [x, z], then
         # hidden side; the reset and update hidden sides multiply h together,
@@ -183,8 +183,7 @@ class CatVrnnParams:
             self.init_bias = add("init.bias", uniform(1.0, H))
 
         if cfg.use_kl_term:
-            self.prior_trunk = layer("prior.fc1", H, H)
-            self.prior_head = gaussian_head("prior.musigma")
+            self.prior = [layer("prior.fc1", H, H), gaussian_head("prior.musigma")]
 
         featz = []
         if cfg.use_feature_extractors:
@@ -215,7 +214,7 @@ def _category_column(c, batch: int, upper: int, what: str) -> np.ndarray:
     return cats
 
 
-def init_hidden_static(c, cfg: ModelConfig, rng: Rng, batch: int = 1) -> Tensor:
+def init_hidden_static(c, cfg: ModelConfig, rng: Rng, batch: int = 1) -> np.ndarray:
     """h0 = omega * (-1)^c * softmax(r) with r ~ U[0,1)^hidden, drawn from the
     init stream. Supports exactly two categories; each row sums to +-omega."""
     cats = _category_column(c, batch, 2,
@@ -223,33 +222,33 @@ def init_hidden_static(c, cfg: ModelConfig, rng: Rng, batch: int = 1) -> Tensor:
     r = rng.stream("init").random((batch, cfg.hidden_dim))
     sign = np.where(cats % 2 == 0, 1.0, -1.0)[:, None]
     h0 = cfg.static_omega * sign * nm.softmax(r)
-    return Tensor(h0.astype(cfg.np_dtype(), copy=False))
+    return h0.astype(cfg.np_dtype(), copy=False)
 
 
 def init_hidden_adaptive(c, params: CatVrnnParams, train_mode: bool,
-                         rng: Rng, batch: int = 1) -> Tensor:
+                         rng: Rng, batch: int = 1) -> np.ndarray:
     """h0 = c * omega + bias, plus U[0,1)^hidden noise during training.
 
-    Gradient flows to the learned omega and bias vectors; consecutive
-    categories differ by exactly omega in evaluation mode.
+    Training learns the omega and bias vectors (``loss_and_grad``);
+    consecutive categories differ by exactly omega in evaluation mode.
     """
     cfg = params.cfg
     cats = _category_column(c, batch, cfg.num_categories, "adaptive initialization")
-    scale = Tensor(cats[:, None].astype(cfg.np_dtype()))
-    h0 = nm.add(nm.mul(scale, params.init_omega), params.init_bias)
+    h0 = cats[:, None].astype(cfg.np_dtype()) * params.init_omega.data
+    h0 += params.init_bias.data
     if train_mode:
         noise = rng.stream("noise").random((batch, cfg.hidden_dim))
-        h0 = nm.add(h0, Tensor(noise.astype(cfg.np_dtype(), copy=False)))
+        h0 += noise.astype(cfg.np_dtype(), copy=False)
     return h0
 
 
-def init_hidden_zero(cfg: ModelConfig, batch: int = 1) -> Tensor:
+def init_hidden_zero(cfg: ModelConfig, batch: int = 1) -> np.ndarray:
     """All-zero initial state, independent of rng and category."""
-    return Tensor(np.zeros((batch, cfg.hidden_dim), dtype=cfg.np_dtype()))
+    return np.zeros((batch, cfg.hidden_dim), dtype=cfg.np_dtype())
 
 
 def init_hidden(c, params: CatVrnnParams, rng: Rng, train_mode: bool,
-                batch: int = 1) -> Tensor:
+                batch: int = 1) -> np.ndarray:
     """Dispatch on the init_mode of ``params.cfg``.
 
     Mode ``none`` trains from zero and falls back to the static function in
@@ -266,10 +265,10 @@ def init_hidden(c, params: CatVrnnParams, rng: Rng, train_mode: bool,
 
 
 # --- forward passes ---------------------------------------------------------
-
-
-def _sigma_from(raw: Tensor) -> Tensor:
-    return nm.add(nm.softplus(raw), SIGMA_FLOOR)
+#
+# Every piece is numpy. The backward (``loss_and_grad``) adds each gradient's
+# terms in the order the autodiff tape that first trained the model did, so
+# that a run's parameters stay bit for bit those of that version.
 
 
 class Recurrent(NamedTuple):
@@ -297,36 +296,71 @@ class Recurrent(NamedTuple):
         return Recurrent._make(None if t is None else t.data for t in self)
 
 
+def _dense(x: np.ndarray, layers, outs=None) -> list[np.ndarray]:
+    """``x`` through the (weight, bias) tensor pairs ``layers``, with a relu
+    after every layer but the last. Each layer's output is written into its
+    array of ``outs`` (new arrays when not given); returns the outputs."""
+    ys = []
+    for i, ((w, b), y) in enumerate(zip(layers, outs or [None] * len(layers))):
+        y = np.matmul(x, w.data, out=y)
+        y += b.data
+        if i < len(layers) - 1:
+            np.maximum(y, 0.0, out=y)
+        ys.append(y)
+        x = y
+    return ys
+
+
+def _dense_backward(g: np.ndarray, x: np.ndarray, layers, ys, grads) -> np.ndarray:
+    """The backward of ``_dense(x, layers)``, whose outputs were ``ys`` (only
+    the hidden layers' are read), from the gradient ``g`` of its last
+    output. Writes each weight's and bias's gradient into its array of
+    ``grads`` (keyed by the tensor's id); returns the gradient of ``x``."""
+    for i in reversed(range(len(layers))):
+        w, b = layers[i]
+        inp = ys[i - 1] if i else x
+        dx = g @ w.data.T
+        np.matmul(inp.T, g, out=grads[id(w)])
+        np.sum(g, axis=0, out=grads[id(b)])
+        if i:
+            dx *= inp > 0  # through the relu
+        g = dx
+    return g
+
+
 # A step is four pieces. Only the recurrence needs the previous step's state;
-# the others take any number of rows, so forward_teacher runs them once over
-# all steps while ``_step`` looks up the token side in a table of the whole
-# vocabulary and decodes one step's rows.
+# the others take any number of rows, so a teacher-forced pass runs them once
+# over all steps while ``_step`` looks up the token side in a table of the
+# whole vocabulary and decodes one step's rows.
 
 
-def _inputs(x_ids: np.ndarray, params: CatVrnnParams):
-    """The token side of a step: the embedding's share of the encoder's first
-    layer and of the GRU's gates, biases included."""
-    e = nm.gather_rows(params.embedding, x_ids)
-    rec_x = e
-    if params.cfg.use_feature_extractors:
-        rec_x = nm.mlp_forward(e, params.feat_x, ["relu", "none"])
-    return (nm.linear(e, params.enc_x, params.enc_b),
-            nm.linear(rec_x, params.gru_x, params.gru_b))
+def _inputs(x_ids: np.ndarray, params: CatVrnnParams) -> SimpleNamespace:
+    """The token side of a step: the embedding rows ``e`` of ``x_ids``, the
+    feature extractor's outputs ``feat`` (empty when it is off), the GRU's
+    input ``rec_x`` (``e`` or ``feat[-1]``), and their shares of the
+    encoder's first layer (``enc_x``) and of the GRU's gates (``gru_x``),
+    biases included."""
+    e = params.embedding.data[x_ids]
+    feat = _dense(e, params.feat_x) if params.cfg.use_feature_extractors else []
+    rec_x = feat[-1] if feat else e
+    (enc_x,) = _dense(e, [(params.enc_x, params.enc_b)])
+    (gru_x,) = _dense(rec_x, [(params.gru_x, params.gru_b)])
+    return SimpleNamespace(e=e, feat=feat, rec_x=rec_x, enc_x=enc_x, gru_x=gru_x)
 
 
-def _gaussian(x: Tensor, head: tuple[Tensor, Tensor]) -> GaussianParams:
-    mu, raw = nm.split(nm.linear(x, *head), [head[0].data.shape[1] // 2] * 2)
-    return GaussianParams(mu, _sigma_from(raw))
-
-
-def _step_widths(w: Recurrent) -> dict[str, int]:
-    """Name -> width of the arrays one ``recur_step`` writes, besides h_next."""
+def _step_widths(w: Recurrent, for_backward: bool = False) -> dict[str, int]:
+    """Name -> width of the arrays one ``recur_step`` writes, besides h_next,
+    and with ``for_backward`` those one step of ``_recur_backward`` writes:
+    ``d_<name>``, the gradient at the matmul input ``<name>``."""
     hidden, latent = w.w_hn.shape[0], w.head_w.shape[1] // 2
     widths = dict(e1=w.enc_h.shape[1], e2=hidden, head=2 * latent, sigma=latent,
                   eps=latent, z=latent, gx=3 * hidden, ru=2 * hidden, rh=hidden,
                   n=hidden, tmp=hidden)
     if w.featz1_w is not None:
         widths.update(f1=latent, rec_z=latent)
+    if for_backward:
+        widths.update({f"d_{name}": widths[name] for name in
+                       ("e1", "e2", "head", "gx", "f1", "rec_z") if name in widths})
     return widths
 
 
@@ -416,15 +450,17 @@ def recur_step(h: np.ndarray, enc_x_t: np.ndarray, gru_x_t: np.ndarray,
     return h_next, z, mu, sigma
 
 
-def recurrence(h0: Tensor, enc_x: Tensor, gru_x: Tensor, w: Recurrent,
-               stream: np.random.Generator) -> list[Tensor]:
-    """``recur_step`` over every step as one tape op, from ``h0`` (B, H) over
-    the token sides ``enc_x``/``gru_x`` of T*B time-major rows, with one
+def recurrence(h0: np.ndarray, enc_x: np.ndarray, gru_x: np.ndarray, w: Recurrent,
+               stream: np.random.Generator, for_backward: bool = False):
+    """``recur_step`` over every step, on ``w.arrays()``, from ``h0`` (B, H)
+    over the token sides ``enc_x``/``gru_x`` of T*B time-major rows, with one
     (B, L) latent draw from ``stream`` per step.
 
-    Returns the previous states, z, mu and sigma of every step, (T*B, .) in
-    the rows' order, and the final state. The backward
-    (``_recur_backward``) walks time in reverse.
+    Returns the states h0..hT as one (T+1, B, H) array and every step's
+    arrays by name, (T, B, width): ``head``, ``sigma`` and ``z``, and with
+    ``for_backward`` also the rest that ``_recur_backward`` reads and the
+    arrays it writes. Those are allocated here, in the same block, so that
+    a training step's largest arrays come and go as one allocation.
     """
     batch, hidden = h0.shape
     steps = enc_x.shape[0] // batch
@@ -434,38 +470,27 @@ def recurrence(h0: Tensor, enc_x: Tensor, gru_x: Tensor, w: Recurrent,
             f"recurrence inputs h0 {h0.shape}, enc_x {enc_x.shape}, gru_x "
             f"{gru_x.shape} do not match hidden size {w.w_hn.shape[0]}"
         )
-    parents = [h0, enc_x, gru_x, *(t for t in w if t is not None)]
-    arrays = w.arrays()
-    widths = _step_widths(arrays)
-    # the backward needs every step's arrays; without it only the outputs
-    keep = (set(widths) - {"gx", "tmp"} if nm.records(parents)
-            else {"head", "sigma", "z"})
+    widths = _step_widths(w, for_backward)
+    keep = set(widths) - {"gx", "tmp"} if for_backward else {"head", "sigma", "z"}
     run = _Steps(widths, batch, steps, keep, enc_x.dtype)
     hs = np.empty((steps + 1, batch, hidden), dtype=enc_x.dtype)
-    hs[0] = h0.data
-    enc_rows = enc_x.data.reshape(steps, batch, -1)
-    gru_rows = gru_x.data.reshape(steps, batch, -1)
+    hs[0] = h0
+    enc_rows = enc_x.reshape(steps, batch, -1)
+    gru_rows = gru_x.reshape(steps, batch, -1)
     for t in range(steps):
         out = run.at(t)
         out.h_next = hs[t + 1]
         _draw_normal(stream, out.eps)
-        recur_step(hs[t], enc_rows[t], gru_rows[t], out.eps, arrays, out)
-
-    def rows(a):
-        return a.reshape(steps * batch, -1)
-
-    latent = widths["z"]
-    outputs = [rows(hs[:steps]), rows(run.arrays["z"]),
-               rows(run.arrays["head"])[:, :latent], rows(run.arrays["sigma"]), hs[steps]]
-    return nm.multi_output(outputs, parents,
-                           lambda grads: _recur_backward(grads, hs, run.arrays, arrays))
+        recur_step(hs[t], enc_rows[t], gru_rows[t], out.eps, w, out)
+    return hs, run.arrays
 
 
 def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray],
                     w: Recurrent) -> list[np.ndarray]:
     """Backpropagation through time for ``recurrence``. ``grads`` are its
     outputs' gradients (None where none arrived), ``hs`` the states h0..hT
-    and ``a`` every step's arrays. Carries dh from the last step to the
+    and ``a`` every step's arrays, as ``recurrence(..., for_backward=True)``
+    returns them, into whose ``d_`` arrays it writes. Carries dh from the last step to the
     first, keeps each step's gradients at the matmul inputs, and forms each
     weight's gradient as one (K, T*B) @ (T*B, N) matmul after the loop.
     Returns gradients for (h0, enc_x, gru_x, *the weights present)."""
@@ -474,9 +499,7 @@ def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray],
     featz = w.featz1_w is not None
     g_hprev, g_z, g_mu, g_sigma = (None if g is None else g.reshape(steps, batch, -1)
                                    for g in grads[:4])
-    names = ("e1", "e2", "head", "gx") + (("f1", "rec_z") if featz else ())
-    d = _Steps({name: a[name].shape[-1] for name in names}, batch, steps, names,
-               hs.dtype).arrays
+    d = {name[2:]: arr for name, arr in a.items() if name.startswith("d_")}
     dh = np.zeros_like(hs[0]) if grads[4] is None else grads[4]
     for t in reversed(range(steps)):
         h, ru, n = hs[t], a["ru"][t], a["n"][t]
@@ -544,31 +567,58 @@ def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray],
     return [dh, d_e1, d_gx, *(g for g in weights if g is not None)]
 
 
-def _emit(z: Tensor, h_prev: Tensor, params: CatVrnnParams) -> Tensor:
-    """Vocabulary logits decoded from the latent and the previous state."""
-    dec_h = nm.mlp_forward(nm.concat([z, h_prev], axis=-1), params.dec_stack,
-                           ["relu", "relu"])
-    return nm.linear(dec_h, *params.out_layer)
+def kl_gaussians(mu_q: np.ndarray, sigma_q: np.ndarray, mu_p: np.ndarray,
+                 sigma_p: np.ndarray) -> tuple[np.ndarray, SimpleNamespace]:
+    """Closed-form KL(q || p) of diagonal Gaussians, summed over the last
+    axis, and the arrays its backward (``_kl_backward``) reads."""
+    if mu_q.shape != mu_p.shape:
+        raise ConfigurationError(f"KL dimension mismatch: {mu_q.shape} vs {mu_p.shape}")
+    if np.any(sigma_q <= 0) or np.any(sigma_p <= 0):
+        raise NumericError("kl_gaussians requires strictly positive sigmas")
+    d = mu_q - mu_p
+    var_p = sigma_p * sigma_p
+    num = sigma_q * sigma_q + d * d
+    elem = np.log(sigma_p) - np.log(sigma_q)
+    elem += (num / var_p - 1.0) * 0.5
+    return elem.sum(axis=-1), SimpleNamespace(sigma_q=sigma_q, sigma_p=sigma_p, d=d,
+                                              var_p=var_p, num=num)
 
 
-def _emit_into(zh: np.ndarray, params: CatVrnnParams, out: SimpleNamespace) -> np.ndarray:
-    """``_emit`` in numpy from the side-by-side [z, h_prev] rows ``zh``, into
-    ``out.dec1``, ``out.dec2`` and ``out.logits``."""
-    x = zh
-    layers = [*params.dec_stack, params.out_layer]
-    for (w, b), y in zip(layers, (out.dec1, out.dec2, out.logits)):
-        np.matmul(x, w.data, out=y)
-        y += b.data
-        if y is not out.logits:
-            np.maximum(y, 0.0, out=y)
-        x = y
-    return x
+def _kl(mu: np.ndarray, sigma: np.ndarray, h_prev: np.ndarray, params: CatVrnnParams):
+    """KL of the posterior (mu, sigma) from the prior conditioned on the
+    previous state, per row, and what its backward reads: the prior net's
+    outputs ``prior`` (trunk, then mu|raw sigma) besides ``kl_gaussians``'."""
+    prior = _dense(h_prev, params.prior)
+    latent = mu.shape[-1]
+    sigma_p = np.logaddexp(0.0, prior[-1][:, latent:])
+    sigma_p += SIGMA_FLOOR
+    kl, parts = kl_gaussians(mu, sigma, prior[-1][:, :latent], sigma_p)
+    parts.prior = prior
+    return kl, parts
 
 
-def _kl(posterior: GaussianParams, h_prev: Tensor, params: CatVrnnParams) -> Tensor:
-    """KL of the posterior from the prior conditioned on the previous state."""
-    trunk = nm.relu(nm.linear(h_prev, *params.prior_trunk))
-    return nm.kl_gaussians(posterior, _gaussian(trunk, params.prior_head))
+def _kl_backward(c, parts: SimpleNamespace):
+    """Gradients of ``c`` times the summed KL, for ``c`` one scalar (the 1/B
+    of the batch mean): of the posterior's mu and sigma, and of the prior
+    net's last output (mu|raw sigma)."""
+    sigma_q, sigma_p, d = parts.sigma_q, parts.sigma_p, parts.d
+    half = c * 0.5
+    # through (num / var_p - 1) * 0.5
+    g_num = half / parts.var_p
+    g_var = -half * parts.num / (parts.var_p * parts.var_p)
+    # num = sigma_q^2 + d^2, var_p = sigma_p^2, and the logs of both sigmas;
+    # each square's two factors add in turn, after the log's term
+    g_d = g_num * d * 2.0
+    g_sigma_q = -c / sigma_q
+    g_sigma_q += g_num * sigma_q
+    g_sigma_q += g_num * sigma_q
+    g_sigma_p = c / sigma_p
+    g_sigma_p += g_var * sigma_p
+    g_sigma_p += g_var * sigma_p
+    # sigma_p = softplus(raw) + floor, d = mu_q - mu_p
+    raw = parts.prior[-1][:, d.shape[-1]:]
+    g_head = np.concatenate([g_d * -1.0, g_sigma_p / (1.0 + np.exp(-raw))], axis=1)
+    return g_d, g_sigma_q, g_head
 
 
 def _step_arrays(params: CatVrnnParams, count: int):
@@ -577,8 +627,9 @@ def _step_arrays(params: CatVrnnParams, count: int):
     vocabulary entry, and every array a step writes."""
     cfg = params.cfg
     rec = params.recurrent.arrays()
-    with nm.no_grad():
-        table = tuple(t.data for t in _inputs(np.arange(cfg.vocab_size), params))
+    tokens = _inputs(np.arange(cfg.vocab_size), params)
+    table = tokens.enc_x, tokens.gru_x
+    del tokens  # the embedding rows go before the step's block is allocated
     widths = {**_step_widths(rec), "enc_x": 2 * cfg.hidden_dim,
               "gru_x": 3 * cfg.hidden_dim, "h": cfg.hidden_dim,
               "h_next": cfg.hidden_dim, "zh": cfg.latent_dim + cfg.hidden_dim,
@@ -588,18 +639,18 @@ def _step_arrays(params: CatVrnnParams, count: int):
 
 def _step(x_ids: np.ndarray, params: CatVrnnParams, rec: Recurrent,
           table: tuple[np.ndarray, np.ndarray], b: SimpleNamespace):
-    """One time step over token ids in [0, V), in numpy without the tape, on
-    the arrays ``b`` of ``_step_arrays``: from the states in ``b.h_next``
-    (kept in ``b.h``), looks the tokens' rows up in ``table``, runs
-    ``recur_step`` with the latent draw the caller put in ``b.eps``, and
-    decodes vocabulary logits from latent + previous state into ``b.logits``.
+    """One time step over token ids in [0, V) on the arrays ``b`` of
+    ``_step_arrays``: from the states in ``b.h_next`` (kept in ``b.h``),
+    looks the tokens' rows up in ``table``, runs ``recur_step`` with the
+    latent draw the caller put in ``b.eps``, and decodes vocabulary logits
+    from latent + previous state into ``b.logits``.
     The prior net and KL are not computed; sampling does not use them."""
     for side, rows in zip(table, (b.enc_x, b.gru_x)):
         np.take(side, x_ids, axis=0, out=rows, mode="clip")
     np.copyto(b.h, b.h_next)
     recur_step(b.h, b.enc_x, b.gru_x, b.eps, rec, b)
     np.concatenate([b.z, b.h], axis=1, out=b.zh)
-    _emit_into(b.zh, params, b)
+    _dense(b.zh, params.decoder, [b.dec1, b.dec2, b.logits])
 
 
 def _run_steps(inputs: np.ndarray, c, params: CatVrnnParams, rng: Rng,
@@ -622,8 +673,7 @@ def _run_steps(inputs: np.ndarray, c, params: CatVrnnParams, rng: Rng,
     rec, table, full = arrays
     count = len(inputs)
     latent = rng.stream("latent")
-    with nm.no_grad():
-        full.h_next[:count] = init_hidden(c, params, rng, train_mode, count).data
+    full.h_next[:count] = init_hidden(c, params, rng, train_mode, count)
     eps = np.empty((count, params.cfg.latent_dim), dtype=full.eps.dtype)
     rows = np.arange(count)
     for t in range(params.cfg.max_len):
@@ -658,6 +708,33 @@ def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return x_ids
 
 
+def _teacher_pass(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
+                  rng: Rng, train_mode: bool, for_backward: bool):
+    """``forward_teacher``, and the arrays ``loss_and_grad``'s backward reads
+    (all of them when ``for_backward``)."""
+    x_ids = _teacher_inputs(x_ids, cfg)
+    batch, T = x_ids.shape
+    h0 = init_hidden(c, params, rng, train_mode, batch)
+    # time-major rows: step t is rows t*batch .. (t+1)*batch
+    ids = x_ids.T.reshape(-1)
+    tokens = _inputs(ids, params)
+    hs, run = recurrence(h0, tokens.enc_x, tokens.gru_x, params.recurrent.arrays(),
+                         rng.stream("latent"), for_backward)
+    del tokens.enc_x, tokens.gru_x  # no backward reads them
+    h_prev = hs[:T].reshape(T * batch, -1)
+    zh = np.concatenate([run["z"].reshape(T * batch, -1), h_prev], axis=1)
+    f = SimpleNamespace(ids=ids, tokens=tokens, hs=hs, run=run, h_prev=h_prev, zh=zh,
+                        decoded=_dense(zh, params.decoder))
+    fwd = SequenceForward(logits=f.decoded[-1].reshape(T, batch, cfg.vocab_size),
+                          class_logits=_dense(hs[T], [params.classifier])[0],
+                          kl_sum=None, final_hidden=hs[T])
+    if cfg.use_kl_term:
+        mu = run["head"].reshape(T * batch, -1)[:, :cfg.latent_dim]
+        kl, f.kl = _kl(mu, run["sigma"].reshape(T * batch, -1), h_prev, params)
+        fwd.kl_sum = kl.reshape(T, batch).sum(axis=0)
+    return fwd, f
+
+
 def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
                     cfg: ModelConfig, rng: Rng, train_mode: bool = True) -> SequenceForward:
     """Teacher-forced unrolled pass over padded inputs of width max_len.
@@ -668,53 +745,35 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
     state. Per-step KL values are summed when enabled.
 
     Computes what ``forward_stepwise`` computes, with the same draws, but
-    only the recurrence runs step by step, as one tape op: the token side
-    runs once over all ``T*B`` rows before it, and the decoder, output layer
-    and prior once over the stacked states after it.
+    only the recurrence runs step by step: the token side runs once over all
+    ``T*B`` rows before it, and the decoder, output layer and prior once
+    over the stacked states after it. ``loss_and_grad`` runs the same pass.
     """
-    x_ids = _teacher_inputs(x_ids, cfg)
-    batch, T = x_ids.shape
-    h0 = init_hidden(c, params, rng, train_mode, batch)
-    # time-major rows: step t is rows t*batch .. (t+1)*batch
-    enc_x, gru_x = _inputs(x_ids.T.reshape(-1), params)
-    h_all, z, mu, sigma, h = recurrence(h0, enc_x, gru_x, params.recurrent,
-                                        rng.stream("latent"))
-    logits = _emit(z, h_all, params)
-    kl_sum = None
-    if cfg.use_kl_term:
-        kl = nm.reshape(_kl(GaussianParams(mu, sigma), h_all, params), (T, batch))
-        kl_sum = nm.tensor_sum(kl, axis=0)
-    class_logits = nm.linear(h, *params.classifier)
-    return SequenceForward(logits=nm.reshape(logits, (T, batch, cfg.vocab_size)),
-                           class_logits=class_logits, kl_sum=kl_sum, final_hidden=h)
+    return _teacher_pass(x_ids, c, params, cfg, rng, train_mode, False)[0]
 
 
 def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
                      rng: Rng, train_mode: bool = True) -> SequenceForward:
     """``forward_teacher`` as a fold of ``_step``, the step ``generate`` runs,
-    plus the prior's KL of each step; the reference the one-op pass is
-    checked against. Not differentiable."""
+    plus the prior's KL of each step; the reference the teacher-forced pass
+    is checked against."""
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
     logits = np.empty((T, batch, cfg.vocab_size), dtype=cfg.np_dtype())
-    kls = []
+    kl_sum = None
 
     def record(t, rows, b):
+        nonlocal kl_sum
         logits[t] = b.logits
         if cfg.use_kl_term:
             # b.h holds the step's previous state, b.head its posterior
-            posterior = GaussianParams(Tensor(b.head[:, :cfg.latent_dim]),
-                                       Tensor(b.sigma))
-            kls.append(_kl(posterior, Tensor(b.h), params))
+            kl, _ = _kl(b.head[:, :cfg.latent_dim], b.sigma, b.h, params)
+            kl_sum = kl if kl_sum is None else kl_sum + kl
         return np.ones(batch, dtype=bool)
 
-    with nm.no_grad():
-        h = Tensor(_run_steps(x_ids, c, params, rng, train_mode,
-                              _step_arrays(params, batch), record))
-        return SequenceForward(logits=Tensor(logits),
-                               class_logits=nm.linear(h, *params.classifier),
-                               kl_sum=functools.reduce(nm.add, kls) if kls else None,
-                               final_hidden=h)
+    h = _run_steps(x_ids, c, params, rng, train_mode, _step_arrays(params, batch), record)
+    return SequenceForward(logits=logits, class_logits=_dense(h, [params.classifier])[0],
+                           kl_sum=kl_sum, final_hidden=h)
 
 
 def _loss_mask(targets: np.ndarray) -> np.ndarray:
@@ -728,38 +787,109 @@ def _loss_mask(targets: np.ndarray) -> np.ndarray:
     return mask
 
 
-def joint_loss(fwd: SequenceForward, targets: np.ndarray, c,
-               cfg: ModelConfig) -> LossBreakdown:
-    """Per-sentence generation NLL summed over all steps, classification NLL
-    at the final step, and their 1:1 sum (plus the KL sum when enabled)."""
+def _loss(fwd: SequenceForward, targets: np.ndarray, c,
+          cfg: ModelConfig) -> tuple[LossBreakdown, SimpleNamespace]:
+    """``joint_loss``, and what its backward reads: each cross-entropy's
+    rows' max and log-sum-exp, the targets in the logits' time-major order,
+    the categories and the PAD mask."""
+    T, batch, vocab = fwd.logits.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.ndim == 1:
         targets = targets[None, :]
-    T, batch, vocab = fwd.logits.shape
     if targets.shape != (batch, T):
         raise DataError(
             f"targets of shape {targets.shape} do not match {batch} rows of "
             f"{T} forward steps"
         )
     # one cross-entropy over all T*B positions, in the logits' time-major order
-    ce = nm.cross_entropy_rows(nm.reshape(fwd.logits, (T * batch, vocab)),
-                               targets.T.reshape(-1))
-    if cfg.mask_pad_loss:
-        mask = _loss_mask(targets).astype(fwd.logits.dtype)
-        ce = nm.mul(ce, Tensor(mask.T.reshape(-1)))
-    gen_nll = nm.tensor_sum(nm.reshape(ce, (T, batch)), axis=0)
+    logits = fwd.logits.reshape(T * batch, vocab)
+    parts = SimpleNamespace(targets=targets.T.reshape(-1))
+    ce, parts.m, parts.ls = nm.nll_rows(logits, parts.targets)
+    # every position weighs 1 unless PAD masking is on
+    mask = _loss_mask(targets) if cfg.mask_pad_loss else np.ones(targets.shape)
+    parts.mask = mask.astype(logits.dtype).T.reshape(-1)
+    ce = ce * parts.mask
+    gen_nll = ce.reshape(T, batch).sum(axis=0)
 
-    cats = _category_column(c, targets.shape[0], fwd.class_logits.data.shape[-1],
-                            "classification target")
-    cls_nll = nm.cross_entropy_rows(fwd.class_logits, cats)
+    parts.cats = _category_column(c, batch, fwd.class_logits.shape[-1],
+                                  "classification target")
+    cls_nll, parts.cls_m, parts.cls_ls = nm.nll_rows(fwd.class_logits, parts.cats)
 
     total = gen_nll
     if cfg.use_classification:
-        total = nm.add(total, cls_nll)
+        total = total + cls_nll
     if fwd.kl_sum is not None:
-        total = nm.add(total, fwd.kl_sum)
+        total = total + fwd.kl_sum
     return LossBreakdown(gen_nll=gen_nll, cls_nll=cls_nll, kl=fwd.kl_sum,
-                         total=total)
+                         total=total), parts
+
+
+def joint_loss(fwd: SequenceForward, targets: np.ndarray, c,
+               cfg: ModelConfig) -> LossBreakdown:
+    """Per-sentence generation NLL summed over all steps, classification NLL
+    at the final step, and their 1:1 sum (plus the KL sum when enabled)."""
+    return _loss(fwd, targets, c, cfg)[0]
+
+
+def loss_and_grad(x_ids: np.ndarray, targets: np.ndarray, c, params: CatVrnnParams,
+                  cfg: ModelConfig, rng: Rng, grad: np.ndarray) -> LossBreakdown:
+    """``joint_loss`` of the training-mode ``forward_teacher`` over a batch,
+    with the same draws, and the gradient of the batch mean of its
+    ``total``, written into ``grad``, an array laid out like
+    ``params.store.flat`` (zeros for a weight the loss does not reach),
+    unless the mean is not finite. The backward runs by hand from the output
+    layer's softmax gradient, written into the logits' own buffer, to the
+    token side and the adaptive h0."""
+    fwd, f = _teacher_pass(x_ids, c, params, cfg, rng, True, True)
+    loss, parts = _loss(fwd, targets, c, cfg)
+    if not np.isfinite(loss.total.mean()):
+        return loss
+    batch, logits = len(fwd.class_logits), f.decoded[-1]
+    store = params.store
+    # each tensor's view of ``grad``, by the tensor's id
+    grads = {id(t): view for (_, t), view in zip(store.items(),
+                                                 store.views(grad).values())}
+    # the mean's 1/B reaches every per-sentence term
+    c_mean = np.ones((), dtype=logits.dtype) / batch
+    g_logits = nm.cross_entropy_grad(logits, parts.m, parts.ls, parts.targets,
+                                     c_mean * parts.mask, out=logits)
+    g_zh = _dense_backward(g_logits, f.zh, params.decoder, f.decoded, grads)
+    g_z, g_hprev = np.split(g_zh, [cfg.latent_dim], axis=1)
+    g_mu = g_sigma = g_hT = None
+    if cfg.use_kl_term:
+        g_mu, g_sigma, g_head = _kl_backward(c_mean, f.kl)
+        g_hprev = g_hprev + _dense_backward(g_head, f.h_prev, params.prior, f.kl.prior,
+                                            grads)
+    if cfg.use_classification:
+        g_cls = nm.cross_entropy_grad(fwd.class_logits, parts.cls_m, parts.cls_ls,
+                                      parts.cats, np.full(batch, c_mean),
+                                      out=fwd.class_logits)
+        g_hT = _dense_backward(g_cls, f.hs[-1], [params.classifier], [], grads)
+    else:
+        for t in params.classifier:
+            grads[id(t)].fill(0.0)
+
+    dh, d_enc_x, d_gru_x, *rec_grads = _recur_backward(
+        [g_hprev, g_z, g_mu, g_sigma, g_hT], f.hs, f.run, params.recurrent.arrays())
+    for t, g in zip((t for t in params.recurrent if t is not None), rec_grads):
+        grads[id(t)][...] = g
+
+    tokens, embedding = f.tokens, grads[id(params.embedding)]
+    g_e = _dense_backward(d_enc_x, tokens.e, [(params.enc_x, params.enc_b)], [], grads)
+    g_rec = _dense_backward(d_gru_x, tokens.rec_x, [(params.gru_x, params.gru_b)], [],
+                            grads)
+    if tokens.feat:
+        g_rec = _dense_backward(g_rec, tokens.e, params.feat_x, tokens.feat, grads)
+    g_e += g_rec
+    embedding.fill(0.0)
+    np.add.at(embedding, f.ids, g_e)
+
+    if cfg.init_mode == "adaptive":
+        # h0 = c * omega + bias + noise
+        np.sum(dh * parts.cats[:, None].astype(dh.dtype), axis=0,
+               out=grads[id(params.init_omega)])
+        np.sum(dh, axis=0, out=grads[id(params.init_bias)])
+    return loss
 
 
 def generate(c: int, count: int, params: CatVrnnParams, cfg: ModelConfig,
@@ -832,7 +962,7 @@ def teacher_nll(x_ids: np.ndarray, targets: np.ndarray, scored: np.ndarray, c,
         out, tgt, last = nll[:, sl], targets[sl], scored[sl]
 
         def score(t, rows, b):
-            out[t, rows] = nm.cross_entropy_rows(b.logits, tgt[rows, t]).data
+            out[t, rows] = nm.nll_rows(b.logits, tgt[rows, t])[0]
             return last[rows] > t + 1
 
         _run_steps(x_ids[sl], c[sl], params, rng, False, arrays, score)

@@ -1,10 +1,13 @@
-"""Differentiable primitives: tensors with reverse-mode gradients, a parameter
-store, seeded RNG streams, and a finite-difference gradient checker.
+"""Numeric core: a small reverse-mode autodiff tape, the numpy softmax and
+cross-entropy, a parameter store, seeded RNG streams, and a
+finite-difference gradient checker.
 
-Every operation records its parents and a backward closure on the output
-tensor; ``Tensor.backward()`` replays the recorded graph once in reverse
-topological order. Values are double precision by default (single precision
-passes through when the inputs carry it).
+The tape carries the ops of the scoring classifier (``evaluation``), the
+only network trained through it; the model's backward is written by hand
+in ``model``. Every tape operation records its parents and a backward
+closure on the output tensor; ``Tensor.backward()`` replays the recorded
+graph once in reverse topological order. Values are double precision by
+default (single precision passes through when the inputs carry it).
 """
 
 from __future__ import annotations
@@ -35,10 +38,8 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(DEFAULT_DTYPE)
@@ -78,13 +79,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def _accumulate(self, g: np.ndarray):
         # rebinding accumulation keeps aliased buffers safe from mutation
         self.grad = g if self.grad is None else self.grad + g
@@ -120,25 +114,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _lift(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(_as_array(x, dtype=dtype))
-
-
-def _lift_pair(a, b) -> tuple[Tensor, Tensor]:
-    """Lift a non-tensor operand of a binary op in the dtype of the tensor on
-    either side, so a Python scalar never promotes float32 to float64."""
-    if not isinstance(a, Tensor) and isinstance(b, Tensor):
-        return _lift(a, like=b), b
-    a = _lift(a)
-    return a, _lift(b, like=a)
-
-
-def records(parents: Sequence[Tensor]) -> bool:
-    """Whether an op over ``parents`` goes on the tape."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+def _lift(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -156,7 +133,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift_pair(a, b)
+    a, b = _lift(a), _lift(b)
     data = a.data + b.data
 
     def backward(g):
@@ -169,7 +146,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift_pair(a, b)
+    a, b = _lift(a), _lift(b)
     data = a.data * b.data
 
     def backward(g):
@@ -177,19 +154,6 @@ def mul(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = _lift_pair(a, b)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -273,79 +237,12 @@ def multi_output(outputs: Sequence[np.ndarray], parents: Sequence[Tensor],
     return [_make(data, (joint,), collect(i)) for i, data in enumerate(outputs)]
 
 
-def split(t: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
-    """Cut ``t`` into consecutive pieces of ``sizes`` along ``axis``; each
-    piece is a view. The pieces' gradients land in one buffer, which reaches
-    ``t`` as a single accumulation."""
-    t = _lift(t)
-    axis %= t.data.ndim
-    if sum(sizes) != t.data.shape[axis]:
-        raise ConfigurationError(
-            f"split sizes {list(sizes)} do not add up to {t.shape}[{axis}]"
-        )
-    lead = (slice(None),) * axis
-    offsets = np.cumsum([0, *sizes])
-    idx = [lead + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
-
-    def backward(grads):
-        acc = np.zeros_like(t.data)
-        for i, g in zip(idx, grads):
-            if g is not None:
-                acc[i] += g
-        return [acc]
-
-    return multi_output([t.data[i] for i in idx], [t], backward)
-
-
-def reshape(t: Tensor, shape) -> Tensor:
-    t = _lift(t)
-    data = t.data.reshape(shape)
-
-    def backward(g):
-        t._accumulate(g.reshape(t.data.shape))
-
-    return _make(data, (t,), backward)
-
-
 def relu(t: Tensor) -> Tensor:
     t = _lift(t)
     data = np.maximum(t.data, 0.0)
 
     def backward(g):
         t._accumulate(g * (t.data > 0))
-
-    return _make(data, (t,), backward)
-
-
-def softplus(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = np.logaddexp(0.0, t.data)
-
-    def backward(g):
-        t._accumulate(g / (1.0 + np.exp(-t.data)))
-
-    return _make(data, (t,), backward)
-
-
-def log(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = np.log(t.data)
-
-    def backward(g):
-        t._accumulate(g / t.data)
-
-    return _make(data, (t,), backward)
-
-
-def tensor_sum(t: Tensor, axis=None) -> Tensor:
-    t = _lift(t)
-    data = np.asarray(t.data.sum(axis=axis))
-
-    def backward(g):
-        if axis is None:
-            t._accumulate(np.broadcast_to(g, t.data.shape))
-        else:
-            t._accumulate(np.broadcast_to(np.expand_dims(g, axis), t.data.shape))
 
     return _make(data, (t,), backward)
 
@@ -461,32 +358,43 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-row negative log-likelihood from logits: (B, V), (B,) -> (B,).
-
-    Keeps each row's max ``m`` and log-sum-exp ``ls`` rather than the (B, V)
-    log-softmax; the backward rebuilds the softmax as ``exp((x - m) - ls)``
-    into the gradient buffer, with the forward's ops in its order."""
-    logits = _lift(logits)
+def nll_rows(x: np.ndarray, targets: np.ndarray):
+    """Per-row negative log-likelihood of the ``targets`` under softmax(x):
+    (B, V), (B,) -> (B,), in numpy. Also returns each row's max ``m`` and
+    log-sum-exp ``ls`` of ``x - m``, which ``cross_entropy_grad`` reads,
+    rather than the (B, V) log-softmax."""
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.data.shape[-1]):
-        raise ConfigurationError(
-            f"target id out of range [0, {logits.data.shape[-1]})"
-        )
-    x = logits.data
+    if targets.size and (targets.min() < 0 or targets.max() >= x.shape[-1]):
+        raise ConfigurationError(f"target id out of range [0, {x.shape[-1]})")
     m = x.max(axis=-1, keepdims=True)
     e = np.subtract(x, m)
     ls = np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
     rows = np.arange(x.shape[0])
-    data = ls[:, 0] - (x[rows, targets] - m[:, 0])
+    return ls[:, 0] - (x[rows, targets] - m[:, 0]), m, ls
+
+
+def cross_entropy_grad(x: np.ndarray, m: np.ndarray, ls: np.ndarray,
+                       targets: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    """The gradient of ``nll_rows(x, targets)`` weighted by the row weights
+    ``g``: the softmax rebuilt as ``exp((x - m) - ls)`` with the forward's ops
+    in its order, times ``g``, less ``g`` at each target. Written into
+    ``out`` when given, which may be ``x`` itself."""
+    grad = np.subtract(x, m, out=out)
+    grad -= ls
+    np.exp(grad, out=grad)
+    grad *= g[:, None]
+    grad[np.arange(x.shape[0]), targets] -= g
+    return grad
+
+
+def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """``nll_rows`` as a tape op: (B, V), (B,) -> (B,)."""
+    logits = _lift(logits)
+    targets = np.asarray(targets, dtype=np.int64)
+    data, m, ls = nll_rows(logits.data, targets)
 
     def backward(g):
-        grad = np.subtract(x, m)
-        grad -= ls
-        np.exp(grad, out=grad)
-        grad *= g[:, None]
-        grad[rows, targets] -= g
-        logits._accumulate(grad)
+        logits._accumulate(cross_entropy_grad(logits.data, m, ls, targets, g))
 
     return _make(data, (logits,), backward)
 
@@ -500,62 +408,6 @@ def reparameterize(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray,
     z = np.multiply(sigma, eps, out=out)
     z += mu
     return z
-
-
-# --- model-facing composite primitives ------------------------------------
-
-
-def mlp_forward(x: Tensor, stack: Sequence[tuple[Tensor, Tensor]],
-                activations: Sequence[str]) -> Tensor:
-    """Run a fully connected stack with per-layer activation tags.
-
-    ``stack`` is a sequence of (weight, bias) pairs whose dimensions must
-    chain; tags are ``relu`` or ``none``. Intermediates are
-    recorded on the graph for the backward pass.
-    """
-    if len(stack) != len(activations):
-        raise ConfigurationError(
-            f"{len(stack)} layers but {len(activations)} activation tags"
-        )
-    out = x
-    for i, ((w, b), act) in enumerate(zip(stack, activations)):
-        if out.data.shape[-1] != w.data.shape[0]:
-            raise ConfigurationError(
-                f"layer {i}: input dim {out.data.shape[-1]} does not match "
-                f"weight shape {w.data.shape}"
-            )
-        out = linear(out, w, b)
-        if act == "relu":
-            out = relu(out)
-        elif act != "none":
-            raise ConfigurationError(f"unknown activation tag {act!r}")
-    return out
-
-
-@dataclass
-class GaussianParams:
-    """Diagonal Gaussian: mean and strictly positive standard deviation."""
-
-    mu: Tensor
-    sigma: Tensor
-
-
-def kl_gaussians(q: GaussianParams, p: GaussianParams) -> Tensor:
-    """Closed-form KL(q || p) for diagonal Gaussians, summed over the last axis.
-
-    Returns a scalar for vector inputs, a per-row vector for batched inputs.
-    """
-    if q.mu.data.shape != p.mu.data.shape:
-        raise ConfigurationError(
-            f"KL dimension mismatch: {q.mu.shape} vs {p.mu.shape}"
-        )
-    if np.any(q.sigma.data <= 0) or np.any(p.sigma.data <= 0):
-        raise NumericError("kl_gaussians requires strictly positive sigmas")
-    d = add(q.mu, mul(p.mu, -1.0))
-    var_p = mul(p.sigma, p.sigma)
-    ratio = div(add(mul(q.sigma, q.sigma), mul(d, d)), var_p)
-    elem = add(add(log(p.sigma), mul(log(q.sigma), -1.0)), mul(add(ratio, -1.0), 0.5))
-    return tensor_sum(elem, axis=-1)
 
 
 # --- parameter store -------------------------------------------------------
@@ -731,28 +583,26 @@ class GradCheckReport:
         )
 
 
-def check_gradient(loss_fn: Callable[[], Tensor], store: ParamStore,
-                   tolerance: float = 1e-4, fd_step: float = 1e-5,
+def check_gradient(loss_fn: Callable[[], float], store: ParamStore,
+                   analytic: np.ndarray, tolerance: float = 1e-4, fd_step: float = 1e-5,
                    max_checks: int = 256, corrupt: bool = False) -> GradCheckReport:
-    """Compare analytic gradients of a scalar loss to central finite differences.
+    """Compare the analytic gradient of a scalar loss to central finite
+    differences.
 
-    ``loss_fn`` must be a pure function of the parameter values (re-seed any
-    noise inside it). Every element of ``store.flat`` is checked when there
-    are at most ``max_checks``; otherwise a uniform random subsample of
-    ``max_checks`` elements, drawn with seed 0, is used. Relative error uses
-    the denominator max(|analytic|, |numeric|, noise / tolerance), where noise =
-    eps * max(|f+|, |f-|) / fd_step is the rounding error of the central
-    difference itself: an entry smaller than noise / tolerance cannot be
-    resolved to the tolerance, so its error is judged against that floor.
-    ``corrupt=True`` perturbs the analytic gradients before comparison, as
-    a negative control that must fail.
+    ``loss_fn`` returns the loss as a float and must be a pure function of
+    the parameter values (re-seed any noise inside it); ``analytic`` is its
+    gradient, laid out like ``store.flat``. Every element of ``store.flat``
+    is checked when there are at most ``max_checks``; otherwise a uniform
+    random subsample of ``max_checks`` elements, drawn with seed 0, is used.
+    Relative error uses the denominator max(|analytic|, |numeric|, noise /
+    tolerance), where noise = eps * max(|f+|, |f-|) / fd_step is the rounding
+    error of the central difference itself: an entry smaller than noise /
+    tolerance cannot be resolved to the tolerance, so its error is judged
+    against that floor. ``corrupt=True`` perturbs the analytic gradients
+    before comparison, as a negative control that must fail.
     """
-    store.zero_grad()
-    loss = loss_fn()
-    if loss.data.size != 1:
+    if np.size(loss_fn()) != 1:
         raise ConfigurationError("check_gradient requires a scalar-valued loss")
-    loss.backward()
-    analytic = store.gather_grads()
     if corrupt:
         analytic = analytic * 1.01 + 1e-3
 
@@ -766,16 +616,16 @@ def check_gradient(loss_fn: Callable[[], Tensor], store: ParamStore,
     owners = np.searchsorted(np.cumsum([store[n].data.size for n in names]),
                              elements, side="right")
 
-    eps = float(np.finfo(loss.data.dtype).eps)
-    tiny = float(np.finfo(loss.data.dtype).tiny)
+    eps = float(np.finfo(flat.dtype).eps)
+    tiny = float(np.finfo(flat.dtype).tiny)
     errs = dict.fromkeys(names, 0.0)
     counts = dict.fromkeys(names, 0)
     for i, owner in zip(elements, owners):
         orig = flat[i]
         flat[i] = orig + fd_step
-        f_plus = loss_fn().item()
+        f_plus = float(loss_fn())
         flat[i] = orig - fd_step
-        f_minus = loss_fn().item()
+        f_minus = float(loss_fn())
         flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * fd_step)
         a = float(analytic[i])

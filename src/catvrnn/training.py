@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
-from .numeric import ParamStore, Rng, Tensor, mean as nm_mean
-from .model import CatVrnnParams, ModelConfig, forward_teacher, joint_loss
+from .numeric import ParamStore, Rng
+from .model import CatVrnnParams, ModelConfig, loss_and_grad
 from .data import atomic_open, atomic_write_text, read_text
 
 log = logging.getLogger(__name__)
@@ -56,13 +56,15 @@ class TrainPlan:
 class AdamState:
     """First and second moments, each one array laid out like the store's
     ``flat``, plus the shared step count. ``m`` and ``v`` map each tensor's
-    name to its view of them."""
+    name to its view of them. ``grad`` is the array each training step
+    writes its gradient into, kept from step to step (see ``gather_grads``)."""
 
     def __init__(self, store: ParamStore, lr: float = 1e-3):
         self.lr = lr
         self.step = 0
         self.m_flat = np.zeros_like(store.flat)
         self.v_flat = np.zeros_like(store.flat)
+        self.grad = np.zeros_like(store.flat)
         self.m = store.views(self.m_flat)
         self.v = store.views(self.v_flat)
 
@@ -126,16 +128,12 @@ class EpochStats:
         }
 
 
-def optimizer_step(store: ParamStore, loss: Tensor, state: AdamState,
+def optimizer_step(store: ParamStore, grad: np.ndarray, state: AdamState,
                    grad_clip: float | None = None):
-    """Backpropagate the scalar ``loss`` into freshly zeroed gradients, gather
-    them into one array (``ParamStore.gather_grads``), scale it down to a
-    global norm of ``grad_clip`` when given and larger, and apply one Adam
-    update. Parameters outside the loss get zero gradients, which leaves
-    them unchanged under Adam's zero-initialized moments."""
-    store.zero_grad()
-    loss.backward()
-    grad = store.gather_grads()
+    """Scale ``grad``, laid out like the store's ``flat``, down to a global
+    norm of ``grad_clip`` when given and larger, and apply one Adam update
+    from it (``adam_step``, which overwrites it). Parameters with zero
+    gradients stay unchanged under Adam's zero-initialized moments."""
     if grad_clip is not None:
         norm = float(np.linalg.norm(grad))
         if norm > grad_clip:
@@ -160,21 +158,17 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
     gen_sum = cls_sum = kl_sum = 0.0
     for start in range(0, n, plan.batch_size):
         idx = order[start: start + plan.batch_size]
-        fwd = forward_teacher(inputs[idx], categories[idx], params, cfg, rng,
-                              train_mode=True)
-        breakdown = joint_loss(fwd, targets[idx], categories[idx], cfg)
-        batch_loss = nm_mean(breakdown.total)
-        if not np.isfinite(batch_loss.item()):
+        breakdown = loss_and_grad(inputs[idx], targets[idx], categories[idx], params,
+                                  cfg, rng, state.grad)
+        if not np.isfinite(breakdown.total.mean()):
             raise NumericError(
                 f"non-finite loss at epoch {epoch}, batch starting {start}"
             )
-        optimizer_step(params.store, batch_loss, state, plan.grad_clip)
-        gen_sum += float(breakdown.gen_nll.data.sum(dtype=np.float64))
-        cls_sum += float(breakdown.cls_nll.data.sum(dtype=np.float64))
+        optimizer_step(params.store, state.grad, state, plan.grad_clip)
+        gen_sum += float(breakdown.gen_nll.sum(dtype=np.float64))
+        cls_sum += float(breakdown.cls_nll.sum(dtype=np.float64))
         if breakdown.kl is not None:
-            kl_sum += float(breakdown.kl.data.sum(dtype=np.float64))
-        # the batch's tape goes before the next forward builds its own
-        del fwd, breakdown, batch_loss
+            kl_sum += float(breakdown.kl.sum(dtype=np.float64))
     return EpochStats(epoch=epoch, mean_gen_nll=gen_sum / n,
                       mean_cls_nll=cls_sum / n, mean_kl=kl_sum / n,
                       n_sentences=n)
@@ -278,6 +272,9 @@ def _read_header(raw: bytes, path: Path) -> tuple[dict, memoryview]:
         header = json.loads(raw[8: 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: damaged header: a JSON {type(header).__name__}, "
+                        f"not an object")
     return header, memoryview(raw)[8 + header_len:]
 
 
@@ -338,8 +335,17 @@ def header_errors(path):
         yield
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: damaged header: {e!r}") from e
+
+
+def check_dtype(path, arrays: dict[str, np.ndarray], dtype):
+    """A DataError naming the file and the first tensor of ``arrays`` not of
+    ``dtype``: the body digest cannot see a manifest's dtype read wrongly."""
+    for name, arr in arrays.items():
+        if arr.dtype != dtype:
+            raise DataError(f"{path}: tensor {name!r} is {arr.dtype}, "
+                            f"expected {np.dtype(dtype)}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -348,8 +354,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataError(f"{path}: not a model checkpoint ({header.get('kind')!r})")
     with header_errors(path):
         plan, adam = header.get("plan"), header.get("adam")
+        config = ModelConfig.from_dict(header["config"])
+        if header.get("rng") is not None:
+            Rng(0).set_state(header["rng"])  # a stream state, or an error here
+        check_dtype(path, arrays, config.np_dtype())
         return Checkpoint(
-            config=ModelConfig.from_dict(header["config"]),
+            config=config,
             tensors={n[len("param."):]: a for n, a in arrays.items()
                      if n.startswith("param.")},
             epoch=int(header["epoch"]),

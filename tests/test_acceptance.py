@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from catvrnn.numeric import Rng, check_gradient, mean as nm_mean
+from catvrnn.numeric import Rng, check_gradient
 from catvrnn.model import (
     CatVrnnParams,
     ModelConfig,
@@ -22,6 +22,7 @@ from catvrnn.model import (
     init_hidden_static,
     init_hidden_zero,
     joint_loss,
+    loss_and_grad,
     parameter_count,
 )
 from catvrnn.data import (
@@ -117,9 +118,11 @@ def test_c01_gradient_suite_full_joint_loss():
         def loss():
             fwd = forward_teacher(x_ids, cats, params, cfg, Rng(1),
                                   train_mode=True)
-            return nm_mean(joint_loss(fwd, targets, cats, cfg).total)
+            return joint_loss(fwd, targets, cats, cfg).total.mean()
 
-        report = check_gradient(loss, params.store, tolerance=1e-4,
+        analytic = np.empty_like(params.store.flat)
+        loss_and_grad(x_ids, targets, cats, params, cfg, Rng(1), analytic)
+        report = check_gradient(loss, params.store, analytic, tolerance=1e-4,
                                 max_checks=256)
         assert report.passed, (init_mode, use_kl, report.summary())
     elapsed = time.time() - t0
@@ -137,7 +140,7 @@ def test_c02_initialization_invariants():
     rng = Rng(17)
     for draw in range(1000):
         c = draw % 2
-        h0 = init_hidden_static(c, cfg, rng).data[0]
+        h0 = init_hidden_static(c, cfg, rng)[0]
         sign = 1.0 if c == 0 else -1.0
         assert np.all(np.sign(h0) == sign)
         assert abs(h0.sum() - sign * 8.5) < 1e-10
@@ -146,15 +149,15 @@ def test_c02_initialization_invariants():
                        hidden_dim=32, latent_dim=4, max_len=5,
                        init_mode="adaptive")
     params = CatVrnnParams(acfg, Rng(3))
-    h = [init_hidden_adaptive(c, params, False, rng).data[0] for c in range(6)]
+    h = [init_hidden_adaptive(c, params, False, rng)[0] for c in range(6)]
     for c in range(5):
         np.testing.assert_allclose(h[c + 1] - h[c], params.init_omega.data,
                                    atol=1e-12)
 
-    z1 = init_hidden_zero(cfg, batch=4).data
+    z1 = init_hidden_zero(cfg, batch=4)
     consumed = Rng(5)
     consumed.stream("init").random(1000)
-    z2 = init_hidden_zero(cfg, batch=4).data
+    z2 = init_hidden_zero(cfg, batch=4)
     np.testing.assert_array_equal(z1, np.zeros((4, 32)))
     np.testing.assert_array_equal(z1, z2)
     announce("C02", "initialization-invariants")
@@ -255,7 +258,7 @@ def test_c05_kl_ablation_direction(synth):
     fwd = forward_teacher(batch.inputs[:8], batch.categories[:8], params, cfg,
                           Rng(1))
     assert fwd.kl_sum is not None
-    assert np.all(fwd.kl_sum.data >= 0)
+    assert np.all(fwd.kl_sum >= 0)
 
     assert degraded >= 2, f"KL hurt generation in only {degraded}/3 seeds"
     announce("C05", "kl-ablation-direction")

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from catvrnn import cli, numeric
+from catvrnn import cli
 from catvrnn.cli import main
 from catvrnn.data import (
     build_vocabulary,
@@ -487,8 +487,11 @@ def test_generate_checkpoint_missing_a_tensor(tmp_path, trained_run, capsys):
     ("model", lambda header: header["plan"].update(unknown=1)),
     ("model", lambda header: header["plan"].update(epochs=0)),
     ("model", lambda header: header["adam"].pop("step")),
+    # valid JSON that is not an object: the header's text, not an edit
+    ("model", "[1, 2]"),
+    ("classifier", "[1, 2]"),
 ], ids=["config-key", "classifier-config-key", "no-epoch", "plan-key", "plan-epochs",
-        "no-adam-step"])
+        "no-adam-step", "not-an-object", "classifier-not-an-object"])
 def test_damaged_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
                                                         synth_corpus_file, capsys,
                                                         kind, edit):
@@ -506,9 +509,14 @@ def test_damaged_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
                        vocab).save(source)
         argv = ("evaluate", "--corpus", str(synth_corpus_file),
                 "--generated", str(synth_corpus_file), "--classifier", str(damaged))
-    header, arrays = read_container(source)
-    edit(header)
-    write_container(damaged, header, arrays)
+    if isinstance(edit, str):
+        raw = source.read_bytes()
+        (size,) = struct.unpack("<Q", raw[:8])
+        damaged.write_bytes(struct.pack("<Q", len(edit)) + edit.encode() + raw[8 + size:])
+    else:
+        header, arrays = read_container(source)
+        edit(header)
+        write_container(damaged, header, arrays)
     assert run_cli(*argv) == 2
     assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
 
@@ -543,6 +551,53 @@ def test_damaged_container_header_is_a_data_error_naming_the_file(tmp_path, trai
                    "--out", str(tmp_path / "gen.tsv"))
     assert code == 2
     assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", [
+    {"bit_generator": "MT19937", "state": {"key": [0] * 624, "pos": 0}},
+    "not a state",
+], ids=["other-generator", "string"])
+def test_resume_from_a_damaged_rng_state_is_a_data_error_naming_the_file(
+        tmp_path, trained_run, synth_corpus_file, capsys, state):
+    damaged = tmp_path / "damaged.ckpt"
+    rewrite_header(trained_run / "epoch_0003.ckpt", damaged,
+                   lambda header: header["rng"]["streams"].update(latent=state))
+    out = tmp_path / "run"
+    code = run_cli("train", "--resume", str(damaged), "--corpus",
+                   str(synth_corpus_file), "--out", str(out), "--epochs", "4")
+    assert code == 2
+    assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int64"])
+@pytest.mark.parametrize("kind", ["model", "classifier"])
+def test_a_tensor_of_another_dtype_is_a_data_error_naming_it(
+        tmp_path, trained_run, synth_corpus_file, capsys, kind, dtype):
+    # the body digest still holds: the manifest alone says how to read it
+    damaged = tmp_path / "damaged"
+    if kind == "model":
+        source, tensor = trained_run / "epoch_0003.ckpt", "param.out.b"
+        argv = ("generate", "--checkpoint", str(damaged),
+                "--vocab", str(trained_run / "vocab.txt"),
+                "--out", str(tmp_path / "gen.tsv"))
+    else:
+        corpus = load_corpus(synth_corpus_file)
+        vocab = build_vocabulary(corpus)
+        source, tensor = tmp_path / "full.clf", "head.b"
+        EvalClassifier(ClassifierConfig(len(vocab), corpus.num_categories, max_len=7),
+                       vocab).save(source)
+        argv = ("evaluate", "--corpus", str(synth_corpus_file),
+                "--generated", str(synth_corpus_file), "--classifier", str(damaged))
+
+    def retype(header):
+        (entry,) = (e for e in header["manifest"] if e["name"] == tensor)
+        entry["dtype"] = dtype
+
+    rewrite_header(source, damaged, retype)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {damaged}: tensor '{tensor}' is {dtype}, expected float64" in err
 
 
 @pytest.mark.parametrize("reader", ["corpus", "vocab", "generated", "config"])
@@ -652,20 +707,22 @@ def test_grad_check_passes_and_corrupt_fails(capsys):
 
 def test_grad_check_fails_when_training_and_sampling_paths_diverge(monkeypatch,
                                                                   capsys):
-    original = cli.forward_teacher
+    original = cli.forward_stepwise
 
     def skewed(*args, **kwargs):
         fwd = original(*args, **kwargs)
-        return dataclasses.replace(fwd, logits=numeric.mul(fwd.logits, 1.001))
+        return dataclasses.replace(fwd, logits=fwd.logits * 1.001)
 
     assert run_cli("grad-check", "--max-checks", "20") == 0
     out = capsys.readouterr().out
     assert out.count("forward_teacher vs _step fold") == len(cli.GRAD_CHECK_VARIANTS)
-    # a skewed training pass still has consistent gradients, but no longer
-    # matches the cell that generate runs
-    monkeypatch.setattr(cli, "forward_teacher", skewed)
+    # the gradients still check, but the skewed cell that generate runs no
+    # longer matches the teacher-forced pass that training runs
+    monkeypatch.setattr(cli, "forward_stepwise", skewed)
     assert run_cli("grad-check", "--max-checks", "20") == 3
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.count(": PASS") == len(cli.GRAD_CHECK_VARIANTS)
+    assert "overall: FAIL" in out
 
 
 # --- config file precedence ----------------------------------------------------------

@@ -142,14 +142,18 @@ def window_gather_logits(clf, ids, dropout_rng=None):
     b, t = ids.shape
     widths, f = CLF_WIDTHS, CLF_MAPS
     # conv.w (E, sum(widths)*F) holds each width's offset blocks side by
-    # side; stacked by rows, a width's blocks are its (w*E, F) filter bank
-    blocks = nm.split(clf.store["conv.w"], [f] * sum(widths), axis=1)
+    # side; stacked by rows, a width's blocks are its (w*E, F) filter bank.
+    # Block j is conv.w times the 0/1 matrix that picks its columns.
+    picks = np.eye(sum(widths) * f).reshape(sum(widths) * f, sum(widths), f)
+    blocks = [nm.matmul(clf.store["conv.w"], Tensor(picks[:, j]))
+              for j in range(sum(widths))]
     pooled = []
     for w in widths:
         npos = t - w + 1
         win = np.lib.stride_tricks.sliding_window_view(ids, w, axis=1)
-        emb = nm.gather_rows(clf.store["embedding"], win.reshape(b * npos * w))
-        emb = nm.reshape(emb, (b * npos, w * CLF_EMBED))
+        # each window's w embeddings side by side, (b * npos, w * E)
+        emb = nm.concat([nm.gather_rows(clf.store["embedding"], win[:, :, k].reshape(-1))
+                         for k in range(w)], axis=-1)
         bank = nm.concat(blocks[:w], axis=0)
         blocks = blocks[w:]
         conv = nm.relu(nm.linear(emb, bank, clf.store[f"conv{w}.b"]))
@@ -314,7 +318,7 @@ def test_perplexity_hand_computed_two_token_case():
                           train_mode=False)
     total = 0.0
     for t in range(3):  # two real tokens plus the terminating PAD
-        logits = [float(v) for v in fwd.logits.data[t][0]]
+        logits = [float(v) for v in fwd.logits[t][0]]
         m = max(logits)
         lse = m + math.log(sum(math.exp(v - m) for v in logits))
         total += lse - logits[batch.targets[0, t]]
@@ -355,7 +359,7 @@ def perplexity_full_batch(params, cfg, corpus, vocab, seed=0):
                                   cfg, rng, train_mode=False)
             scored = np.minimum(batch.lengths[sl] + 1, cfg.max_len)
             active = scored[None, :] > np.arange(cfg.max_len)[:, None]
-            nll = nm.cross_entropy_rows(fwd.logits.data[active],
+            nll = nm.cross_entropy_rows(fwd.logits[active],
                                         batch.targets[sl].T[active])
             ll_sum += float(nll.data.sum(dtype=np.float64))
             n_positions += int(active.sum())

@@ -15,8 +15,8 @@ from catvrnn.cli import GRAD_CHECK_VARIANTS, grad_check_config
 from catvrnn.data import Vocabulary
 from catvrnn.errors import ConfigurationError, DataError
 from catvrnn.evaluation import ClassifierConfig, EvalClassifier
-from catvrnn.numeric import Rng, Tensor, check_gradient, mean, tensor_sum
-from catvrnn import numeric as nm
+from catvrnn import numeric
+from catvrnn.numeric import Rng, check_gradient
 from catvrnn.model import (
     PAD_ID,
     CatVrnnParams,
@@ -29,8 +29,11 @@ from catvrnn.model import (
     init_hidden_static,
     init_hidden_zero,
     joint_loss,
+    loss_and_grad,
     parameter_count,
+    teacher_nll,
 )
+from catvrnn.training import AdamState, TrainPlan, train_epoch
 
 
 def tiny_cfg(**kw):
@@ -38,6 +41,27 @@ def tiny_cfg(**kw):
                 latent_dim=4, max_len=5, init_mode="static")
     base.update(kw)
     return ModelConfig(**base)
+
+
+def batch_grads(params, x, targets, cats, seed=2):
+    """``loss_and_grad``'s gradient of a batch, as name -> view, and the loss."""
+    grad = np.full_like(params.store.flat, np.nan)
+    loss = loss_and_grad(x, targets, cats, params, params.cfg, Rng(seed), grad)
+    return params.store.views(grad), loss
+
+
+def gradient_report(params, x, targets, cats, seed, **kw):
+    """check_gradient of the batch-mean joint loss of forward_teacher, against
+    loss_and_grad's gradient with the same draws."""
+    cfg = params.cfg
+
+    def loss():
+        fwd = forward_teacher(x, cats, params, cfg, Rng(seed), train_mode=True)
+        return joint_loss(fwd, targets, cats, cfg).total.mean()
+
+    analytic = np.empty_like(params.store.flat)
+    loss_and_grad(x, targets, cats, params, cfg, Rng(seed), analytic)
+    return check_gradient(loss, params.store, analytic, **kw)
 
 
 class FakeRng(Rng):
@@ -62,21 +86,21 @@ class FakeRng(Rng):
 
 def test_static_init_category_zero_positive_sum_omega():
     cfg = tiny_cfg(hidden_dim=32)
-    h0 = init_hidden_static(0, cfg, Rng(3)).data[0]
+    h0 = init_hidden_static(0, cfg, Rng(3))[0]
     assert np.all(h0 > 0)
     assert abs(h0.sum() - 8.5) < 1e-10
 
 
 def test_static_init_category_one_is_sign_flipped():
     cfg = tiny_cfg(hidden_dim=32)
-    h0 = init_hidden_static(1, cfg, Rng(3)).data[0]
+    h0 = init_hidden_static(1, cfg, Rng(3))[0]
     assert np.all(h0 < 0)
     assert abs(h0.sum() + 8.5) < 1e-10
 
 
 def test_static_init_forced_uniform_draw():
     cfg = tiny_cfg(hidden_dim=2)
-    h0 = init_hidden_static(0, cfg, FakeRng(np.zeros(2))).data[0]
+    h0 = init_hidden_static(0, cfg, FakeRng(np.zeros(2)))[0]
     np.testing.assert_allclose(h0, [4.25, 4.25], atol=1e-12)
 
 
@@ -88,7 +112,7 @@ def test_static_init_rejects_third_category():
 def test_static_init_sum_invariant_over_many_draws():
     cfg = tiny_cfg(hidden_dim=24, static_omega=8.5)
     rng = Rng(11)
-    draws = np.vstack([init_hidden_static(c, cfg, rng).data
+    draws = np.vstack([init_hidden_static(c, cfg, rng)
                        for c in (0, 1) for _ in range(500)])
     sums = draws.sum(axis=1)
     assert np.all(np.abs(np.abs(sums) - 8.5) < 1e-10)
@@ -99,9 +123,9 @@ def test_static_init_sum_invariant_over_many_draws():
 def test_static_init_category_means_differ_by_two_omega_l1():
     cfg = tiny_cfg(hidden_dim=16, static_omega=8.5)
     rng = Rng(21)
-    mean0 = np.mean([init_hidden_static(0, cfg, rng).data[0] for _ in range(1000)],
+    mean0 = np.mean([init_hidden_static(0, cfg, rng)[0] for _ in range(1000)],
                     axis=0)
-    mean1 = np.mean([init_hidden_static(1, cfg, rng).data[0] for _ in range(1000)],
+    mean1 = np.mean([init_hidden_static(1, cfg, rng)[0] for _ in range(1000)],
                     axis=0)
     l1 = np.abs(mean0 - mean1).sum()
     assert abs(l1 - 2 * 8.5) < 0.05 * 2 * 8.5
@@ -115,7 +139,7 @@ def test_adaptive_init_zero_params_eval_mode():
     params = CatVrnnParams.zeros(cfg)
     for c in range(4):
         h0 = init_hidden_adaptive(c, params, train_mode=False, rng=Rng(0))
-        np.testing.assert_array_equal(h0.data, np.zeros((1, cfg.hidden_dim)))
+        np.testing.assert_array_equal(h0, np.zeros((1, cfg.hidden_dim)))
 
 
 def test_adaptive_init_category_zero_returns_bias():
@@ -123,14 +147,14 @@ def test_adaptive_init_category_zero_returns_bias():
     params = CatVrnnParams(cfg, Rng(5))
     params.init_bias.data[:] = np.arange(cfg.hidden_dim, dtype=float)
     h0 = init_hidden_adaptive(0, params, train_mode=False, rng=Rng(0))
-    np.testing.assert_array_equal(h0.data[0], params.init_bias.data)
+    np.testing.assert_array_equal(h0[0], params.init_bias.data)
 
 
 def test_adaptive_init_constant_difference_between_categories():
     cfg = tiny_cfg(init_mode="adaptive", num_categories=5)
     params = CatVrnnParams(cfg, Rng(8))
     rng = Rng(0)
-    h = [init_hidden_adaptive(c, params, False, rng).data[0] for c in range(5)]
+    h = [init_hidden_adaptive(c, params, False, rng)[0] for c in range(5)]
     for c in range(4):
         np.testing.assert_allclose(h[c + 1] - h[c], params.init_omega.data,
                                    atol=1e-12)
@@ -139,14 +163,15 @@ def test_adaptive_init_constant_difference_between_categories():
 def test_adaptive_init_training_noise_and_gradients():
     cfg = tiny_cfg(init_mode="adaptive")
     params = CatVrnnParams(cfg, Rng(8))
-    eval_h = init_hidden_adaptive(1, params, False, Rng(4)).data
+    eval_h = init_hidden_adaptive(1, params, False, Rng(4))
     train_h = init_hidden_adaptive(1, params, True, Rng(4))
-    noise = train_h.data - eval_h
+    noise = train_h - eval_h
     assert np.all(noise >= 0) and np.all(noise < 1)
 
-    tensor_sum(train_h).backward()
-    assert params.init_omega.grad is not None
-    assert params.init_bias.grad is not None
+    # training reaches both vectors through h0
+    x = padded([[3, 4], [5]], cfg.max_len)
+    grads, _ = batch_grads(params, x, np.roll(x, -1, axis=1), np.array([1, 0]))
+    assert np.any(grads["init.omega"] != 0) and np.all(grads["init.bias"] != 0)
 
 
 # --- zero initialization -----------------------------------------------------------
@@ -155,8 +180,8 @@ def test_adaptive_init_training_noise_and_gradients():
 def test_zero_init_is_zero_and_rng_independent():
     cfg = tiny_cfg()
     a = init_hidden_zero(cfg, batch=3)
-    np.testing.assert_array_equal(a.data, np.zeros((3, 6)))
-    assert a.data.sum() == 0.0
+    np.testing.assert_array_equal(a, np.zeros((3, 6)))
+    assert a.sum() == 0.0
 
 
 # --- the step generate runs, observed through forward_stepwise and generate -----------
@@ -211,22 +236,13 @@ def test_cell_step_rejects_bad_token():
 
 
 def test_single_step_recurrence_gradient_check():
-    # generate's step runs without the tape; on the tape, the same step is the
-    # one-op recurrence over one step's rows, as forward_teacher runs it
-    from catvrnn.model import _emit, _inputs, recurrence
-
-    cfg = tiny_cfg()
+    # the step generate runs, as the one step of a teacher-forced pass of
+    # length 1: its hand-derived gradient against finite differences
+    cfg = tiny_cfg(max_len=1)
     params = CatVrnnParams(cfg, Rng(0))
-
-    def loss():
-        h = init_hidden_zero(cfg, batch=2)
-        enc_x, gru_x = _inputs(np.array([3, 5]), params)
-        h_prev, z, _, _, h_next = recurrence(h, enc_x, gru_x, params.recurrent,
-                                             Rng(7).stream("latent"))
-        ce = nm.cross_entropy_rows(_emit(z, h_prev, params), np.array([1, 2]))
-        return mean(nm.add(ce, tensor_sum(nm.mul(h_next, h_next), axis=-1)))
-
-    report = check_gradient(loss, params.store, tolerance=1e-4)
+    x = np.zeros((2, 1), dtype=np.int64)
+    report = gradient_report(params, x, np.array([[1], [2]]), np.array([0, 1]), 7,
+                             tolerance=1e-4)
     assert report.passed, report.summary()
 
 
@@ -248,10 +264,8 @@ def generate_full_batch(c, count, params, cfg, rng):
     from catvrnn import model
 
     stream = rng.stream("sampling")
-    with nm.no_grad():
-        rec, table, b = model._step_arrays(params, count)
-        b.h_next[...] = model.init_hidden(c, params, rng, train_mode=False,
-                                          batch=count).data
+    rec, table, b = model._step_arrays(params, count)
+    b.h_next[...] = model.init_hidden(c, params, rng, train_mode=False, batch=count)
     probs, cum = np.empty((2, count, cfg.vocab_size), dtype=cfg.np_dtype())
     x = np.full(count, PAD_ID, dtype=np.int64)
     sampled = np.empty((count, cfg.max_len), dtype=np.int64)
@@ -328,13 +342,13 @@ def test_forward_shapes_and_class_normalization():
     params = CatVrnnParams(cfg, Rng(0))
     x = padded([[3, 4, 5], [6, 7, 8, 9]], cfg.max_len)
     fwd = forward_teacher(x, np.array([0, 1]), params, cfg, Rng(1))
-    assert len(fwd.logits.data) == cfg.max_len
-    assert all(l.shape == (2, cfg.vocab_size) for l in fwd.logits.data)
+    assert len(fwd.logits) == cfg.max_len
+    assert all(l.shape == (2, cfg.vocab_size) for l in fwd.logits)
     # unnormalized class scores: the classifier head on the final state
     assert fwd.class_logits.shape == (2, 2)
     w, b = (params.store["cls.w"].data, params.store["cls.b"].data)
-    np.testing.assert_array_equal(fwd.class_logits.data,
-                                  fwd.final_hidden.data @ w + b)
+    np.testing.assert_array_equal(fwd.class_logits,
+                                  fwd.final_hidden @ w + b)
 
 
 @pytest.mark.parametrize("train_mode", [True, False])
@@ -349,12 +363,12 @@ def test_forward_teacher_matches_stepwise_fold(variant, train_mode):
     hoisted, stepwise = Rng(6), Rng(6)
     a = forward_teacher(x, cats, params, cfg, hoisted, train_mode=train_mode)
     b = forward_stepwise(x, cats, params, cfg, stepwise, train_mode=train_mode)
-    np.testing.assert_allclose(a.logits.data, b.logits.data, rtol=1e-12)
-    np.testing.assert_allclose(a.final_hidden.data, b.final_hidden.data, rtol=1e-12)
-    np.testing.assert_allclose(a.class_logits.data, b.class_logits.data, rtol=1e-12)
+    np.testing.assert_allclose(a.logits, b.logits, rtol=1e-12)
+    np.testing.assert_allclose(a.final_hidden, b.final_hidden, rtol=1e-12)
+    np.testing.assert_allclose(a.class_logits, b.class_logits, rtol=1e-12)
     assert (a.kl_sum is None) == (not cfg.use_kl_term) == (b.kl_sum is None)
     if cfg.use_kl_term:
-        np.testing.assert_allclose(a.kl_sum.data, b.kl_sum.data, rtol=1e-12)
+        np.testing.assert_allclose(a.kl_sum, b.kl_sum, rtol=1e-12)
     assert hoisted.state() == stepwise.state()
 
 
@@ -372,8 +386,9 @@ def test_float32_model_computes_in_float32(kw, monkeypatch):
     produced = [fwd.logits, fwd.class_logits, fwd.kl_sum, fwd.final_hidden,
                 out.gen_nll, out.cls_nll, out.total]
     assert {t.dtype for t in produced} == {np.dtype(np.float32)}
-    mean(out.total).backward()
-    assert {t.grad.dtype for _, t in params.store.items()} == {np.dtype(np.float32)}
+    grads, loss = batch_grads(params, x, np.roll(x, -1, axis=1), cats)
+    assert loss.total.dtype == np.float32
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
 
     steps = record_steps(monkeypatch)
     generate(0, 3, params, cfg, Rng(2))
@@ -387,9 +402,9 @@ def test_forward_all_pad_input_is_finite():
     params = CatVrnnParams(cfg, Rng(0))
     x = np.full((1, cfg.max_len), PAD_ID, dtype=np.int64)
     fwd = forward_teacher(x, 0, params, cfg, Rng(1))
-    for l in fwd.logits.data:
+    for l in fwd.logits:
         assert np.all(np.isfinite(l))
-    assert np.all(np.isfinite(fwd.class_logits.data))
+    assert np.all(np.isfinite(fwd.class_logits))
 
 
 def test_forward_rejects_bad_inputs():
@@ -414,7 +429,7 @@ def test_kl_toggle_controls_prior_parameters():
     x = padded([[3, 4]], cfg_on.max_len)
     fwd = forward_teacher(x, 0, params_on, cfg_on, Rng(2))
     assert fwd.kl_sum is not None
-    assert np.all(fwd.kl_sum.data >= 0)
+    assert np.all(fwd.kl_sum >= 0)
 
 
 # --- joint_loss -----------------------------------------------------------------------------
@@ -431,11 +446,10 @@ def test_joint_loss_perfect_predictions_near_zero():
         step_logits.append(row)
     class_logits = np.full((1, K), -1e3)
     class_logits[0, 1] = 1e3
-    fwd = SequenceForward(logits=Tensor(np.stack(step_logits)),
-                          class_logits=Tensor(class_logits),
-                          kl_sum=None, final_hidden=Tensor(np.zeros((1, 6))))
+    fwd = SequenceForward(logits=np.stack(step_logits), class_logits=class_logits,
+                          kl_sum=None, final_hidden=np.zeros((1, 6)))
     out = joint_loss(fwd, targets, 1, cfg)
-    assert out.total.data[0] < 1e-9
+    assert out.total[0] < 1e-9
 
 
 def test_joint_loss_uniform_logits_closed_form():
@@ -446,9 +460,9 @@ def test_joint_loss_uniform_logits_closed_form():
     targets = np.array([[3, 4, 5, 0, 0]])
     out = joint_loss(fwd, targets, 0, cfg)
     T, V, K = cfg.max_len, cfg.vocab_size, cfg.num_categories
-    assert abs(out.gen_nll.data[0] - T * math.log(V)) < 1e-10
-    assert abs(out.cls_nll.data[0] - math.log(K)) < 1e-10
-    assert abs(out.total.data[0] - (T * math.log(V) + math.log(K))) < 1e-10
+    assert abs(out.gen_nll[0] - T * math.log(V)) < 1e-10
+    assert abs(out.cls_nll[0] - math.log(K)) < 1e-10
+    assert abs(out.total[0] - (T * math.log(V) + math.log(K))) < 1e-10
 
 
 def test_joint_loss_matches_scalar_oracle():
@@ -466,13 +480,13 @@ def test_joint_loss_matches_scalar_oracle():
         return lse - logits[idx]
 
     expected_gen = sum(
-        nll(list(fwd.logits.data[t][0]), targets[0, t])
+        nll(list(fwd.logits[t][0]), targets[0, t])
         for t in range(cfg.max_len)
     )
-    expected_cls = nll(list(fwd.class_logits.data[0]), 1)
-    assert abs(out.gen_nll.data[0] - expected_gen) < 1e-10
-    assert abs(out.cls_nll.data[0] - expected_cls) < 1e-10
-    assert abs(out.total.data[0] - (expected_gen + expected_cls)) < 1e-10
+    expected_cls = nll(list(fwd.class_logits[0]), 1)
+    assert abs(out.gen_nll[0] - expected_gen) < 1e-10
+    assert abs(out.cls_nll[0] - expected_cls) < 1e-10
+    assert abs(out.total[0] - (expected_gen + expected_cls)) < 1e-10
 
 
 def test_joint_loss_length_mismatch():
@@ -489,9 +503,9 @@ def test_classification_detached_excludes_term_from_total():
     x = padded([[3, 4]], cfg.max_len)
     fwd = forward_teacher(x, 0, params, cfg, Rng(2))
     out = joint_loss(fwd, np.array([[3, 4, 0, 0, 0]]), 0, cfg)
-    assert abs(out.total.data[0] - out.gen_nll.data[0]) < 1e-12
-    mean(out.total).backward()
-    assert params.store["cls.w"].grad is None
+    assert abs(out.total[0] - out.gen_nll[0]) < 1e-12
+    grads, _ = batch_grads(params, x, np.array([[3, 4, 0, 0, 0]]), 0)
+    assert not grads["cls.w"].any() and not grads["cls.b"].any()
 
 
 def test_no_prior_gradient_when_kl_disabled():
@@ -500,15 +514,11 @@ def test_no_prior_gradient_when_kl_disabled():
     cfg_off = tiny_cfg()
     params_off = CatVrnnParams(cfg_off, Rng(0))
     x = padded([[3, 4]], cfg_off.max_len)
-    fwd = forward_teacher(x, 0, params_off, cfg_off, Rng(2))
-    out = joint_loss(fwd, np.array([[3, 4, 0, 0, 0]]), 0, cfg_off)
-    mean(out.total).backward()
-    assert not any(n.startswith("prior.") for n, _ in params_off.store.items())
+    grads, _ = batch_grads(params_off, x, np.array([[3, 4, 0, 0, 0]]), 0)
+    assert not any(n.startswith("prior.") for n in grads)
     # with the term on, every prior parameter participates
-    fwd_on = forward_teacher(x, 0, params, cfg, Rng(2))
-    out_on = joint_loss(fwd_on, np.array([[3, 4, 0, 0, 0]]), 0, cfg)
-    mean(out_on.total).backward()
-    assert params.store["prior.fc1.w"].grad is not None
+    grads, _ = batch_grads(params, x, np.array([[3, 4, 0, 0, 0]]), 0)
+    assert all(grads[n].any() for n in grads if n.startswith("prior."))
 
 
 def test_full_joint_loss_gradient_tiny_config():
@@ -518,13 +528,33 @@ def test_full_joint_loss_gradient_tiny_config():
     x = padded([[3, 7, 2], [4, 4, 9]], cfg.max_len)
     targets = np.array([[3, 7, 2, 0, 0], [4, 4, 9, 0, 0]])
     cats = np.array([0, 1])
-
-    def loss():
-        fwd = forward_teacher(x, cats, params, cfg, Rng(12), train_mode=True)
-        return mean(joint_loss(fwd, targets, cats, cfg).total)
-
-    report = check_gradient(loss, params.store, tolerance=1e-4, max_checks=220)
+    report = gradient_report(params, x, targets, cats, 12, tolerance=1e-4,
+                             max_checks=220)
     assert report.passed, report.summary()
+
+
+def test_the_model_runs_without_the_tape(monkeypatch):
+    # training, the teacher-forced passes, scoring and sampling put no op on
+    # the autodiff tape, with every optional piece of the model on
+    cfg = tiny_cfg(init_mode="adaptive", num_categories=3, use_kl_term=True,
+                   use_feature_extractors=True)
+    params = CatVrnnParams(cfg, Rng(0))
+    x = padded([[3, 4, 5], [6, 7], [8]], cfg.max_len)
+    targets = np.roll(x, -1, axis=1)
+    cats = np.array([0, 1, 2])
+    plan = TrainPlan(epochs=1, batch_size=2)
+    state = AdamState.from_plan(params.store, plan)
+
+    def on_the_tape(*args):
+        raise AssertionError("an op was recorded on the tape")
+
+    monkeypatch.setattr(numeric, "_make", on_the_tape)
+    train_epoch(x, targets, cats, params, state, cfg, Rng(1), 1, plan)
+    assert state.step == 2
+    forward_teacher(x, cats, params, cfg, Rng(2))
+    teacher_nll(x, targets, np.array([4, 3, 2]), cats, params, cfg, Rng(3), 2)
+    generate(1, 4, params, cfg, Rng(4))
+    forward_stepwise(x, cats, params, cfg, Rng(5))
 
 
 # --- generation -----------------------------------------------------------------------------
@@ -731,7 +761,7 @@ def test_adaptive_difference_property(K, hidden):
                       init_mode="adaptive")
     params = CatVrnnParams(cfg, Rng(1))
     rng = Rng(2)
-    h = [init_hidden_adaptive(c, params, False, rng).data[0] for c in range(K)]
+    h = [init_hidden_adaptive(c, params, False, rng)[0] for c in range(K)]
     for c in range(K - 1):
         np.testing.assert_allclose(h[c + 1] - h[c], params.init_omega.data,
                                    atol=1e-12)
@@ -750,10 +780,10 @@ def test_joint_loss_pad_masking_flag():
         m = max(logits)
         return m + math.log(sum(math.exp(v - m) for v in logits)) - logits[idx]
 
-    expected = sum(nll(list(fwd.logits.data[t][0]), targets[0, t])
+    expected = sum(nll(list(fwd.logits[t][0]), targets[0, t])
                    for t in range(3))
-    assert abs(masked.gen_nll.data[0] - expected) < 1e-10
+    assert abs(masked.gen_nll[0] - expected) < 1e-10
 
     cfg_full = tiny_cfg(mask_pad_loss=False)
     full = joint_loss(fwd, targets, 0, cfg_full)
-    assert full.gen_nll.data[0] > masked.gen_nll.data[0]
+    assert full.gen_nll[0] > masked.gen_nll[0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from catvrnn.errors import DataError
-from catvrnn.numeric import ParamStore, Rng, Tensor, add, mul, tensor_sum
+from catvrnn.numeric import ParamStore, Rng, Tensor, add, mean, mul
 from catvrnn.model import CatVrnnParams, ModelConfig, forward_teacher, generate
 from catvrnn.data import (
     Vocabulary,
@@ -154,8 +154,8 @@ def test_clip_grads_scales_an_aliased_pair_once():
     a = store.add("a", np.zeros(2))
     b = store.add("b", np.zeros(2))
     state = AdamState(store)
-    loss = tensor_sum(mul(add(a, b), Tensor(np.array([3.0, 4.0]))))
-    training.optimizer_step(store, loss, state, grad_clip=1.0)
+    mean(mul(add(a, b), Tensor(np.array([3.0, 4.0])))).backward()
+    training.optimizer_step(store, store.gather_grads(), state, grad_clip=1.0)
     # the first moment is (1 - beta1) times the clipped gradient
     clipped = np.array([3.0, 4.0]) / math.sqrt(50.0)
     np.testing.assert_allclose(state.m["a"], 0.1 * clipped, rtol=1e-12)
@@ -163,11 +163,13 @@ def test_clip_grads_scales_an_aliased_pair_once():
 
 
 def test_clip_grads_accepts_read_only_views():
-    # tensor_sum's backward hands out read-only broadcast views
+    # mean's backward hands out read-only broadcast views; gather_grads
+    # copies them into the array optimizer_step clips in place
     store = ParamStore()
     w = store.add("w", np.zeros((2, 2)))
     state = AdamState(store)
-    training.optimizer_step(store, tensor_sum(w), state, grad_clip=1.0)
+    mul(mean(w), 4.0).backward()
+    training.optimizer_step(store, store.gather_grads(), state, grad_clip=1.0)
     np.testing.assert_allclose(state.m["w"], np.full((2, 2), 0.1 * 0.5), rtol=1e-12)
 
 
@@ -273,17 +275,17 @@ def test_epoch_means_sum_float32_terms_in_float64(monkeypatch):
     batches = []
 
     def capture(*args, **kwargs):
-        batches.append(training_joint_loss(*args, **kwargs))
+        batches.append(training_loss_and_grad(*args, **kwargs))
         return batches[-1]
 
-    training_joint_loss = training.joint_loss
-    monkeypatch.setattr(training, "joint_loss", capture)
+    training_loss_and_grad = training.loss_and_grad
+    monkeypatch.setattr(training, "loss_and_grad", capture)
     stats = train_epoch(inputs, targets, cats, params, state, cfg, rng, 1, plan)
     assert len(batches) == 2
     for mean_name, term in (("mean_gen_nll", "gen_nll"), ("mean_cls_nll", "cls_nll"),
                             ("mean_kl", "kl")):
-        assert getattr(batches[0], term).data.dtype == np.float32
-        wide = sum(getattr(b, term).data.astype(np.float64).sum() for b in batches)
+        assert getattr(batches[0], term).dtype == np.float32
+        wide = sum(getattr(b, term).astype(np.float64).sum() for b in batches)
         np.testing.assert_allclose(getattr(stats, mean_name), wide / len(inputs),
                                    rtol=1e-15)
 
@@ -359,7 +361,7 @@ def test_checkpoint_forward_pass_identical_after_reload(tmp_path):
     x = np.zeros((1, cfg.max_len), dtype=np.int64)
     a = forward_teacher(x, 0, params, cfg, Rng(9), train_mode=False)
     b = forward_teacher(x, 0, params2, cfg, Rng(9), train_mode=False)
-    for l1, l2 in zip(a.logits.data, b.logits.data):
+    for l1, l2 in zip(a.logits, b.logits):
         np.testing.assert_array_equal(l1, l2)
 
 
