@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
-from .numeric import Rng, check_gradient
+from .numeric import Rng, check_gradient, nll_rows
 from .model import (
     CatVrnnParams,
     ModelConfig,
@@ -35,6 +35,7 @@ from .model import (
     parameter_count,
 )
 from .data import (
+    SPECIALS,
     LabeledCorpus,
     LabeledSentence,
     Vocabulary,
@@ -60,6 +61,7 @@ from .training import (
     run_training,
 )
 from .evaluation import (
+    ClassifierConfig,
     EvalClassifier,
     perplexity,
     sample_categories,
@@ -431,7 +433,20 @@ def cmd_evaluate(opts: dict) -> int:
     for key in ("bleu_cap", "classifier_epochs"):
         if opts[key] < 1:
             raise UsageError(f"--{key.replace('_', '-')} must be >= 1, got {opts[key]}")
+    if opts["classifier"] and opts["save_classifier"]:
+        raise UsageError("--save-classifier saves the classifier evaluate fits; "
+                         "with --classifier it fits none")
     corpus = load_corpus(opts["corpus"])
+    clf = None
+    if opts["classifier"]:
+        # read before sampling, so that a file that cannot score this corpus
+        # fails first
+        clf = EvalClassifier.load(opts["classifier"])
+        if clf.cfg.num_categories != corpus.num_categories:
+            raise DataError(
+                f"{opts['classifier']}: a classifier of {clf.cfg.num_categories} "
+                f"categories, but {opts['corpus']} has {corpus.num_categories}"
+            )
     if opts["generated"]:
         gen_corpus = load_corpus(opts["generated"],
                                  num_categories=corpus.num_categories)
@@ -458,9 +473,7 @@ def cmd_evaluate(opts: dict) -> int:
         ppl = perplexity(params, cfg, corpus, vocab, seed=opts["seed"])
         model = {"num_categories": cfg.num_categories, "config": cfg.to_dict()}
 
-    if opts["classifier"]:
-        clf = EvalClassifier.load(opts["classifier"])
-    else:
+    if clf is None:
         clf = train_eval_classifier(corpus, seed=opts["seed"],
                                     epochs=opts["classifier_epochs"])
         if opts["save_classifier"]:
@@ -486,7 +499,8 @@ def cmd_evaluate(opts: dict) -> int:
 
 
 def add_grad_check_parser(sub):
-    p = sub.add_parser("grad-check", help="finite-difference check of the joint loss")
+    p = sub.add_parser("grad-check", help="finite-difference check of the joint loss "
+                       "and of the scoring classifier's loss")
     p.add_argument("--config", default=None)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--max-checks", type=int, default=256)
@@ -541,6 +555,12 @@ def hoisted_difference(x_ids, cats, params: CatVrnnParams, cfg: ModelConfig,
     return worst
 
 
+def _print_worst(report):
+    """The three tensors with the largest errors in a gradient check."""
+    for entry in sorted(report.per_param, key=lambda e: -e.max_rel_err)[:3]:
+        print(f"      {entry.name}: {entry.max_rel_err:.3e} ({entry.checked} checked)")
+
+
 def cmd_grad_check(opts: dict) -> int:
     corrupt = opts["corrupt_backward"]
     tol = opts["tolerance"]
@@ -570,10 +590,27 @@ def cmd_grad_check(opts: dict) -> int:
         worst = max(worst, report.max_rel_err, diff)
         ok = ok and report.passed and diff <= tol
         print(f"  {name}: {report.summary()}")
-        for entry in sorted(report.per_param, key=lambda e: -e.max_rel_err)[:3]:
-            print(f"      {entry.name}: {entry.max_rel_err:.3e} "
-                  f"({entry.checked} checked)")
+        _print_worst(report)
         print(f"      forward_teacher vs _step fold: max rel diff {diff:.3e}")
+
+    print("scoring classifier (V=12, T=5):")
+    clf = EvalClassifier(ClassifierConfig(vocab_size=12, num_categories=2, max_len=5),
+                         Vocabulary([*SPECIALS, *(f"w{i}" for i in range(10))]),
+                         rng=Rng(seed))
+
+    def clf_loss():
+        logits = clf.logits(x_ids, train_mode=True,
+                            dropout_rng=np.random.default_rng(seed + 1))
+        return nll_rows(logits, cats)[0].mean()
+
+    analytic = np.empty_like(clf.store.flat)
+    clf.loss_and_grad(x_ids, cats, np.random.default_rng(seed + 1), analytic)
+    report = check_gradient(clf_loss, clf.store, analytic, tolerance=tol,
+                            max_checks=opts["max_checks"], corrupt=corrupt)
+    worst = max(worst, report.max_rel_err)
+    ok = ok and report.passed
+    print(f"  {report.summary()}")
+    _print_worst(report)
     print(f"overall: {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tol {tol:.1e})")
     return 0 if ok else 3
 

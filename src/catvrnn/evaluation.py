@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from . import numeric as nm
-from .numeric import ParamStore, Rng, Tensor
+from .numeric import ParamStore, Rng
 from .model import CatVrnnParams, ModelConfig, generate, teacher_nll
 from .data import (
     Batch,
@@ -33,8 +33,8 @@ log = logging.getLogger(__name__)
 BLEU_EPS = 1e-9
 BLEU_ORDERS = (2, 3, 4, 5)
 # rows the classifier scores per call in ``predict``: a chunk's products
-# are (rows * T, 1200) floats, so at the fit's batch size scoring needs no
-# larger block than the fit already used
+# are one (U, 1200) table for its U <= rows * T distinct tokens, so at the
+# fit's batch size scoring needs no larger block than the fit already used
 PREDICT_CHUNK = 32
 # the classifier fit's minibatch size and Adam step size
 CLF_BATCH = 32
@@ -45,6 +45,10 @@ CLF_EMBED = 128
 CLF_WIDTHS = (3, 4, 5)
 CLF_MAPS = 100
 CLF_DROPOUT = 0.5
+# for each of ``conv.w``'s 12 column blocks, the index in CLF_WIDTHS of the
+# block's width and the block's offset
+_BLOCK_WIDTH = np.repeat(np.arange(len(CLF_WIDTHS)), CLF_WIDTHS)
+_BLOCK_OFFSET = np.concatenate([np.arange(w) for w in CLF_WIDTHS])
 # sentences per batch in ``perplexity``; each batch draws its own h0 and
 # latent blocks, so the value depends on it
 PPL_BATCH = 64
@@ -98,7 +102,7 @@ class EvalClassifier:
         add("embedding", draw((cfg.vocab_size, e), scale=0.1))
         # each width's filter bank is drawn as (w*E, F), its E-row block k the
         # filter of offset k; "conv.w" holds the blocks side by side, width by
-        # width, as (E, sum(widths)*F): the column order ``window_sum`` reads
+        # width, as (E, sum(widths)*F): the column order ``logits`` reads
         banks = [draw((w * e, f), scale=np.sqrt(6.0 / (w * e + f)))
                  .reshape(w, e, f).transpose(1, 0, 2).reshape(e, w * f) for w in widths]
         add("conv.w", np.hstack(banks))
@@ -110,13 +114,16 @@ class EvalClassifier:
         add("head.b", draw(cfg.num_categories))
 
     def logits(self, ids: np.ndarray, train_mode: bool = False,
-               dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Class logits for encoded inputs (B, T).
+               dropout_rng: np.random.Generator | None = None,
+               saved: dict | None = None) -> np.ndarray:
+        """Class logits for encoded inputs (B, T), in numpy.
 
-        Every token's embedding is gathered once and multiplied by every
-        filter's row block of every width (``conv.w``) in one matmul; each
-        width's convolution is then the sum of its shifted blocks
-        (``window_sum``).
+        The batch's U distinct tokens' embeddings are multiplied once by
+        every filter's row block of every width (``conv.w``), as one (U, 12·F)
+        table; each width's convolution is then the sum of its offsets'
+        column blocks, read through each position's index into that table.
+        ``saved``, when given, receives what ``loss_and_grad``'s backward
+        reads.
         """
         ids = np.asarray(ids, dtype=np.int64)
         b, t = ids.shape
@@ -124,28 +131,98 @@ class EvalClassifier:
             raise ConfigurationError(
                 f"inputs of length {t} shorter than widest filter {max(CLF_WIDTHS)}"
             )
-        emb = nm.gather_rows(self.store["embedding"], ids.reshape(b * t))
-        products = nm.matmul(emb, self.store["conv.w"])
-        pooled = []
-        for w, conv in zip(CLF_WIDTHS, nm.window_sum(products, t, CLF_WIDTHS)):
-            conv = nm.relu(nm.add(conv, self.store[f"conv{w}.b"]))
-            pooled.append(nm.max_pool_rows(conv, t - w + 1))
-        features = nm.concat(pooled, axis=-1)
+        embedding = self.store["embedding"].data
+        if ids.size and (ids.min() < 0 or ids.max() >= len(embedding)):
+            raise ConfigurationError(
+                f"row id out of range [0, {len(embedding)}): {ids.min()}..{ids.max()}"
+            )
+        uniq, inv = np.unique(ids, return_inverse=True)
+        inv = inv.reshape(b, t)
+        emb = embedding[uniq]
+        table = emb @ self.store["conv.w"].data
+        f, lo = CLF_MAPS, 0
+        pooled, argmax = [], []
+        for w in CLF_WIDTHS:
+            npos = t - w + 1
+            conv = table[inv[:, :npos], lo: lo + f]
+            for k in range(1, w):
+                conv += table[inv[:, k: k + npos], lo + k * f: lo + (k + 1) * f]
+            lo += w * f
+            conv += self.store[f"conv{w}.b"].data
+            np.maximum(conv, 0.0, out=conv)
+            # max over positions, at the first argmax
+            idx = conv.argmax(axis=1)
+            pooled.append(np.take_along_axis(conv, idx[:, None, :], axis=1)[:, 0, :])
+            argmax.append(idx)
+        features = np.concatenate(pooled, axis=-1)
+        mask = None
         if train_mode:
             if dropout_rng is None:
                 raise ConfigurationError("training-mode logits need a dropout rng")
             keep = 1.0 - CLF_DROPOUT
-            mask = (dropout_rng.random(features.data.shape) < keep) / keep
-            features = nm.mul(features, Tensor(mask))
-        return nm.linear(features, self.store["head.w"], self.store["head.b"])
+            mask = (dropout_rng.random(features.shape) < keep) / keep
+            features = features * mask
+        out = features @ self.store["head.w"].data
+        out += self.store["head.b"].data
+        if saved is not None:
+            saved.update(uniq=uniq, inv=inv, emb=emb, features=features, mask=mask,
+                         argmax=np.stack(argmax, axis=1))
+        return out
+
+    def loss_and_grad(self, ids: np.ndarray, targets: np.ndarray,
+                      dropout_rng: np.random.Generator, grad: np.ndarray) -> float:
+        """The batch-mean cross-entropy of the training-mode logits, with
+        dropout drawn from ``dropout_rng``, and its gradient, written into
+        ``grad``, an array laid out like ``store.flat``.
+
+        Max-pooling sends each (row, map) gradient of a width to one
+        position, so the products' gradient has only B·F·12 nonzeros; one
+        weighted ``np.bincount`` sums them per distinct token into a
+        (U, 12·F) array G. ``conv.w`` then gets ``emb.T @ G``, the batch's
+        embedding rows ``G @ conv.w.T`` and every other row zero.
+        """
+        saved: dict = {}
+        logits = self.logits(ids, train_mode=True, dropout_rng=dropout_rng, saved=saved)
+        targets = np.asarray(targets, dtype=np.int64)
+        nll, m, ls = nm.nll_rows(logits, targets)
+        loss = float(nll.mean())
+        b, f = len(logits), CLF_MAPS
+        views = self.store.views(grad)
+        g_logits = nm.cross_entropy_grad(logits, m, ls, targets,
+                                         np.full(b, 1.0 / b), out=logits)
+        np.matmul(saved["features"].T, g_logits, out=views["head.w"])
+        np.sum(g_logits, axis=0, out=views["head.b"])
+        g_pool = g_logits @ self.store["head.w"].data.T
+        g_pool *= saved["mask"]
+        # the relu passes a pooled map's gradient only where its max is > 0
+        # (a feature dropout zeroed has none left to pass)
+        g_pool *= saved["features"] > 0
+        g_pool = g_pool.reshape(b, len(CLF_WIDTHS), f)
+        for j, w in enumerate(CLF_WIDTHS):
+            np.sum(g_pool[:, j], axis=0, out=views[f"conv{w}.b"])
+        # block j of conv.w's columns gets, for each (row, map), the pooled
+        # gradient at the token its width's argmax window reads at its offset
+        pos = saved["argmax"][:, _BLOCK_WIDTH] + _BLOCK_OFFSET[:, None]
+        tokens = np.take_along_axis(saved["inv"], pos.reshape(b, -1), axis=1)
+        cols = len(_BLOCK_WIDTH) * f
+        uniq = saved["uniq"]
+        g_table = np.bincount(
+            (tokens * cols + np.arange(cols)).ravel(),
+            weights=g_pool[:, _BLOCK_WIDTH].ravel(),
+            minlength=len(uniq) * cols,
+        ).reshape(len(uniq), cols)
+        np.matmul(saved["emb"].T, g_table, out=views["conv.w"])
+        g_emb = views["embedding"]
+        g_emb.fill(0.0)
+        g_emb[uniq] = g_table @ self.store["conv.w"].data.T
+        return loss
 
     def predict(self, ids: np.ndarray) -> np.ndarray:
         """Predicted classes, scored PREDICT_CHUNK rows at a time so that
         memory does not grow with the number of rows."""
         ids = np.asarray(ids)
-        with nm.no_grad():
-            preds = [self.logits(ids[i: i + PREDICT_CHUNK]).data.argmax(axis=1)
-                     for i in range(0, len(ids), PREDICT_CHUNK)]
+        preds = [self.logits(ids[i: i + PREDICT_CHUNK]).argmax(axis=1)
+                 for i in range(0, len(ids), PREDICT_CHUNK)]
         return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
     def encode_sentences(self, sentences: list[LabeledSentence]) -> Batch:
@@ -216,14 +293,9 @@ def train_eval_classifier(corpus: LabeledCorpus, seed: int, epochs: int = 25,
         order = rng.keyed(f"clf-ep{epoch}").permutation(len(train_sents))
         for start in range(0, len(order), CLF_BATCH):
             idx = order[start: start + CLF_BATCH]
-            logits = clf.logits(train_batch.inputs[idx], train_mode=True,
-                                dropout_rng=dropout_rng)
-            loss = nm.mean(nm.cross_entropy_rows(logits, train_batch.categories[idx]))
-            clf.store.zero_grad()
-            loss.backward()
-            optimizer_step(clf.store, clf.store.gather_grads(), adam)
-            # the batch's tape goes before the next forward builds its own
-            del logits, loss
+            clf.loss_and_grad(train_batch.inputs[idx], train_batch.categories[idx],
+                              dropout_rng, adam.grad)
+            optimizer_step(clf.store, adam.grad, adam)
     preds = clf.predict(val_batch.inputs)
     clf.val_accuracy = float((preds == val_batch.categories).mean())
     log.info("classifier validation accuracy: %.4f", clf.val_accuracy)

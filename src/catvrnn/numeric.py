@@ -2,12 +2,14 @@
 cross-entropy, a parameter store, seeded RNG streams, and a
 finite-difference gradient checker.
 
-The tape carries the ops of the scoring classifier (``evaluation``), the
-only network trained through it; the model's backward is written by hand
-in ``model``. Every tape operation records its parents and a backward
-closure on the output tensor; ``Tensor.backward()`` replays the recorded
-graph once in reverse topological order. Values are double precision by
-default (single precision passes through when the inputs carry it).
+No network trains on the tape: the model's backward (``model``) and the
+scoring classifier's (``evaluation``) are written by hand in numpy. The
+tape now serves only the tests' references, which recompute those
+gradients through its ops. Every tape operation records its parents and a
+backward closure on the output tensor; ``Tensor.backward()`` replays the
+recorded graph once in reverse topological order. Values are double
+precision by default (single precision passes through when the inputs
+carry it).
 """
 
 from __future__ import annotations
@@ -212,31 +214,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tensors, backward)
 
 
-def multi_output(outputs: Sequence[np.ndarray], parents: Sequence[Tensor],
-                 backward) -> list[Tensor]:
-    """One op with several outputs. ``backward(grads)`` receives one gradient
-    per output, ``None`` for an output no gradient reached, and returns one
-    per parent (``None`` for no contribution). It runs once, from a joint
-    node that is the outputs' only parent: the tape reaches that node only
-    after every output has passed its gradient on."""
-    grads: list[np.ndarray | None] = [None] * len(outputs)
-
-    def joint_backward(_):
-        for p, g in zip(parents, backward(grads)):
-            if g is not None and p.requires_grad:
-                p._accumulate(g)
-        grads[:] = [None] * len(outputs)  # passed on to the parents: free them
-
-    joint = _make(np.empty(0), parents, joint_backward)
-
-    def collect(i):
-        def backward_i(g):
-            grads[i] = g if grads[i] is None else grads[i] + g
-        return backward_i
-
-    return [_make(data, (joint,), collect(i)) for i, data in enumerate(outputs)]
-
-
 def relu(t: Tensor) -> Tensor:
     t = _lift(t)
     data = np.maximum(t.data, 0.0)
@@ -297,54 +274,6 @@ def max_pool_rows(t: Tensor, group_size: int) -> Tensor:
         t._accumulate(acc.reshape(n, f))
 
     return _make(data, (t,), backward)
-
-
-def window_sum(t: Tensor, seq_len: int, widths: Sequence[int]) -> list[Tensor]:
-    """Window sums of shifted column blocks, one output per width.
-
-    ``t`` is (G*seq_len, C): ``seq_len`` consecutive rows per sequence, and
-    columns cut into ``sum(widths)`` equal blocks of F, the blocks of width
-    ``w`` being its offsets 0..w-1 in order. Output ``w`` is
-    (G*(seq_len-w+1), F); its row ``p`` of a sequence sums block ``(w, k)``
-    of row ``p + k`` over the offsets ``k``. With ``t`` the products of
-    every token with each offset's filter rows, that is a convolution. The
-    backward writes each output's gradient, shifted down by ``k`` rows,
-    into block ``(w, k)`` of one buffer.
-    """
-    t = _lift(t)
-    n, cols = t.data.shape
-    if n % seq_len or cols % sum(widths):
-        raise ConfigurationError(
-            f"window_sum: {t.shape} is not whole sequences of {seq_len} rows "
-            f"and {sum(widths)} column blocks"
-        )
-    if max(widths) > seq_len:
-        raise ConfigurationError(f"width {max(widths)} exceeds sequence length {seq_len}")
-    size = cols // sum(widths)
-    x = t.data.reshape(-1, seq_len, cols)
-    # (npos, [column start of each offset's block]) per width
-    layout = []
-    start = 0
-    for w in widths:
-        layout.append((seq_len - w + 1, [start + k * size for k in range(w)]))
-        start += w * size
-    outs = []
-    for npos, lows in layout:
-        out = x[:, :npos, lows[0]: lows[0] + size].copy()
-        for k, lo in enumerate(lows[1:], start=1):
-            out += x[:, k: k + npos, lo: lo + size]
-        outs.append(out.reshape(-1, size))
-
-    def backward(grads):
-        acc = np.zeros_like(x)
-        for (npos, lows), g in zip(layout, grads):
-            if g is not None:
-                g = g.reshape(-1, npos, size)
-                for k, lo in enumerate(lows):
-                    acc[:, k: k + npos, lo: lo + size] = g
-        return [acc.reshape(n, cols)]
-
-    return multi_output(outs, [t], backward)
 
 
 # --- row-wise softmax family ---------------------------------------------
@@ -458,9 +387,8 @@ class ParamStore:
 
     def gather_grads(self) -> np.ndarray:
         """The tensors' gradients as one new array laid out like ``flat``,
-        zero where none arrived. The tensors keep theirs until ``zero_grad``:
-        freed here, they let the allocator hand the heap's top back to the
-        system after every step, to be faulted in again by the next."""
+        zero where none arrived: a tape reference's gradient, in the layout
+        the hand-written backwards write theirs."""
         grad = np.zeros_like(self.flat)
         for t, view in zip(self._tensors.values(), self.views(grad).values()):
             if t.grad is not None:

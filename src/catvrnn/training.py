@@ -57,7 +57,8 @@ class AdamState:
     """First and second moments, each one array laid out like the store's
     ``flat``, plus the shared step count. ``m`` and ``v`` map each tensor's
     name to its view of them. ``grad`` is the array each training step
-    writes its gradient into, kept from step to step (see ``gather_grads``)."""
+    writes its gradient into (``model.loss_and_grad``,
+    ``EvalClassifier.loss_and_grad``), kept from step to step."""
 
     def __init__(self, store: ParamStore, lr: float = 1e-3):
         self.lr = lr

@@ -468,6 +468,74 @@ def test_evaluate_classifier_file_missing_a_tensor(tmp_path, synth_corpus_file,
     assert "data error:" in capsys.readouterr().err
 
 
+def never_sample(monkeypatch):
+    def sample(*args, **kwargs):
+        raise AssertionError("evaluate sampled before reading the classifier")
+
+    monkeypatch.setattr(cli, "sample_categories", sample)
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "generated"])
+def test_evaluate_rejects_a_classifier_of_another_category_count(
+        tmp_path, trained_run, synth_corpus_file, capsys, monkeypatch, source):
+    # a 3-category classifier scoring the 2-category corpus, and a
+    # 2-category one scoring a 3-category corpus, could never predict some
+    # of the corpus's categories, or would predict ones it does not have
+    corpus = load_corpus(synth_corpus_file)
+    vocab = build_vocabulary(corpus)
+    clf_path = tmp_path / "other.clf"
+    if source == "checkpoint":
+        clf_categories, corpus_path = 3, synth_corpus_file
+        argv = ("--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+                "--vocab", str(trained_run / "vocab.txt"))
+    else:
+        clf_categories, corpus_path = 2, tmp_path / "three.tsv"
+        save_corpus(corpus_path, LabeledCorpus(
+            sentences=[*corpus.sentences, LabeledSentence(("w0",), 2)],
+            num_categories=3))
+        argv = ("--generated", str(corpus_path))
+    EvalClassifier(ClassifierConfig(len(vocab), clf_categories, max_len=7),
+                   vocab).save(clf_path)
+    never_sample(monkeypatch)
+    code = run_cli("evaluate", "--corpus", str(corpus_path), *argv,
+                   "--classifier", str(clf_path), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert f"data error: {clf_path}: a classifier of {clf_categories} categories" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_evaluate_reads_a_damaged_classifier_before_sampling(tmp_path, trained_run,
+                                                            synth_corpus_file, capsys,
+                                                            monkeypatch):
+    corpus = load_corpus(synth_corpus_file)
+    vocab = build_vocabulary(corpus)
+    full = tmp_path / "full.clf"
+    EvalClassifier(ClassifierConfig(len(vocab), corpus.num_categories, max_len=7),
+                   vocab).save(full)
+    damaged = tmp_path / "damaged.clf"
+    damaged.write_bytes(full.read_bytes()[:-10])
+    never_sample(monkeypatch)
+    code = run_cli("evaluate", "--checkpoint", str(trained_run / "epoch_0003.ckpt"),
+                   "--vocab", str(trained_run / "vocab.txt"),
+                   "--corpus", str(synth_corpus_file), "--classifier", str(damaged))
+    assert code == 2
+    assert f"data error: {damaged}" in capsys.readouterr().err
+
+
+def test_evaluate_save_classifier_next_to_classifier_is_a_usage_error(tmp_path,
+                                                                      capsys):
+    # nothing exists: a file read first would exit 2
+    saved = tmp_path / "saved.clf"
+    code = run_cli("evaluate", "--corpus", str(tmp_path / "none.tsv"),
+                   "--generated", str(tmp_path / "none.tsv"),
+                   "--classifier", str(tmp_path / "none.clf"),
+                   "--save-classifier", str(saved))
+    assert code == 1
+    assert "usage error: --save-classifier" in capsys.readouterr().err
+    assert not saved.exists()
+
+
 def test_generate_checkpoint_missing_a_tensor(tmp_path, trained_run, capsys):
     header, arrays = read_container(trained_run / "epoch_0003.ckpt")
     del arrays["param.gru.b"]
@@ -702,7 +770,25 @@ def test_grad_check_passes_and_corrupt_fails(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "static" in out and "adaptive+kl" in out
+    assert "scoring classifier (V=12, T=5):\n  PASS:" in out
     assert run_cli("grad-check", "--max-checks", "40", "--corrupt-backward") == 3
+    assert "scoring classifier (V=12, T=5):\n  FAIL:" in capsys.readouterr().out
+
+
+def test_grad_check_fails_on_a_wrong_classifier_gradient(monkeypatch, capsys):
+    original = cli.EvalClassifier.loss_and_grad
+
+    def skewed(self, ids, targets, dropout_rng, grad):
+        loss = original(self, ids, targets, dropout_rng, grad)
+        self.store.views(grad)["conv.w"][...] *= 1.001
+        return loss
+
+    monkeypatch.setattr(cli.EvalClassifier, "loss_and_grad", skewed)
+    assert run_cli("grad-check", "--max-checks", "40") == 3
+    out = capsys.readouterr().out
+    # the model's variants still pass
+    assert out.count(": PASS") == len(cli.GRAD_CHECK_VARIANTS)
+    assert "scoring classifier (V=12, T=5):\n  FAIL:" in out
 
 
 def test_grad_check_fails_when_training_and_sampling_paths_diverge(monkeypatch,

@@ -177,6 +177,26 @@ def random_classifier(max_len, vocab_size=40, seed=3):
     return clf
 
 
+def assert_matches_the_window_gather_reference(clf, ids, targets):
+    """``logits`` and ``loss_and_grad``'s gradient, read through
+    ``store.views``, against the tape reference's, to 1e-12 of each norm."""
+    clf.store.zero_grad()
+    ref = window_gather_logits(clf, ids, dropout_rng=np.random.default_rng(5))
+    ref_loss = nm.mean(nm.cross_entropy_rows(ref, targets))
+    ref_loss.backward()
+    new = clf.logits(ids, train_mode=True, dropout_rng=np.random.default_rng(5))
+    assert np.linalg.norm(new - ref.data) <= 1e-12 * np.linalg.norm(ref.data)
+    grad = np.full_like(clf.store.flat, np.nan)
+    loss = clf.loss_and_grad(ids, targets, np.random.default_rng(5), grad)
+    assert abs(loss - float(ref_loss.data)) <= 1e-12 * abs(float(ref_loss.data))
+    grads = clf.store.views(grad)
+    assert len(grads) == 7
+    for name, p in clf.store.items():
+        g = p.grad
+        assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+    return grads
+
+
 @pytest.mark.parametrize("t", [5, 13])
 def test_logits_and_gradients_match_the_window_gather_reference(t):
     # T == 5: the widest filter fits once; row 1 is all PAD
@@ -186,20 +206,51 @@ def test_logits_and_gradients_match_the_window_gather_reference(t):
     ids[1] = 0
     ids[4, 3:] = 0
     targets = rng.integers(0, 3, size=6)
-    results = []
-    for forward in (
-        lambda: clf.logits(ids, train_mode=True, dropout_rng=np.random.default_rng(5)),
-        lambda: window_gather_logits(clf, ids, dropout_rng=np.random.default_rng(5)),
-    ):
-        clf.store.zero_grad()
-        logits = forward()
-        nm.mean(nm.cross_entropy_rows(logits, targets)).backward()
-        results.append((logits.data, {n: p.grad for n, p in clf.store.items()}))
-    (new, new_grads), (ref, ref_grads) = results
-    assert np.linalg.norm(new - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert len(ref_grads) == 7
-    for name, g in ref_grads.items():
-        assert np.linalg.norm(new_grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+    assert_matches_the_window_gather_reference(clf, ids, targets)
+
+
+def test_loss_and_grad_sums_a_token_that_fills_most_of_the_batch():
+    # token 7 is 86 of 96 positions: its products' gradient is summed over
+    # every window of every row that pools at it
+    clf = random_classifier(12)
+    ids = np.full((8, 12), 7)
+    ids[[0, 3, 5], [2, 6, 11]] = [4, 9, 30]
+    ids[6, 8:] = 0
+    ids[2, :3] = [11, 12, 13]
+    grads = assert_matches_the_window_gather_reference(clf, ids, np.arange(8) % 3)
+    untouched = np.setdiff1d(np.arange(clf.cfg.vocab_size), ids)
+    assert not grads["embedding"][untouched].any()
+
+
+def test_loss_and_grad_on_all_pad_rows():
+    clf = random_classifier(7)
+    ids = np.zeros((4, 7), dtype=np.int64)
+    ids[2] = [5, 6, 7, 8, 0, 0, 0]
+    assert_matches_the_window_gather_reference(clf, ids, np.array([0, 1, 2, 1]))
+
+
+def test_loss_and_grad_of_a_width_whose_windows_are_all_cut_by_the_relu():
+    # every width-4 window is <= 0 after its bias: the relu passes nothing
+    # back through that width
+    clf = random_classifier(9)
+    clf.store["conv4.b"].data[:] = -1e3
+    ids = np.random.default_rng(2).integers(0, clf.cfg.vocab_size, size=(5, 9))
+    grads = assert_matches_the_window_gather_reference(clf, ids, np.array([0, 1, 2, 0, 1]))
+    assert not grads["conv4.b"].any()
+    assert not grads["conv.w"][:, 300: 700].any()
+    assert grads["conv.w"][:, :300].any() and grads["conv.w"][:, 700:].any()
+
+
+def test_the_classifier_records_nothing_on_the_tape(monkeypatch, disjoint_corpus):
+    def on_the_tape(*args):
+        raise AssertionError("an op was recorded on the tape")
+
+    monkeypatch.setattr(nm, "_make", on_the_tape)
+    clf = train_eval_classifier(disjoint_corpus, seed=2, epochs=1)
+    batch = clf.encode_sentences(disjoint_corpus.sentences[:40])
+    assert len(clf.predict(batch.inputs)) == 40
+    samples = [(list(s.tokens), s.category) for s in disjoint_corpus.sentences[:40]]
+    assert 0.0 <= category_accuracy(samples, clf) <= 1.0
 
 
 def test_logits_reject_inputs_shorter_than_the_widest_filter():
@@ -207,6 +258,15 @@ def test_logits_reject_inputs_shorter_than_the_widest_filter():
     clf.logits(np.zeros((2, 5), dtype=np.int64))
     with pytest.raises(ConfigurationError, match="widest filter"):
         clf.logits(np.zeros((2, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [-1, 40])
+def test_logits_reject_ids_outside_the_vocabulary(bad):
+    clf = random_classifier(6)
+    ids = np.zeros((2, 6), dtype=np.int64)
+    ids[1, 3] = bad
+    with pytest.raises(ConfigurationError, match="out of range"):
+        clf.logits(ids)
 
 
 def test_classifier_file_with_the_hand_written_layout_loads(tmp_path):

@@ -1,7 +1,6 @@
 """Numeric core: forward values against independent oracles, gradients
 against central finite differences."""
 
-import functools
 import math
 
 import numpy as np
@@ -31,7 +30,6 @@ from catvrnn.numeric import (
     relu,
     reparameterize,
     softmax,
-    window_sum,
 )
 
 
@@ -392,60 +390,6 @@ def test_reparameterize_gradient_flows_to_mu_and_sigma():
     assert np.all(grad[:2] != 0) and np.all(grad[2:] != 0)
 
 
-# --- window_sum ---------------------------------------------------------------
-
-
-def window_sum_oracle(x, seq_len, widths):
-    """Loops over sequences, positions and offsets."""
-    size = x.shape[1] // sum(widths)
-    seqs = x.reshape(-1, seq_len, x.shape[1])
-    outs, start = [], 0
-    for w in widths:
-        out = np.zeros((len(seqs), seq_len - w + 1, size))
-        for s, seq in enumerate(seqs):
-            for p in range(seq_len - w + 1):
-                for k in range(w):
-                    lo = start + k * size
-                    out[s, p] += seq[p + k, lo: lo + size]
-        outs.append(out.reshape(-1, size))
-        start += w * size
-    return outs
-
-
-@pytest.mark.parametrize("seq_len,widths", [(5, (3, 4, 5)), (4, (1, 2)), (6, (2,))])
-def test_window_sum_matches_the_loop_oracle(seq_len, widths):
-    x = np.random.default_rng(seq_len).normal(size=(3 * seq_len, 2 * sum(widths)))
-    outs = window_sum(Tensor(x), seq_len, widths)
-    for out, ref in zip(outs, window_sum_oracle(x, seq_len, widths)):
-        np.testing.assert_allclose(out.data, ref, rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.parametrize("used", [(0, 1, 2), (1,), (0, 2)])
-def test_window_sum_gradient_matches_finite_differences(used):
-    # outputs left out of the loss get no gradient and must add nothing
-    rng = np.random.default_rng(len(used))
-    store = ParamStore()
-    x = store.add("x", rng.normal(size=(2 * 6, 3 * (2 + 3 + 4))))
-    probes = [Tensor(rng.normal(size=(2 * (6 - w + 1), 3))) for w in (2, 3, 4)]
-
-    def loss():
-        outs = window_sum(x, 6, (2, 3, 4))
-        return functools.reduce(add, (mean(mul(mul(outs[i], outs[i]), probes[i]))
-                                      for i in used))
-
-    report = tape_check(loss, store, tolerance=1e-6, max_checks=400)
-    assert report.passed, report.summary()
-
-
-def test_window_sum_rejects_ragged_shapes():
-    with pytest.raises(ConfigurationError):
-        window_sum(Tensor(np.zeros((7, 12))), 3, (3, 1))  # rows not whole sequences
-    with pytest.raises(ConfigurationError):
-        window_sum(Tensor(np.zeros((6, 10))), 3, (3, 1))  # columns not whole blocks
-    with pytest.raises(ConfigurationError):
-        window_sum(Tensor(np.zeros((6, 12))), 3, (4, 2))  # window longer than sequence
-
-
 # --- cross entropy ---------------------------------------------------------------
 
 
@@ -774,19 +718,26 @@ def test_composite_graph_gradient_across_seeds(seed):
     rng = np.random.default_rng(seed)
     store = ParamStore()
     table = store.add("table", rng.normal(size=(6, 4)))
-    conv = store.add("conv", rng.normal(size=(4, 3 * 3)) * 0.7)
+    banks = {1: store.add("conv1", rng.normal(size=(4, 3)) * 0.7),
+             2: store.add("conv2", rng.normal(size=(2 * 4, 3)) * 0.7)}
     bias = store.add("bias", rng.normal(size=3) * 0.2)
     w = store.add("w", rng.normal(size=(6, 4)) * 0.7)
     b = store.add("b", rng.normal(size=4) * 0.2)
-    ids = rng.integers(0, 6, size=2 * 4)
+    ids = rng.integers(0, 6, size=(2, 4))
     targets = rng.integers(0, 4, size=2)
     scale = Tensor(rng.uniform(0.5, 1.5, size=(2, 6)))
 
     def loss():
-        # two sequences of 4 tokens, windows of widths 1 and 2
-        products = matmul(gather_rows(table, ids), conv)
-        pooled = [max_pool_rows(relu(add(conv_w, bias)), npos)
-                  for conv_w, npos in zip(window_sum(products, 4, (1, 2)), (4, 3))]
+        # two sequences of 4 tokens, windows of widths 1 and 2: each width
+        # gathers its windows' tokens side by side and multiplies them by
+        # its filter bank
+        pooled = []
+        for width, bank in banks.items():
+            win = np.lib.stride_tricks.sliding_window_view(ids, width, axis=1)
+            emb = concat([gather_rows(table, win[:, :, k].reshape(-1))
+                          for k in range(width)], axis=-1)
+            conv = relu(add(matmul(emb, bank), bias))
+            pooled.append(max_pool_rows(conv, 4 - width + 1))
         features = mul(concat(pooled, axis=-1), scale)
         return mean(cross_entropy_rows(linear(features, w, b), targets))
 
