@@ -284,10 +284,8 @@ def cmd_train(opts: dict, ckpt: Checkpoint | None = None) -> int:
         cfg = ckpt.config
         params = ckpt.build_params()
         adam = ckpt.build_adam(params.store)
-        if adam is not None:
-            adam.lr = plan.lr  # the checkpoint's unless given
-        if ckpt.rng_state is not None:
-            rng.set_state(ckpt.rng_state)
+        adam.lr = plan.lr  # the checkpoint's unless given
+        rng.set_state(ckpt.rng_state)
         start_epoch = ckpt.epoch
         print(f"resuming from epoch {start_epoch}")
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, require_ints
 from . import numeric as nm
 from .numeric import ParamStore, Rng
 from .model import CatVrnnParams, ModelConfig, generate, teacher_nll
@@ -25,8 +25,7 @@ from .data import (
     decode_ids,
     encode_batch,
 )
-from .training import (AdamState, check_dtype, header_errors, optimizer_step,
-                       read_container, write_container)
+from .training import AdamState, optimizer_step, read_container, write_container
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +61,10 @@ class ClassifierConfig:
     vocab_size: int
     num_categories: int
     max_len: int
+
+    def __post_init__(self):
+        require_ints(1, vocab_size=self.vocab_size, num_categories=self.num_categories,
+                     max_len=self.max_len)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -242,19 +245,22 @@ class EvalClassifier:
             "vocab": self.vocab.id_to_token,
             "val_accuracy": self.val_accuracy,
         }
-        write_container(path, meta, self.store.views(self.store.flat))
+        write_container(path, meta, self.store.layout(), self.store.flat)
 
     @classmethod
     def load(cls, path) -> "EvalClassifier":
-        header, arrays = read_container(path)
-        if header.get("kind") != "eval_classifier":
-            raise DataError(f"{path}: not an eval-classifier checkpoint")
-        with header_errors(path):
+        def parse(header):
             clf = cls(ClassifierConfig.from_dict(header["config"]),
                       Vocabulary(header["vocab"]))
-        check_dtype(path, arrays, np.float64)
-        clf.store.load(arrays)
-        clf.val_accuracy = header.get("val_accuracy")
+            if len(clf.vocab) != clf.cfg.vocab_size:
+                raise ValueError(f"a vocabulary of {len(clf.vocab)} words for "
+                                 f"vocab_size {clf.cfg.vocab_size}")
+            clf.val_accuracy = header["val_accuracy"]
+            return clf, clf.store.layout(), np.float64, 1
+
+        clf, body = read_container(path, "eval_classifier",
+                                   {"config", "vocab", "val_accuracy"}, parse)
+        clf.store.flat[...] = body[0]
         return clf
 
 

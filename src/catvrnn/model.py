@@ -16,7 +16,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericError
+from .errors import ConfigurationError, DataError, NumericError, require_ints
 from . import numeric as nm
 from .data import PAD_ID
 from .numeric import ParamStore, Rng
@@ -55,12 +55,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
-        dims = (self.vocab_size, self.embed_dim, self.hidden_dim, self.latent_dim,
-                self.max_len)
-        if any(d < 1 for d in dims):
-            raise ConfigurationError(f"all dimensions must be >= 1, got {dims}")
-        if self.num_categories < 1:
-            raise ConfigurationError("num_categories must be >= 1")
+        require_ints(1, vocab_size=self.vocab_size, num_categories=self.num_categories,
+                     embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
+                     latent_dim=self.latent_dim, max_len=self.max_len)
         if self.init_mode not in INIT_MODES:
             raise ConfigurationError(
                 f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"
@@ -74,7 +71,7 @@ class ModelConfig:
             )
         if not np.isfinite(self.static_omega):
             raise ConfigurationError("static_omega must be finite")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigurationError("temperature must be positive")
         if self.dtype not in ("float64", "float32"):
             raise ConfigurationError(f"unsupported dtype {self.dtype!r}")

@@ -15,13 +15,14 @@ carry it).
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericError
+from .errors import ConfigurationError, NumericError
 
 DEFAULT_DTYPE = np.float64
 
@@ -376,14 +377,26 @@ class ParamStore:
                 t.data = view
         return self._flat
 
+    def layout(self) -> list[list]:
+        """``[name, shape]`` pairs in store order, each shape a list: how
+        ``flat`` is cut, and what a container's header records."""
+        return [[name, list(t.data.shape)] for name, t in self._tensors.items()]
+
+    @staticmethod
+    def layout_views(layout: list, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """``flat`` cut by ``layout``'s ``[name, shape]`` pairs, in order, as
+        name -> view of that shape."""
+        out, lo = {}, 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            out[name] = flat[lo: lo + size].reshape(shape)
+            lo += size
+        return out
+
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """``flat``, an array laid out like the store's, as name -> view
         shaped like that tensor."""
-        out, lo = {}, 0
-        for name, t in self._tensors.items():
-            out[name] = flat[lo: lo + t.data.size].reshape(t.data.shape)
-            lo += t.data.size
-        return out
+        return self.layout_views(self.layout(), flat)
 
     def gather_grads(self) -> np.ndarray:
         """The tensors' gradients as one new array laid out like ``flat``,
@@ -413,25 +426,6 @@ class ParamStore:
 
     def total_parameters(self) -> int:
         return sum(t.data.size for t in self._tensors.values())
-
-    def load(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None):
-        """Copy ``arrays`` into the tensors, or into ``flat``, an array laid
-        out like the store's, cast to its dtype. The names and shapes must be
-        exactly the store's; otherwise nothing is copied, and the DataError
-        says what differs, as the arrays come from a file."""
-        names = set(self._tensors)
-        if set(arrays) != names:
-            raise DataError(
-                f"tensors missing {sorted(names - set(arrays))}, "
-                f"unexpected {sorted(set(arrays) - names)}"
-            )
-        views = self.views(self.flat if flat is None else flat)
-        for name, view in views.items():
-            if np.shape(arrays[name]) != view.shape:
-                raise DataError(f"tensor {name!r} has shape "
-                                f"{np.shape(arrays[name])}, expected {view.shape}")
-        for name, view in views.items():
-            np.copyto(view, arrays[name])
 
 
 # --- seeded random streams -------------------------------------------------
@@ -486,6 +480,10 @@ class Rng:
 # --- finite-difference gradient checking -----------------------------------
 
 
+# elements of every tensor that check_gradient checks when it subsamples
+GRAD_CHECK_QUOTA = 4
+
+
 @dataclass
 class GradCheckEntry:
     name: str
@@ -520,8 +518,10 @@ def check_gradient(loss_fn: Callable[[], float], store: ParamStore,
     ``loss_fn`` returns the loss as a float and must be a pure function of
     the parameter values (re-seed any noise inside it); ``analytic`` is its
     gradient, laid out like ``store.flat``. Every element of ``store.flat``
-    is checked when there are at most ``max_checks``; otherwise a uniform
-    random subsample of ``max_checks`` elements, drawn with seed 0, is used.
+    is checked when there are at most ``max_checks``. Otherwise each tensor
+    gets ``min(size, GRAD_CHECK_QUOTA)`` of its elements, and the rest of
+    ``max_checks``, if any, is a uniform random subsample of the other
+    elements; both are drawn with seed 0, so no tensor goes unchecked.
     Relative error uses the denominator max(|analytic|, |numeric|, noise /
     tolerance), where noise = eps * max(|f+|, |f-|) / fd_step is the rounding
     error of the central difference itself: an entry smaller than noise /
@@ -538,7 +538,13 @@ def check_gradient(loss_fn: Callable[[], float], store: ParamStore,
     elements = np.arange(flat.size)
     if flat.size > max_checks:
         picker = np.random.default_rng(0)
-        elements = np.sort(picker.choice(flat.size, size=max_checks, replace=False))
+        quota = np.concatenate([
+            picker.choice(ix.ravel(), min(ix.size, GRAD_CHECK_QUOTA), replace=False)
+            for ix in store.views(elements).values()])
+        rest = np.setdiff1d(elements, quota)
+        extra = picker.choice(rest, max(min(max_checks - quota.size, rest.size), 0),
+                              replace=False)
+        elements = np.sort(np.concatenate([quota, extra]))
     names = store.names()
     # the index in ``names`` of the tensor that holds each checked element
     owners = np.searchsorted(np.cumsum([store[n].data.size for n in names]),

@@ -1,34 +1,37 @@
 """MLE training loop with Adam, deterministic seeding, and checkpointing.
 
-Checkpoint file layout: an 8-byte little-endian length prefix, a UTF-8 JSON
-header (format version, model config, rng state, epoch, vocabulary digest,
-optimizer scalars, tensor manifest with name/shape/dtype/offset, body digest,
-creation timestamp), then raw little-endian scalar blobs in manifest order.
-The timestamp is the single non-deterministic header field.
+Checkpoint file layout (format 4): an 8-byte little-endian length prefix, a
+UTF-8 JSON header (model config, rng state, epoch, vocabulary digest, Adam's
+lr and step, training plan, the store's layout as [name, shape] pairs, one
+dtype, one SHA-256 over the rest of the header and the body, creation time),
+then the store's ``flat`` and Adam's two moments laid out like it, in the
+config's dtype, little-endian. The timestamp is the single
+non-deterministic header field.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
+import math
 import struct
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericError
+from .errors import ConfigurationError, DataError, NumericError, require_ints
 from .numeric import ParamStore, Rng
 from .model import CatVrnnParams, ModelConfig, loss_and_grad
 from .data import atomic_open, atomic_write_text, read_text
 
 log = logging.getLogger(__name__)
 
-# 3: headers without layer widths, Adam's betas and epsilon, classifier sizes
-CHECKPOINT_VERSION = 3
+# 4: one body laid out like the parameter store, one digest over header and body
+CHECKPOINT_VERSION = 4
 
 # Adam's decay rates and denominator floor (Kingma & Ba 2015's defaults)
 BETA1 = 0.9
@@ -46,8 +49,7 @@ class TrainPlan:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
+        require_ints(1, epochs=self.epochs, batch_size=self.batch_size)
         if not self.lr > 0 or not (self.grad_clip is None or self.grad_clip > 0):
             raise ConfigurationError(f"lr and grad_clip must be > 0, got lr "
                                      f"{self.lr} and grad_clip {self.grad_clip}")
@@ -180,90 +182,87 @@ def train_epoch(inputs: np.ndarray, targets: np.ndarray, categories: np.ndarray,
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume: config, parameters, optimizer state, rng
-    stream states, the epoch index, the vocabulary digest, and the training
-    plan of the run that wrote it."""
+    """Everything needed to resume: config, the store's layout, the body
+    (parameters, Adam's m and v, each a row laid out like the store's
+    ``flat``), Adam's lr and step, rng stream states, the epoch, the
+    vocabulary digest, and the run's training plan when it has one."""
 
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
+    layout: list
+    body: np.ndarray
     epoch: int
     vocab_digest: str
-    rng_state: dict | None = None
-    adam_scalars: dict | None = None
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    rng_state: dict
+    adam_scalars: dict
     plan: TrainPlan | None = None
 
     @classmethod
     def capture(cls, params: CatVrnnParams, epoch: int, vocab_digest: str,
-                rng: Rng | None = None, adam: AdamState | None = None,
+                rng: Rng, adam: AdamState,
                 plan: TrainPlan | None = None) -> "Checkpoint":
-        ckpt = cls(
-            config=params.cfg,
-            tensors={name: t.data.copy() for name, t in params.store.items()},
-            epoch=epoch,
-            vocab_digest=vocab_digest,
-            rng_state=rng.state() if rng is not None else None,
-            plan=plan,
-        )
-        if adam is not None:
-            ckpt.adam_scalars = {"lr": adam.lr, "step": adam.step}
-            ckpt.adam_m = {k: v.copy() for k, v in adam.m.items()}
-            ckpt.adam_v = {k: v.copy() for k, v in adam.v.items()}
-        return ckpt
+        store = params.store
+        return cls(config=params.cfg, layout=store.layout(),
+                   body=np.stack([store.flat, adam.m_flat, adam.v_flat]),
+                   epoch=epoch, vocab_digest=vocab_digest, rng_state=rng.state(),
+                   adam_scalars={"lr": adam.lr, "step": adam.step}, plan=plan)
+
+    @property
+    def adam_m(self) -> dict[str, np.ndarray]:
+        return ParamStore.layout_views(self.layout, self.body[1])
+
+    @property
+    def adam_v(self) -> dict[str, np.ndarray]:
+        return ParamStore.layout_views(self.layout, self.body[2])
 
     def build_params(self) -> CatVrnnParams:
         params = CatVrnnParams.zeros(self.config)
-        params.store.load(self.tensors)
+        params.store.flat[...] = self.body[0]
         return params
 
-    def build_adam(self, store: ParamStore) -> AdamState | None:
-        if self.adam_scalars is None:
-            return None
+    def build_adam(self, store: ParamStore) -> AdamState:
         adam = AdamState(store, lr=self.adam_scalars["lr"])
         adam.step = self.adam_scalars["step"]
-        for which, arrays, flat in (("m", self.adam_m, adam.m_flat),
-                                    ("v", self.adam_v, adam.v_flat)):
-            try:
-                store.load(arrays, flat)
-            except DataError as e:
-                raise DataError(f"checkpoint optimizer moments adam.{which}: {e}") from e
+        adam.m_flat[...], adam.v_flat[...] = self.body[1:]
         return adam
 
 
-def write_container(path, meta: dict, arrays: dict[str, np.ndarray]):
+# the header keys of every container; each kind adds its own
+CONTAINER_KEYS = {"format_version", "kind", "layout", "dtype", "sha256", "created"}
+
+
+def _digest(header: dict, body) -> str:
+    """SHA-256 of the header less ``created`` and ``sha256``, as sorted JSON,
+    then of the body."""
+    covered = {k: v for k, v in header.items() if k not in ("created", "sha256")}
+    digest = hashlib.sha256(json.dumps(covered, sort_keys=True).encode("utf-8"))
+    digest.update(body)
+    return digest.hexdigest()
+
+
+def write_container(path, meta: dict, layout: list, body: np.ndarray):
     """Write the on-disk container: an 8-byte little-endian length prefix, a
-    UTF-8 JSON header (metadata plus the tensor manifest and body digest),
-    then raw little-endian scalar blobs in manifest order. The body is
-    hashed and written array by array from the arrays' own buffers."""
-    blobs = [np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-             for arr in arrays.values()]
-    manifest = []
-    offset = 0
-    body_sha = hashlib.sha256()
-    for (name, arr), blob in zip(arrays.items(), blobs):
-        manifest.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": arr.dtype.name,
-            "offset": offset,
-        })
-        body_sha.update(blob)
-        offset += blob.nbytes
-    header = dict(meta)
-    header["format_version"] = CHECKPOINT_VERSION
+    UTF-8 JSON header (``meta``, the format version, ``layout``, the body's
+    dtype, the digest and the creation time), then ``body``, one or more
+    arrays laid out by ``layout``, as one little-endian blob."""
+    blob = np.ascontiguousarray(body, dtype=body.dtype.newbyteorder("<"))
+    header = dict(meta, format_version=CHECKPOINT_VERSION, layout=layout,
+                  dtype=body.dtype.name)
+    header["sha256"] = _digest(header, blob)
     header["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    header["manifest"] = manifest
-    header["body_sha256"] = body_sha.hexdigest()
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path) as f:
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+        f.write(blob)
 
 
-def _read_header(raw: bytes, path: Path) -> tuple[dict, memoryview]:
+def _read_header(path: Path) -> tuple[dict, memoryview]:
+    """The container's header, of this format version and matching its
+    digest, and its body's bytes."""
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from e
     if len(raw) < 8:
         raise DataError(f"{path}: truncated file (no header length)")
     (header_len,) = struct.unpack("<Q", raw[:8])
@@ -276,45 +275,53 @@ def _read_header(raw: bytes, path: Path) -> tuple[dict, memoryview]:
     if not isinstance(header, dict):
         raise DataError(f"{path}: damaged header: a JSON {type(header).__name__}, "
                         f"not an object")
-    return header, memoryview(raw)[8 + header_len:]
-
-
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read and verify a container; corruption raises instead of returning
-    silent garbage. The arrays are read-only views of the file's bytes, so
-    that reading allocates the file's size once; callers copy what they
-    keep."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    header, body = _read_header(raw, path)
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
         )
-    arrays: dict[str, np.ndarray] = {}
-    with header_errors(path):
-        if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
-            raise DataError(f"{path}: body digest mismatch")
-        for entry in header["manifest"]:
-            dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            start = entry["offset"]
-            end = start + count * dtype.itemsize
-            if end > len(body):
-                raise DataError(f"{path}: truncated body")
-            arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
-            arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(
-                dtype.newbyteorder("="), copy=False)
-    return header, arrays
+    body = memoryview(raw)[8 + header_len:]
+    if header.get("sha256") != _digest(header, body):
+        raise DataError(f"{path}: digest mismatch")
+    return header, body
+
+
+def read_container(path, kind: str, keys: set, parse) -> tuple:
+    """What ``parse`` builds from the header of the ``kind`` container at
+    ``path``, and its body as a (sections, size) read-only view of the
+    file's bytes. All of the header is checked here, before the body is
+    indexed: version, digest, kind, exactly the container's keys and
+    ``keys``, then ``parse(header)``, which checks the kind's own fields
+    and returns what it built with the layout, dtype and number of sections
+    of the body, which the header and the body's length must match. Any
+    damage is a DataError naming the file."""
+    path = Path(path)
+    header, body = _read_header(path)
+    if header.get("kind") != kind:
+        raise DataError(f"{path}: a file of kind {header.get('kind')!r}, not {kind!r}")
+    keys = CONTAINER_KEYS | keys
+    try:
+        if set(header) != keys:
+            raise ValueError(f"keys missing {sorted(keys - set(header))}, "
+                             f"unexpected {sorted(set(header) - keys)}")
+        built, layout, dtype, sections = parse(header)
+        # compared as JSON text, so that a size of 8.0 or true is not 8
+        for i, (got, want) in enumerate(itertools.zip_longest(header["layout"], layout)):
+            if json.dumps(got) != json.dumps(want):
+                raise ValueError(f"layout entry {i} is {got!r}, the store's is {want!r}")
+        dtype = np.dtype(dtype)
+        if header["dtype"] != dtype.name:
+            raise ValueError(f"dtype {header['dtype']!r}, expected {dtype.name}")
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: damaged header: {e}") from e
+    size = sum(math.prod(shape) for _, shape in layout)
+    if len(body) != sections * size * dtype.itemsize:
+        raise DataError(f"{path}: a body of {len(body)} bytes, expected "
+                        f"{sections} x {size} {dtype.name}")
+    array = np.frombuffer(body, dtype=dtype.newbyteorder("<"))
+    return built, array.reshape(sections, size).astype(dtype, copy=False)
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    arrays = {f"param.{name}": arr for name, arr in ckpt.tensors.items()}
-    arrays.update({f"adam.m.{name}": arr for name, arr in ckpt.adam_m.items()})
-    arrays.update({f"adam.v.{name}": arr for name, arr in ckpt.adam_v.items()})
     meta = {
         "kind": "model",
         "config": ckpt.config.to_dict(),
@@ -324,67 +331,39 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "adam": ckpt.adam_scalars,
         "plan": asdict(ckpt.plan) if ckpt.plan is not None else None,
     }
-    write_container(path, meta, arrays)
+    write_container(path, meta, ckpt.layout, ckpt.body)
 
 
-@contextmanager
-def header_errors(path):
-    """Turns a header that does not build what its reader builds from it (a
-    missing or unknown key, a value of the wrong type or out of range) into
-    a DataError naming the file. A DataError raised inside passes as it is."""
-    try:
-        yield
-    except DataError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path}: damaged header: {e!r}") from e
-
-
-def check_dtype(path, arrays: dict[str, np.ndarray], dtype):
-    """A DataError naming the file and the first tensor of ``arrays`` not of
-    ``dtype``: the body digest cannot see a manifest's dtype read wrongly."""
-    for name, arr in arrays.items():
-        if arr.dtype != dtype:
-            raise DataError(f"{path}: tensor {name!r} is {arr.dtype}, "
-                            f"expected {np.dtype(dtype)}")
+def _parse_model_header(header: dict) -> tuple[dict, list, str, int]:
+    config = ModelConfig.from_dict(header["config"])
+    adam, plan, lr = header["adam"], header["plan"], header["adam"]["lr"]
+    require_ints(0, epoch=header["epoch"], **{"adam.step": adam["step"],
+                                              "rng.seed": header["rng"]["seed"]})
+    if type(lr) not in (int, float) or not 0 < lr < math.inf:
+        raise ValueError(f"adam.lr must be a finite number > 0, got {lr!r}")
+    if not isinstance(header["vocab_digest"], str):
+        raise TypeError(f"vocab_digest {header['vocab_digest']!r} is not a string")
+    Rng(0).set_state(header["rng"])  # a stream state, or an error here
+    fields = dict(config=config, layout=CatVrnnParams.zeros(config).store.layout(),
+                  epoch=header["epoch"], vocab_digest=header["vocab_digest"],
+                  rng_state=header["rng"],
+                  adam_scalars={"lr": float(lr), "step": adam["step"]},
+                  plan=TrainPlan(**plan) if plan is not None else None)
+    return fields, fields["layout"], config.dtype, 3
 
 
 def load_checkpoint(path) -> Checkpoint:
-    header, arrays = read_container(path)
-    if header.get("kind") != "model":
-        raise DataError(f"{path}: not a model checkpoint ({header.get('kind')!r})")
-    with header_errors(path):
-        plan, adam = header.get("plan"), header.get("adam")
-        config = ModelConfig.from_dict(header["config"])
-        if header.get("rng") is not None:
-            Rng(0).set_state(header["rng"])  # a stream state, or an error here
-        check_dtype(path, arrays, config.np_dtype())
-        return Checkpoint(
-            config=config,
-            tensors={n[len("param."):]: a for n, a in arrays.items()
-                     if n.startswith("param.")},
-            epoch=int(header["epoch"]),
-            vocab_digest=header["vocab_digest"],
-            rng_state=header.get("rng"),
-            adam_scalars=None if adam is None else {"lr": float(adam["lr"]),
-                                                     "step": int(adam["step"])},
-            adam_m={n[len("adam.m."):]: a for n, a in arrays.items()
-                    if n.startswith("adam.m.")},
-            adam_v={n[len("adam.v."):]: a for n, a in arrays.items()
-                    if n.startswith("adam.v.")},
-            plan=TrainPlan(**plan) if plan is not None else None,
-        )
+    fields, body = read_container(
+        path, "model", {"config", "epoch", "vocab_digest", "rng", "adam", "plan"},
+        _parse_model_header)
+    return Checkpoint(body=body, **fields)
 
 
 def checkpoint_digest(path) -> str:
-    """Content digest that ignores the creation timestamp, for comparing
-    checkpoints produced at different times."""
-    raw = Path(path).read_bytes()
-    header, body = _read_header(raw, Path(path))
-    header.pop("created", None)
-    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
-    digest.update(body)
-    return digest.hexdigest()
+    """The container's digest, over its header less the creation time and
+    its body, checked against the file: equal for checkpoints of equal
+    content written at different times."""
+    return _read_header(Path(path))[0]["sha256"]
 
 
 # --- multi-epoch driver -----------------------------------------------------

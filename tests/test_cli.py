@@ -19,18 +19,26 @@ from catvrnn.data import (
 from catvrnn.data import LabeledCorpus, LabeledSentence
 from catvrnn.evaluation import ClassifierConfig, EvalClassifier
 from catvrnn.model import ModelConfig
-from catvrnn.training import (
-    TrainPlan,
-    checkpoint_digest,
-    load_checkpoint,
-    read_container,
-    save_checkpoint,
-    write_container,
-)
+from catvrnn import training
+from catvrnn.training import TrainPlan, checkpoint_digest, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def rewrite_header(source, dest, edit):
+    """Copy the container ``source`` to ``dest`` with ``edit`` applied to its
+    JSON header and the digest recomputed (unless ``edit`` dropped it), so
+    that only the edit is wrong; the body stays as written."""
+    raw = source.read_bytes()
+    (size,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8:8 + size])
+    edit(header)
+    if "sha256" in header:
+        header["sha256"] = training._digest(header, raw[8 + size:])
+    text = json.dumps(header).encode("utf-8")
+    dest.write_bytes(struct.pack("<Q", len(text)) + text + raw[8 + size:])
 
 
 @pytest.fixture(scope="module")
@@ -457,15 +465,14 @@ def test_evaluate_classifier_file_missing_a_tensor(tmp_path, synth_corpus_file,
     full = tmp_path / "full.clf"
     EvalClassifier(ClassifierConfig(len(vocab), corpus.num_categories, max_len=7),
                    vocab).save(full)
-    header, arrays = read_container(full)
-    del arrays["head.b"]
     partial = tmp_path / "partial.clf"
-    write_container(partial, header, arrays)
+    rewrite_header(full, partial, lambda header: header["layout"].pop())
     code = run_cli("evaluate", "--corpus", str(synth_corpus_file),
                    "--generated", str(synth_corpus_file),
                    "--classifier", str(partial))
     assert code == 2
-    assert "data error:" in capsys.readouterr().err
+    assert (f"data error: {partial}: damaged header: layout entry 6 is None, "
+            "the store's is ['head.b', [2]]") in capsys.readouterr().err
 
 
 def never_sample(monkeypatch):
@@ -537,15 +544,16 @@ def test_evaluate_save_classifier_next_to_classifier_is_a_usage_error(tmp_path,
 
 
 def test_generate_checkpoint_missing_a_tensor(tmp_path, trained_run, capsys):
-    header, arrays = read_container(trained_run / "epoch_0003.ckpt")
-    del arrays["param.gru.b"]
+    def drop_gru_b(header):
+        header["layout"] = [entry for entry in header["layout"] if entry[0] != "gru.b"]
+
     partial = tmp_path / "partial.ckpt"
-    write_container(partial, header, arrays)
+    rewrite_header(trained_run / "epoch_0003.ckpt", partial, drop_gru_b)
     code = run_cli("generate", "--checkpoint", str(partial),
                    "--vocab", str(trained_run / "vocab.txt"),
                    "--out", str(tmp_path / "gen.tsv"))
     assert code == 2
-    assert "data error: tensors missing ['gru.b']" in capsys.readouterr().err
+    assert "the store's is ['gru.b', [24]]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, edit", [
@@ -582,43 +590,30 @@ def test_damaged_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
         (size,) = struct.unpack("<Q", raw[:8])
         damaged.write_bytes(struct.pack("<Q", len(edit)) + edit.encode() + raw[8 + size:])
     else:
-        header, arrays = read_container(source)
-        edit(header)
-        write_container(damaged, header, arrays)
+        rewrite_header(source, damaged, edit)
     assert run_cli(*argv) == 2
     assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
 
 
-def rewrite_header(source, dest, edit):
-    """Copy the container ``source`` to ``dest`` with ``edit`` applied to its
-    JSON header; the body stays as written."""
-    raw = source.read_bytes()
-    (size,) = struct.unpack("<Q", raw[:8])
-    header = json.loads(raw[8:8 + size])
-    edit(header)
-    text = json.dumps(header).encode("utf-8")
-    dest.write_bytes(struct.pack("<Q", len(text)) + text + raw[8 + size:])
-
-
-@pytest.mark.parametrize("edit", [
-    lambda header: header.pop("body_sha256"),
-    lambda header: header.pop("manifest"),
-    lambda header: header["manifest"][0].pop("name"),
-    lambda header: header["manifest"][0].pop("dtype"),
-    lambda header: header["manifest"][0].pop("shape"),
-    lambda header: header["manifest"][0].pop("offset"),
-    lambda header: header["manifest"][0].update(dtype="float99"),
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: header.pop("sha256"), "digest mismatch"),
+    (lambda header: header.pop("layout"), "damaged header: keys missing ['layout']"),
+    (lambda header: header["layout"][0].pop(0), "damaged header: layout entry 0"),
+    (lambda header: header.pop("dtype"), "damaged header: keys missing ['dtype']"),
+    (lambda header: header["layout"][0].pop(1), "damaged header: layout entry 0"),
+    (lambda header: header.update(dtype="float99"), "damaged header: dtype 'float99'"),
 ], ids=["no-body-sha256", "no-manifest", "no-name", "no-dtype", "no-shape",
-        "no-offset", "unknown-dtype"])
+        "unknown-dtype"])
 def test_damaged_container_header_is_a_data_error_naming_the_file(tmp_path, trained_run,
-                                                                  capsys, edit):
+                                                                  capsys, edit, message):
+    # the digest, the layout (format 3's manifest) and the dtype
     damaged = tmp_path / "damaged.ckpt"
     rewrite_header(trained_run / "epoch_0003.ckpt", damaged, edit)
     code = run_cli("generate", "--checkpoint", str(damaged),
                    "--vocab", str(trained_run / "vocab.txt"),
                    "--out", str(tmp_path / "gen.tsv"))
     assert code == 2
-    assert f"data error: {damaged}: damaged header" in capsys.readouterr().err
+    assert f"data error: {damaged}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("state", [
@@ -642,30 +637,26 @@ def test_resume_from_a_damaged_rng_state_is_a_data_error_naming_the_file(
 @pytest.mark.parametrize("kind", ["model", "classifier"])
 def test_a_tensor_of_another_dtype_is_a_data_error_naming_it(
         tmp_path, trained_run, synth_corpus_file, capsys, kind, dtype):
-    # the body digest still holds: the manifest alone says how to read it
+    # the digest still holds: the header alone says how to read the body
     damaged = tmp_path / "damaged"
     if kind == "model":
-        source, tensor = trained_run / "epoch_0003.ckpt", "param.out.b"
+        source = trained_run / "epoch_0003.ckpt"
         argv = ("generate", "--checkpoint", str(damaged),
                 "--vocab", str(trained_run / "vocab.txt"),
                 "--out", str(tmp_path / "gen.tsv"))
     else:
         corpus = load_corpus(synth_corpus_file)
         vocab = build_vocabulary(corpus)
-        source, tensor = tmp_path / "full.clf", "head.b"
+        source = tmp_path / "full.clf"
         EvalClassifier(ClassifierConfig(len(vocab), corpus.num_categories, max_len=7),
                        vocab).save(source)
         argv = ("evaluate", "--corpus", str(synth_corpus_file),
                 "--generated", str(synth_corpus_file), "--classifier", str(damaged))
 
-    def retype(header):
-        (entry,) = (e for e in header["manifest"] if e["name"] == tensor)
-        entry["dtype"] = dtype
-
-    rewrite_header(source, damaged, retype)
+    rewrite_header(source, damaged, lambda header: header.update(dtype=dtype))
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert f"data error: {damaged}: tensor '{tensor}' is {dtype}, expected float64" in err
+    assert f"data error: {damaged}: damaged header: dtype '{dtype}', expected float64" in err
 
 
 @pytest.mark.parametrize("reader", ["corpus", "vocab", "generated", "config"])
@@ -789,6 +780,39 @@ def test_grad_check_fails_on_a_wrong_classifier_gradient(monkeypatch, capsys):
     # the model's variants still pass
     assert out.count(": PASS") == len(cli.GRAD_CHECK_VARIANTS)
     assert "scoring classifier (V=12, T=5):\n  FAIL:" in out
+
+
+@pytest.mark.parametrize("variant, tensor", [
+    ("static", "cls.b"), ("adaptive", "init.bias"), ("classifier", "head.w"),
+])
+def test_grad_check_fails_on_a_wrong_gradient_of_a_small_tensor(monkeypatch, capsys,
+                                                               variant, tensor):
+    # a uniform sample of 256 elements missed each of these tensors; every
+    # tensor's quota of elements catches its gradient reversed and tripled
+    if variant == "classifier":
+        original = cli.EvalClassifier.loss_and_grad
+
+        def wrong(self, ids, targets, dropout_rng, grad):
+            loss = original(self, ids, targets, dropout_rng, grad)
+            self.store.views(grad)[tensor][...] *= -3.0
+            return loss
+
+        monkeypatch.setattr(cli.EvalClassifier, "loss_and_grad", wrong)
+        failing = "scoring classifier (V=12, T=5):\n  FAIL:"
+    else:
+        original = cli.loss_and_grad
+
+        def wrong(x_ids, targets, c, params, cfg, rng, grad):
+            out = original(x_ids, targets, c, params, cfg, rng, grad)
+            if cfg == cli.grad_check_config(variant):
+                params.store.views(grad)[tensor][...] *= -3.0
+            return out
+
+        monkeypatch.setattr(cli, "loss_and_grad", wrong)
+        failing = f"  {variant}: FAIL:"
+    assert run_cli("grad-check") == 3
+    out = capsys.readouterr().out
+    assert failing in out and out.count("FAIL:") == 1
 
 
 def test_grad_check_fails_when_training_and_sampling_paths_diverge(monkeypatch,

@@ -283,7 +283,9 @@ def test_classifier_file_with_the_hand_written_layout_loads(tmp_path):
     arrays["head.b"] = rng.normal(size=k) * 0.1
     write_container(tmp_path / "clf.bin",
                     {"kind": "eval_classifier", "config": cfg.to_dict(),
-                     "vocab": vocab.id_to_token, "val_accuracy": 0.75}, arrays)
+                     "vocab": vocab.id_to_token, "val_accuracy": 0.75},
+                    [[name, list(a.shape)] for name, a in arrays.items()],
+                    np.concatenate([a.ravel() for a in arrays.values()]))
     clf = EvalClassifier.load(tmp_path / "clf.bin")
     assert clf.val_accuracy == 0.75
     ids = rng.integers(0, 20, size=(50, 7))

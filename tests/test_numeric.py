@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catvrnn.errors import ConfigurationError, DataError, NumericError
+from catvrnn.errors import ConfigurationError, NumericError
 from catvrnn.model import (Recurrent, _dense, _recur_backward, kl_gaussians, recur_step,
                            recurrence)
 from catvrnn.numeric import (
@@ -614,32 +614,6 @@ def test_param_store_iteration_order_is_stable():
         return store
 
     assert build().names() == build().names() == ["gamma", "alpha", "beta"]
-
-
-def test_param_store_load_copies_into_store_dtype():
-    store = ParamStore()
-    w = store.add("w", np.zeros((2, 3), dtype=np.float32))
-    src = np.arange(6, dtype=np.float64).reshape(2, 3) / 7
-    store.load({"w": src})
-    assert w.data.dtype == np.float32
-    np.testing.assert_array_equal(w.data, src.astype(np.float32))
-    src[0, 0] = 99.0
-    assert w.data[0, 0] == 0.0
-
-
-@pytest.mark.parametrize("arrays", [
-    {"w": np.ones((2, 3))},                                      # missing b
-    {"w": np.ones((2, 3)), "b": np.ones(3), "c": np.ones(1)},    # extra c
-    {"w": np.ones((3, 2)), "b": np.ones(3)},                     # misshaped w
-])
-def test_param_store_load_rejects_mismatched_arrays(arrays):
-    store = ParamStore()
-    store.add("w", np.zeros((2, 3)))
-    b = store.add("b", np.zeros(3))
-    with pytest.raises(DataError):
-        store.load(arrays)
-    # nothing is copied from a rejected set
-    np.testing.assert_array_equal(b.data, np.zeros(3))
 
 
 def test_param_store_rejects_duplicates_and_counts():

@@ -343,9 +343,12 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.epoch == 3
     assert loaded.vocab_digest == "digest"
     assert loaded.config == cfg
+    rebuilt = loaded.build_params()
     for name, t in params.store.items():
-        np.testing.assert_array_equal(loaded.tensors[name], t.data)
-    rebuilt_adam = loaded.build_adam(loaded.build_params().store)
+        np.testing.assert_array_equal(rebuilt.store[name].data, t.data)
+        np.testing.assert_array_equal(loaded.adam_m[name], adam.m[name])
+        np.testing.assert_array_equal(loaded.adam_v[name], adam.v[name])
+    rebuilt_adam = loaded.build_adam(rebuilt.store)
     assert rebuilt_adam.step == adam.step
     for name in adam.m:
         np.testing.assert_array_equal(rebuilt_adam.m[name], adam.m[name])
@@ -387,16 +390,22 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 
 def rewrite_container(path, edit):
-    """Rewrite the container at ``path`` with ``edit(header, arrays)`` applied
-    and the body digest recomputed, so that only the edit is wrong."""
-    header, arrays = training.read_container(path)
-    edit(header, arrays)
-    training.write_container(path, header, arrays)
+    """Rewrite the container at ``path`` with ``edit(header, body)`` applied,
+    which returns the new body, and the digest recomputed, so that only the
+    edit is wrong."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8: 8 + size])
+    body = edit(header, raw[8 + size:])
+    header["sha256"] = training._digest(header, body)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(struct.pack("<Q", len(header_bytes)) + header_bytes + body)
 
 
 @pytest.mark.parametrize("kind, version", [
     ("model", 1), ("classifier", 1),    # every file of the per-gate layout
     ("model", 2), ("classifier", 2),    # every file with widths and betas
+    ("model", 3), ("classifier", 3),    # every file of one blob per tensor
     ("model", CHECKPOINT_VERSION + 1),
 ])
 def test_checkpoint_version_mismatch(tmp_path, kind, version):
@@ -420,54 +429,61 @@ def test_checkpoint_version_mismatch(tmp_path, kind, version):
         load(path)
 
 
-@pytest.mark.parametrize("moment, edit", [
-    ("adam.v", lambda arrays: arrays.pop("adam.v.gru.wx")),
-    ("adam.m", lambda arrays: arrays.update({"adam.m.gru.b": np.zeros(5)})),
+@pytest.mark.parametrize("cut", [
+    lambda body, itemsize: body[: len(body) // 3 * 2],
+    lambda body, itemsize: body + bytes(5 * itemsize),
 ], ids=["missing", "misshaped"])
-def test_resume_rejects_optimizer_moments_that_do_not_fit_the_store(tmp_path, moment,
-                                                                     edit):
-    # a missing or misshaped moment is a data error naming the tensor, raised
-    # before training starts rather than inside the first adam_step
+def test_resume_rejects_optimizer_moments_that_do_not_fit_the_store(tmp_path, cut):
+    # a body without Adam's second moment, or with elements past it, is a
+    # data error naming the file, raised when the file is read rather than
+    # inside the first adam_step
     cfg, params, adam, rng = trained_setup(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, Checkpoint.capture(params, 3, "d", rng=rng, adam=adam))
-    rewrite_container(path, lambda header, arrays: edit(arrays))
-    ckpt = load_checkpoint(path)
-    with pytest.raises(DataError, match=rf"{moment}: .*gru\.(wx|b)"):
-        ckpt.build_adam(ckpt.build_params().store)
+    rewrite_container(path, lambda header, body: cut(body, 8))
+    with pytest.raises(DataError, match=rf"{path}: a body of \d+ bytes, "
+                                        rf"expected 3 x {params.store.flat.size} float64"):
+        load_checkpoint(path)
 
 
 CREATED = "2026-01-02T03:04:05Z"
 
 
-def reference_container_bytes(meta, arrays):
-    """The container as the copying writer laid it out: every blob cast to
-    little endian and joined before hashing, with ``CREATED`` as the time."""
-    manifest, chunks, offset = [], [], 0
-    for name, arr in arrays.items():
-        blob = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "dtype": arr.dtype.name, "offset": offset})
-        chunks.append(blob)
-        offset += len(blob)
+def reference_container_bytes(meta, layout, sections):
+    """The container laid out tensor by tensor: each section's tensors cut by
+    ``layout`` and cast to little endian one at a time, joined in order (the
+    body format 3 wrote), with ``CREATED`` as the time and the digest of the
+    header without it and the body."""
+    dtype = sections[0].dtype.newbyteorder("<")
+    chunks = []
+    for section in sections:
+        lo = 0
+        for _, shape in layout:
+            size = math.prod(shape)
+            chunks.append(np.ascontiguousarray(section).reshape(-1)[lo: lo + size]
+                          .astype(dtype).tobytes())
+            lo += size
     body = b"".join(chunks)
-    header = dict(meta, format_version=CHECKPOINT_VERSION, created=CREATED,
-                  manifest=manifest, body_sha256=hashlib.sha256(body).hexdigest())
+    header = dict(meta, format_version=CHECKPOINT_VERSION, layout=layout,
+                  dtype=dtype.name)
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+    digest.update(body)
+    header.update(created=CREATED, sha256=digest.hexdigest())
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     return struct.pack("<Q", len(header_bytes)) + header_bytes + body
 
 
 def test_container_bytes_match_the_copying_writer(tmp_path, monkeypatch):
     # the timestamp pinned, a model checkpoint, a classifier file and odd
-    # arrays (transposed, big-endian, 0-d, empty) are byte for byte the
-    # reference layout
+    # bodies (transposed, big-endian; a 0-d and an empty tensor) are byte for
+    # byte the reference layout
     monkeypatch.setattr(training.time, "strftime", lambda *_: CREATED)
     written = []
     real = training.write_container
 
-    def recording(path, meta, arrays):
-        written.append((path, meta, arrays))
-        real(path, meta, arrays)
+    def recording(path, meta, layout, body):
+        written.append((path, meta, layout, np.atleast_2d(body)))
+        real(path, meta, layout, body)
 
     monkeypatch.setattr(training, "write_container", recording)
     cfg, params, adam, rng = trained_setup(tmp_path)
@@ -476,22 +492,37 @@ def test_container_bytes_match_the_copying_writer(tmp_path, monkeypatch):
     monkeypatch.setattr("catvrnn.evaluation.write_container", recording)
     corpus = make_synthetic_corpus(2, 20, 8, (5, 7), seed=3)
     train_eval_classifier(corpus, seed=1, epochs=1).save(tmp_path / "clf.bin")
-    recording(tmp_path / "odd.bin", {"kind": "odd"}, {
-        "t": np.arange(6.0).reshape(2, 3).T,
-        "big": np.arange(4, dtype=">f4"),
-        "scalar": np.float64(2.5),
-        "empty": np.zeros((0, 3)),
-    })
+    odd = [["t", [2]], ["s", []], ["e", [0, 3]]]
+    recording(tmp_path / "t.bin", {"kind": "odd"}, odd, np.arange(6.0).reshape(3, 2).T)
+    recording(tmp_path / "big.bin", {"kind": "odd"}, odd,
+              np.arange(3, dtype=">f4").reshape(1, 3))
 
-    assert [path.name for path, _, _ in written] == ["model.ckpt", "clf.bin", "odd.bin"]
-    for path, meta, arrays in written:
+    assert [path.name for path, *_ in written] == ["model.ckpt", "clf.bin", "t.bin",
+                                                   "big.bin"]
+    for path, meta, layout, sections in written:
         ref = tmp_path / f"{path.name}.ref"
-        ref.write_bytes(reference_container_bytes(meta, arrays))
+        ref.write_bytes(reference_container_bytes(meta, layout, sections))
         assert path.read_bytes() == ref.read_bytes(), path.name
         assert checkpoint_digest(path) == checkpoint_digest(ref)
-    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt").build_params()
     for name, t in params.store.items():
-        np.testing.assert_array_equal(loaded.tensors[name], t.data)
+        np.testing.assert_array_equal(loaded.store[name].data, t.data)
+
+
+def test_capture_without_a_plan_round_trips(tmp_path):
+    # an in-memory snapshot without a plan, saved, loaded and saved again,
+    # keeps its digest, parameters and moments bit for bit
+    cfg, params, adam, rng = trained_setup(tmp_path)
+    first, again = tmp_path / "first.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(first, Checkpoint.capture(params, 3, "d", rng, adam))
+    loaded = load_checkpoint(first)
+    save_checkpoint(again, loaded)
+    assert checkpoint_digest(first) == checkpoint_digest(again)
+    assert loaded.plan is None
+    assert loaded.build_params().store.flat.tobytes() == params.store.flat.tobytes()
+    for name in adam.m:
+        assert loaded.adam_m[name].tobytes() == adam.m[name].tobytes()
+        assert loaded.adam_v[name].tobytes() == adam.v[name].tobytes()
 
 
 def test_generation_identical_before_save_and_after_load(tmp_path):
@@ -629,7 +660,7 @@ def test_failed_writes_leave_the_old_file_intact(tmp_path, monkeypatch):
         "model.ckpt": (
             lambda p: save_checkpoint(p, Checkpoint.capture(params, 3, "d", rng=rng,
                                                             adam=adam)),
-            lambda p: save_checkpoint(p, Checkpoint.capture(params, 4, "d"))),
+            lambda p: save_checkpoint(p, Checkpoint.capture(params, 4, "d", rng, adam))),
         "corpus.tsv": (
             lambda p: save_corpus(p, make_synthetic_corpus(2, 4, 5, (2, 3), seed=1)),
             lambda p: save_corpus(p, make_synthetic_corpus(2, 5, 5, (2, 3), seed=2))),
