@@ -553,8 +553,10 @@ def hoisted_difference(x_ids, cats, params: CatVrnnParams, cfg: ModelConfig,
     return worst
 
 
-def _print_worst(report):
-    """The three tensors with the largest errors in a gradient check."""
+def _print_worst(report, store):
+    """How many of the store's tensors a gradient check reached, and the
+    three with the largest errors."""
+    print(f"      {len(report.per_param)}/{len(store)} tensors checked")
     for entry in sorted(report.per_param, key=lambda e: -e.max_rel_err)[:3]:
         print(f"      {entry.name}: {entry.max_rel_err:.3e} ({entry.checked} checked)")
 
@@ -588,7 +590,7 @@ def cmd_grad_check(opts: dict) -> int:
         worst = max(worst, report.max_rel_err, diff)
         ok = ok and report.passed and diff <= tol
         print(f"  {name}: {report.summary()}")
-        _print_worst(report)
+        _print_worst(report, params.store)
         print(f"      forward_teacher vs _step fold: max rel diff {diff:.3e}")
 
     print("scoring classifier (V=12, T=5):")
@@ -608,7 +610,7 @@ def cmd_grad_check(opts: dict) -> int:
     worst = max(worst, report.max_rel_err)
     ok = ok and report.passed
     print(f"  {report.summary()}")
-    _print_worst(report)
+    _print_worst(report, clf.store)
     print(f"overall: {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tol {tol:.1e})")
     return 0 if ok else 3
 

@@ -70,6 +70,9 @@ class Vocabulary:
         if id_to_token[: len(SPECIALS)] != list(SPECIALS):
             raise ConfigurationError(f"vocabulary must start with {SPECIALS}")
         self.id_to_token = list(id_to_token)
+        for tok in self.id_to_token:
+            if not isinstance(tok, str):
+                raise ConfigurationError(f"vocabulary token {tok!r} is not a string")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ConfigurationError("vocabulary contains duplicate tokens")

@@ -10,6 +10,7 @@ state. Category identity enters only through the initial hidden state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict
 from types import SimpleNamespace
 from typing import Any, NamedTuple
@@ -69,10 +70,19 @@ class ModelConfig:
                 f"init_mode {self.init_mode!r} supports at most two categories, "
                 f"got {self.num_categories}; use adaptive"
             )
+        for name in ("use_kl_term", "use_feature_extractors", "use_classification",
+                     "mask_pad_loss"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigurationError(f"{name} must be a bool, "
+                                         f"got {getattr(self, name)!r}")
+        for name in ("static_omega", "temperature"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
         if not np.isfinite(self.static_omega):
             raise ConfigurationError("static_omega must be finite")
-        if not self.temperature > 0:
-            raise ConfigurationError("temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigurationError("temperature must be finite and positive")
         if self.dtype not in ("float64", "float32"):
             raise ConfigurationError(f"unsupported dtype {self.dtype!r}")
 

@@ -1,44 +1,26 @@
-"""Numeric core: a small reverse-mode autodiff tape, the numpy softmax and
-cross-entropy, a parameter store, seeded RNG streams, and a
-finite-difference gradient checker.
+"""Numeric core: the numpy softmax and cross-entropy, the reparameterized
+draw, a parameter store, seeded RNG streams, and a finite-difference
+gradient checker.
 
-No network trains on the tape: the model's backward (``model``) and the
-scoring classifier's (``evaluation``) are written by hand in numpy. The
-tape now serves only the tests' references, which recompute those
-gradients through its ops. Every tape operation records its parents and a
-backward closure on the output tensor; ``Tensor.backward()`` replays the
-recorded graph once in reverse topological order. Values are double
-precision by default (single precision passes through when the inputs
-carry it).
+Nothing here records a graph: the model's backward (``model``) and the
+scoring classifier's (``evaluation``) are written by hand in numpy, and
+``check_gradient`` checks them against central differences. Values are
+double precision by default (single precision passes through when the
+inputs carry it).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
 DEFAULT_DTYPE = np.float64
-
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation-time forwards)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 def _as_array(data) -> np.ndarray:
@@ -48,233 +30,22 @@ def _as_array(data) -> np.ndarray:
     return arr.astype(DEFAULT_DTYPE)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    """Dense real array with an optional gradient buffer.
+    """One parameter of a ``ParamStore``: ``data`` is its numpy array, a view
+    of the store's ``flat`` once the store is laid out."""
 
-    ``data`` is a numpy array; ``grad`` stays ``None`` until ``backward()``
-    reaches this tensor, and after it only leaves (tensors no operation
-    produced, such as parameters) keep theirs. Tensors produced by
-    operations are immutable by convention once a forward pass completes.
-    """
+    __slots__ = ("data",)
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
-
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = _as_array(data)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def _accumulate(self, g: np.ndarray):
-        # rebinding accumulation keeps aliased buffers safe from mutation
-        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
-        """Backpropagate from a scalar output through the recorded graph."""
-        if self.data.size != 1:
-            raise ConfigurationError(
-                f"backward() requires a scalar output, got shape {self.shape}"
-            )
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-                node.grad = None  # passed on to the parents: free it now
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    rg = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out.requires_grad = rg
-    out._parents = tuple(parents) if rg else ()
-    out._backward_fn = backward if rg else None
-    return out
-
-
-# --- elementwise and linear algebra primitives ---------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b``: ``linear`` without a bias."""
-    return linear(a, b)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w``, plus ``b`` when given, as one op: the bias is added in place
-    into the product, so no separate pre-bias array is kept. ``x`` is a
-    vector or a matrix, ``w`` a matrix."""
-    x = _lift(x)
-    w = _lift(w)
-    if x.data.ndim not in (1, 2) or w.data.ndim != 2:
-        raise ConfigurationError(
-            f"matmul supports vector/matrix @ matrix, got {x.shape} @ {w.shape}"
-        )
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ConfigurationError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
-    data = x.data @ w.data
-    parents = (x, w)
-    if b is not None:
-        b = _lift(b)
-        data += b.data
-        parents = (x, w, b)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            if x.data.ndim == 1:
-                w._accumulate(np.outer(x.data, g))
-            else:
-                w._accumulate(x.data.T @ g)
-        if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(data, parents, backward)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _make(data, tensors, backward)
-
-
-def relu(t: Tensor) -> Tensor:
-    t = _lift(t)
-    data = np.maximum(t.data, 0.0)
-
-    def backward(g):
-        t._accumulate(g * (t.data > 0))
-
-    return _make(data, (t,), backward)
-
-
-def mean(t: Tensor) -> Tensor:
-    t = _lift(t)
-    n = t.data.size
-    data = np.asarray(t.data.mean())
-
-    def backward(g):
-        t._accumulate(np.broadcast_to(g / n, t.data.shape))
-
-    return _make(data, (t,), backward)
-
-
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Select rows of ``table`` by integer id; gradients scatter-add back."""
-    table = _lift(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ConfigurationError(f"gather_rows expects a 1-d id array, got {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ConfigurationError(
-            f"row id out of range [0, {table.data.shape[0]}): {ids.min()}..{ids.max()}"
-        )
-    data = table.data[ids]
-
-    def backward(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, ids, g)
-        table._accumulate(acc)
-
-    return _make(data, (table,), backward)
-
-
-def max_pool_rows(t: Tensor, group_size: int) -> Tensor:
-    """Max over consecutive groups of rows: (G*P, F) -> (G, F).
-
-    Gradient routes to the first argmax row of each group.
-    """
-    t = _lift(t)
-    n, f = t.data.shape
-    if n % group_size:
-        raise ConfigurationError(f"{n} rows not divisible by group size {group_size}")
-    g3 = t.data.reshape(-1, group_size, f)
-    idx = g3.argmax(axis=1)
-    data = np.take_along_axis(g3, idx[:, None, :], axis=1)[:, 0, :]
-
-    def backward(g):
-        acc = np.zeros_like(g3)
-        np.put_along_axis(acc, idx[:, None, :], g[:, None, :], axis=1)
-        t._accumulate(acc.reshape(n, f))
-
-    return _make(data, (t,), backward)
+        """Raises: nothing records a graph, so there is nothing to run
+        backward. The method is kept only because the benchmark's tracer
+        installs a span on ``Tensor.backward`` by name; it goes when the
+        benchmark stops reading it (ROADMAP item 1, stage A)."""
+        raise ConfigurationError("nothing records a graph: the backwards are written "
+                                 "by hand")
 
 
 # --- row-wise softmax family ---------------------------------------------
@@ -282,7 +53,7 @@ def max_pool_rows(t: Tensor, group_size: int) -> Tensor:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Overflow-safe softmax of a numpy array over the last axis; rows sum to
-    one. Not recorded on the tape."""
+    one."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -317,22 +88,10 @@ def cross_entropy_grad(x: np.ndarray, m: np.ndarray, ls: np.ndarray,
     return grad
 
 
-def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """``nll_rows`` as a tape op: (B, V), (B,) -> (B,)."""
-    logits = _lift(logits)
-    targets = np.asarray(targets, dtype=np.int64)
-    data, m, ls = nll_rows(logits.data, targets)
-
-    def backward(g):
-        logits._accumulate(cross_entropy_grad(logits.data, m, ls, targets, g))
-
-    return _make(data, (logits,), backward)
-
-
 def reparameterize(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """z = mu + sigma * eps for a standard normal draw ``eps``, written into
-    ``out`` when given. Not recorded on the tape."""
+    ``out`` when given."""
     if sigma.min() <= 0:
         raise NumericError("reparameterize requires strictly positive sigma")
     z = np.multiply(sigma, eps, out=out)
@@ -362,8 +121,7 @@ class ParamStore:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
         if self._flat is not None:
             raise ConfigurationError(f"cannot add {name!r}: the store is laid out")
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
+        t = Tensor(data)
         self._tensors[name] = t
         return t
 
@@ -398,16 +156,6 @@ class ParamStore:
         shaped like that tensor."""
         return self.layout_views(self.layout(), flat)
 
-    def gather_grads(self) -> np.ndarray:
-        """The tensors' gradients as one new array laid out like ``flat``,
-        zero where none arrived: a tape reference's gradient, in the layout
-        the hand-written backwards write theirs."""
-        grad = np.zeros_like(self.flat)
-        for t, view in zip(self._tensors.values(), self.views(grad).values()):
-            if t.grad is not None:
-                view[...] = t.grad
-        return grad
-
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
@@ -419,10 +167,6 @@ class ParamStore:
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._tensors.items()
-
-    def zero_grad(self):
-        for t in self._tensors.values():
-            t.grad = None
 
     def total_parameters(self) -> int:
         return sum(t.data.size for t in self._tensors.values())

@@ -3,6 +3,7 @@ evaluation, gradient checking, config precedence, and exit codes."""
 
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -762,6 +763,10 @@ def test_grad_check_passes_and_corrupt_fails(capsys):
     assert "PASS" in out
     assert "static" in out and "adaptive+kl" in out
     assert "scoring classifier (V=12, T=5):\n  PASS:" in out
+    # every tensor of each variant's store and of the classifier's is checked
+    counts = re.findall(r"^      (\d+)/(\d+) tensors checked$", out, flags=re.M)
+    assert len(counts) == len(cli.GRAD_CHECK_VARIANTS) + 1
+    assert all(checked == total for checked, total in counts), counts
     assert run_cli("grad-check", "--max-checks", "40", "--corrupt-backward") == 3
     assert "scoring classifier (V=12, T=5):\n  FAIL:" in capsys.readouterr().out
 

@@ -159,6 +159,13 @@ MODEL = {
     "rng-not-a-state": edited(setting("rng", None)),
     "rng-seed-float": edited(setting("rng.seed", 1.5)),
     "temperature-nan": edited(setting("config.temperature", float("nan"))),
+    "temperature-bool": edited(setting("config.temperature", True)),
+    "temperature-inf": edited(setting("config.temperature", float("inf"))),
+    "static-omega-bool": edited(setting("config.static_omega", True)),
+    "mask-pad-loss-string": edited(setting("config.mask_pad_loss", "no")),
+    "use-classification-int": edited(setting("config.use_classification", 1)),
+    "use-feature-extractors-int": edited(setting("config.use_feature_extractors", 0)),
+    "use-kl-term-null": edited(setting("config.use_kl_term", None)),
     "dtype-float32": edited(setting("dtype", "float32")),
     "a-classifier-file": None,  # the good classifier file, read as a checkpoint
     **COMMON,
@@ -172,6 +179,7 @@ CLASSIFIER = {
     "num-categories-bool": edited(setting("config.num_categories", True)),
     "max-len-below-widest-filter": edited(setting("config.max_len", 2)),
     "vocab-shorter-than-vocab-size": edited(lambda h: h["vocab"].pop()),
+    "vocab-token-not-a-string": edited(setting("vocab.5", 7)),
     "dtype-float32": edited(setting("dtype", "float32")),
     "a-model-checkpoint": None,  # the good checkpoint, read as a classifier
     **COMMON,

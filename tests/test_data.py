@@ -139,6 +139,11 @@ def test_vocabulary_small_example():
     assert vocab.token_to_id["a"] == 2
 
 
+def test_vocabulary_rejects_a_token_that_is_not_a_string():
+    with pytest.raises(ConfigurationError, match="not a string"):
+        Vocabulary([PAD_TOKEN, UNK_TOKEN, 7])
+
+
 def test_vocabulary_deterministic_rebuild():
     corpus = corpus_of([(0, "z y x"), (1, "x y")],)
     assert build_vocabulary(corpus).id_to_token == build_vocabulary(corpus).id_to_token

@@ -15,7 +15,6 @@ from catvrnn.cli import GRAD_CHECK_VARIANTS, grad_check_config
 from catvrnn.data import Vocabulary
 from catvrnn.errors import ConfigurationError, DataError
 from catvrnn.evaluation import ClassifierConfig, EvalClassifier
-from catvrnn import numeric
 from catvrnn.numeric import Rng, check_gradient
 from catvrnn.model import (
     PAD_ID,
@@ -31,9 +30,7 @@ from catvrnn.model import (
     joint_loss,
     loss_and_grad,
     parameter_count,
-    teacher_nll,
 )
-from catvrnn.training import AdamState, TrainPlan, train_epoch
 
 
 def tiny_cfg(**kw):
@@ -533,30 +530,6 @@ def test_full_joint_loss_gradient_tiny_config():
     assert report.passed, report.summary()
 
 
-def test_the_model_runs_without_the_tape(monkeypatch):
-    # training, the teacher-forced passes, scoring and sampling put no op on
-    # the autodiff tape, with every optional piece of the model on
-    cfg = tiny_cfg(init_mode="adaptive", num_categories=3, use_kl_term=True,
-                   use_feature_extractors=True)
-    params = CatVrnnParams(cfg, Rng(0))
-    x = padded([[3, 4, 5], [6, 7], [8]], cfg.max_len)
-    targets = np.roll(x, -1, axis=1)
-    cats = np.array([0, 1, 2])
-    plan = TrainPlan(epochs=1, batch_size=2)
-    state = AdamState.from_plan(params.store, plan)
-
-    def on_the_tape(*args):
-        raise AssertionError("an op was recorded on the tape")
-
-    monkeypatch.setattr(numeric, "_make", on_the_tape)
-    train_epoch(x, targets, cats, params, state, cfg, Rng(1), 1, plan)
-    assert state.step == 2
-    forward_teacher(x, cats, params, cfg, Rng(2))
-    teacher_nll(x, targets, np.array([4, 3, 2]), cats, params, cfg, Rng(3), 2)
-    generate(1, 4, params, cfg, Rng(4))
-    forward_stepwise(x, cats, params, cfg, Rng(5))
-
-
 # --- generation -----------------------------------------------------------------------------
 
 
@@ -741,6 +714,14 @@ def test_model_config_validation():
         ModelConfig(vocab_size=4, num_categories=2, init_mode="random")
     with pytest.raises(ConfigurationError):
         ModelConfig(vocab_size=4, num_categories=2, temperature=0.0)
+    # a switch is a bool, and a bool is not a number
+    for field, value in (("use_kl_term", "yes"), ("use_feature_extractors", 0),
+                         ("use_classification", 1), ("mask_pad_loss", "no"),
+                         ("static_omega", True), ("static_omega", "8.5"),
+                         ("temperature", True), ("temperature", None)):
+        with pytest.raises(ConfigurationError, match=field):
+            ModelConfig(vocab_size=4, num_categories=2, **{field: value})
+    ModelConfig(vocab_size=4, num_categories=2, static_omega=8, temperature=np.float32(0.5))
 
 
 @pytest.mark.parametrize("init_mode", ["static", "none"])

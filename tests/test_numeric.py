@@ -8,37 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catvrnn.data import SPECIALS, Vocabulary
 from catvrnn.errors import ConfigurationError, NumericError
+from catvrnn.evaluation import ClassifierConfig, EvalClassifier
 from catvrnn.model import (Recurrent, _dense, _recur_backward, kl_gaussians, recur_step,
                            recurrence)
 from catvrnn.numeric import (
     ParamStore,
     Rng,
     Tensor,
-    add,
     check_gradient,
-    concat,
     cross_entropy_grad,
-    cross_entropy_rows,
-    gather_rows,
-    linear,
-    max_pool_rows,
-    mean,
-    matmul,
-    mul,
     nll_rows,
-    relu,
     reparameterize,
     softmax,
 )
-
-
-def tape_check(loss, store, **kw):
-    """check_gradient of a loss built on the tape, against the gradient
-    the tape's backward gives."""
-    store.zero_grad()
-    loss().backward()
-    return check_gradient(lambda: float(loss().data), store, store.gather_grads(), **kw)
 
 
 # --- the model's dense layers (``_dense``) ---------------------------------
@@ -75,39 +59,6 @@ def test_mlp_matches_hand_rolled_matrix_arithmetic():
 
     _, out = _dense(x, [(Tensor(w1), Tensor(b1)), (Tensor(w2), Tensor(b2))])
     np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("x_shape", [(5, 4), (4,)])
-@pytest.mark.parametrize("bias", [True, False])
-def test_linear_is_the_matmul_add_pair_as_one_op(x_shape, bias):
-    rng = np.random.default_rng(41)
-    store = ParamStore()
-    x = store.add("x", rng.normal(size=x_shape))
-    w = store.add("w", rng.normal(size=(4, 3)))
-    b = store.add("b", rng.normal(size=3)) if bias else None
-    probe = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
-
-    def value_and_grads(op):
-        store.zero_grad()
-        out = op()
-        mean(mul(out, probe)).backward()
-        return out.data, {name: t.grad for name, t in store.items()}
-
-    value, grads = value_and_grads(lambda: linear(x, w, b))
-    if bias:
-        expected, expected_grads = value_and_grads(lambda: add(matmul(x, w), b))
-    else:
-        # mean's backward hands each element 1/size
-        g = np.ones(()) / probe.data.size * probe.data
-        expected = x.data @ w.data
-        expected_grads = {"x": g @ w.data.T, "w": (np.outer(x.data, g) if x.data.ndim == 1
-                                                   else x.data.T @ g)}
-    np.testing.assert_array_equal(value, expected)
-    assert grads.keys() == expected_grads.keys()
-    for name, grad in grads.items():
-        np.testing.assert_array_equal(grad, expected_grads[name])
-    report = tape_check(lambda: mean(mul(linear(x, w, b), probe)), store, tolerance=1e-6)
-    assert report.passed, report.summary()
 
 
 # --- softmax ----------------------------------------------------------------
@@ -394,10 +345,10 @@ def test_reparameterize_gradient_flows_to_mu_and_sigma():
 
 
 def one_row_ce(logits, target) -> float:
-    """cross_entropy_rows of a single logit vector against one class id."""
-    loss = cross_entropy_rows(Tensor(np.asarray(logits)[None, :]), np.array([target]))
+    """nll_rows of a single logit vector against one class id."""
+    loss = nll_rows(np.asarray(logits, dtype=float)[None, :], np.array([target]))[0]
     assert loss.shape == (1,)
-    return float(loss.data[0])
+    return float(loss[0])
 
 
 def test_cross_entropy_near_certain_prediction():
@@ -425,8 +376,8 @@ def test_cross_entropy_matches_log_sum_exp_oracle():
 
 def reference_cross_entropy(x, targets, g):
     """The cross-entropy and its logit gradient for row weights ``g``,
-    computed through the full (rows, V) log-softmax; cross_entropy_rows
-    keeps only each row's max and log-sum-exp."""
+    computed through the full (rows, V) log-softmax; nll_rows keeps only
+    each row's max and log-sum-exp."""
     logp = x - x.max(axis=-1, keepdims=True)
     logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     rows = np.arange(x.shape[0])
@@ -444,17 +395,15 @@ def test_cross_entropy_equals_the_log_softmax_formula_bit_for_bit(dtype):
     targets = rng.integers(0, 13, size=9)
     targets[7] = 3  # a target whose logit is -1e4
     g = rng.uniform(0.5, 2.0, size=9).astype(dtype)
-    logits = Tensor(x, requires_grad=True)
-    ce = cross_entropy_rows(logits, targets)
-    mean(mul(ce, Tensor(g))).backward()
-    # mean's backward hands each row 1/9, which mul's scales by g
-    value, grad = reference_cross_entropy(x, targets, np.ones((), dtype) / 9 * g)
-    assert ce.data.dtype == logits.grad.dtype == dtype
-    np.testing.assert_array_equal(ce.data, value)
-    np.testing.assert_array_equal(logits.grad, grad)
-    # the numpy pair the model runs, the gradient written into the logits
     nll, m, ls = nll_rows(x, targets)
+    # the weights a batch mean of g-weighted rows hands each row: g / 9
+    mean_g = np.ones((), dtype) / 9 * g
+    value, grad = reference_cross_entropy(x, targets, mean_g)
+    mean_grad = cross_entropy_grad(x, m, ls, targets, mean_g)
+    assert nll.dtype == mean_grad.dtype == dtype
     np.testing.assert_array_equal(nll, value)
+    np.testing.assert_array_equal(mean_grad, grad)
+    # the gradient written into the logits, as the model runs it
     _, grad = reference_cross_entropy(x, targets, g)
     np.testing.assert_array_equal(cross_entropy_grad(x, m, ls, targets, g, out=x), grad)
 
@@ -463,7 +412,7 @@ def test_cross_entropy_rejects_out_of_range_target():
     with pytest.raises(ConfigurationError):
         one_row_ce(np.zeros(4), 4)
     with pytest.raises(ConfigurationError):
-        cross_entropy_rows(Tensor(np.zeros((2, 4))), np.array([0, -1]))
+        nll_rows(np.zeros((2, 4)), np.array([0, -1]))
 
 
 def test_cross_entropy_nonnegative_property():
@@ -525,31 +474,36 @@ def test_kl_nonnegative_and_errors():
 
 
 def test_check_gradient_passes_linear_regression():
+    # the mean squared error of x @ w + b, whose gradient is 2/N x^T r and
+    # 2/N sum(r) for the residuals r
     rng = np.random.default_rng(5)
     store = ParamStore()
     w = store.add("w", rng.normal(size=(6, 1)))
     b = store.add("b", np.zeros(1))
-    x = Tensor(rng.normal(size=(20, 6)))
-    y = Tensor(rng.normal(size=(20, 1)))
+    x = rng.normal(size=(20, 6))
+    y = rng.normal(size=(20, 1))
 
-    def loss():
-        pred = add(matmul(x, w), b)
-        err = add(pred, mul(y, -1.0))
-        return mean(mul(err, err))
+    def residuals():
+        return x @ w.data + b.data - y
 
-    report = tape_check(loss, store, tolerance=1e-6)
+    r = residuals()
+    analytic = np.concatenate([(2.0 / 20 * x.T @ r).ravel(), [2.0 / 20 * r.sum()]])
+    report = check_gradient(lambda: float((residuals() ** 2).mean()), store, analytic,
+                            tolerance=1e-6)
     assert report.passed, report.summary()
 
 
 def test_check_gradient_corrupted_backward_fails():
+    # mean(w * w) over two elements: the gradient is w
     store = ParamStore()
     w = store.add("w", np.array([1.0, 2.0]))
 
     def loss():
-        return mean(mul(w, w))
+        return float((w.data * w.data).mean())
 
-    assert tape_check(loss, store, tolerance=1e-4).passed
-    assert not tape_check(loss, store, tolerance=1e-4, corrupt=True).passed
+    assert check_gradient(loss, store, w.data.copy(), tolerance=1e-4).passed
+    assert not check_gradient(loss, store, w.data.copy(), tolerance=1e-4,
+                              corrupt=True).passed
 
 
 def test_check_gradient_rejects_nonscalar():
@@ -560,13 +514,15 @@ def test_check_gradient_rejects_nonscalar():
 
 
 def test_check_gradient_subsamples_large_stores():
+    # mean((x @ w)^2) over its 4 x 20 entries: the gradient is 2/80 x^T (x @ w)
     rng = np.random.default_rng(13)
     store = ParamStore()
     w = store.add("w", rng.normal(size=(40, 20)))
-    x = Tensor(rng.normal(size=(4, 40)))
+    x = rng.normal(size=(4, 40))
 
-    report = tape_check(lambda: mean(mul(matmul(x, w), matmul(x, w))), store,
-                        tolerance=1e-5, max_checks=210)
+    analytic = (2.0 / 80 * x.T @ (x @ w.data)).ravel()
+    report = check_gradient(lambda: float(((x @ w.data) ** 2).mean()), store, analytic,
+                            tolerance=1e-5, max_checks=210)
     assert report.passed
     assert report.total_checked == 210
 
@@ -663,21 +619,7 @@ def test_rng_state_roundtrip():
     np.testing.assert_array_equal(r2.stream("latent").random(4), next_draws)
 
 
-# --- tensor basics -------------------------------------------------------------------------
-
-
-def test_backward_requires_scalar():
-    t = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ConfigurationError):
-        mul(t, 2.0).backward()
-
-
-def test_broadcast_bias_gradient():
-    store = ParamStore()
-    b = store.add("b", np.zeros(3))
-    x = Tensor(np.ones((4, 3)))
-    report = tape_check(lambda: mean(mul(add(x, b), add(x, b))), store, tolerance=1e-6)
-    assert report.passed
+# --- finite values -------------------------------------------------------------------------
 
 
 @settings(max_examples=40)
@@ -688,32 +630,25 @@ def test_values_finite_after_forward(values):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_composite_graph_gradient_across_seeds(seed):
-    # one graph exercising every tape op, checked per seed
+    # one graph of gathers, window sums, relu, max-pooling, dropout, a dense
+    # head and the cross-entropy: the scoring classifier's loss, whose
+    # hand-written gradient is checked per seed, biases and all
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    table = store.add("table", rng.normal(size=(6, 4)))
-    banks = {1: store.add("conv1", rng.normal(size=(4, 3)) * 0.7),
-             2: store.add("conv2", rng.normal(size=(2 * 4, 3)) * 0.7)}
-    bias = store.add("bias", rng.normal(size=3) * 0.2)
-    w = store.add("w", rng.normal(size=(6, 4)) * 0.7)
-    b = store.add("b", rng.normal(size=4) * 0.2)
-    ids = rng.integers(0, 6, size=(2, 4))
-    targets = rng.integers(0, 4, size=2)
-    scale = Tensor(rng.uniform(0.5, 1.5, size=(2, 6)))
+    vocab = Vocabulary([*SPECIALS, *(f"w{i}" for i in range(10))])
+    clf = EvalClassifier(ClassifierConfig(vocab_size=12, num_categories=3, max_len=6),
+                         vocab, rng=Rng(seed))
+    for name, t in clf.store.items():
+        if name.endswith(".b"):
+            t.data[:] = rng.normal(size=t.data.shape) * 0.1
+    ids = rng.integers(0, 12, size=(4, 6))
+    targets = rng.integers(0, 3, size=4)
 
     def loss():
-        # two sequences of 4 tokens, windows of widths 1 and 2: each width
-        # gathers its windows' tokens side by side and multiplies them by
-        # its filter bank
-        pooled = []
-        for width, bank in banks.items():
-            win = np.lib.stride_tricks.sliding_window_view(ids, width, axis=1)
-            emb = concat([gather_rows(table, win[:, :, k].reshape(-1))
-                          for k in range(width)], axis=-1)
-            conv = relu(add(matmul(emb, bank), bias))
-            pooled.append(max_pool_rows(conv, 4 - width + 1))
-        features = mul(concat(pooled, axis=-1), scale)
-        return mean(cross_entropy_rows(linear(features, w, b), targets))
+        logits = clf.logits(ids, train_mode=True, dropout_rng=np.random.default_rng(seed))
+        return float(nll_rows(logits, targets)[0].mean())
 
-    report = tape_check(loss, store, tolerance=1e-4, max_checks=230)
+    analytic = np.empty_like(clf.store.flat)
+    clf.loss_and_grad(ids, targets, np.random.default_rng(seed), analytic)
+    report = check_gradient(loss, clf.store, analytic, tolerance=1e-4, max_checks=230)
     assert report.passed, report.summary()
+    assert len(report.per_param) == len(clf.store)

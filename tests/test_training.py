@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from catvrnn.errors import DataError
-from catvrnn.numeric import ParamStore, Rng, Tensor, add, mean, mul
+from catvrnn.numeric import ParamStore, Rng
 from catvrnn.model import CatVrnnParams, ModelConfig, forward_teacher, generate
 from catvrnn.data import (
     Vocabulary,
@@ -148,14 +148,13 @@ def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit(dtype, chunk, monke
 
 
 def test_clip_grads_scales_an_aliased_pair_once():
-    # add's backward hands both parents one buffer when their shapes match;
-    # the gathered gradient is clipped once, to a global norm of 1
+    # two tensors with the same gradient, (1.5, 2) each: the gradient, laid
+    # out like the store's buffer, is clipped once, to a global norm of 1
     store = ParamStore()
-    a = store.add("a", np.zeros(2))
-    b = store.add("b", np.zeros(2))
+    store.add("a", np.zeros(2))
+    store.add("b", np.zeros(2))
     state = AdamState(store)
-    mean(mul(add(a, b), Tensor(np.array([3.0, 4.0])))).backward()
-    training.optimizer_step(store, store.gather_grads(), state, grad_clip=1.0)
+    training.optimizer_step(store, np.array([1.5, 2.0, 1.5, 2.0]), state, grad_clip=1.0)
     # the first moment is (1 - beta1) times the clipped gradient
     clipped = np.array([3.0, 4.0]) / math.sqrt(50.0)
     np.testing.assert_allclose(state.m["a"], 0.1 * clipped, rtol=1e-12)
@@ -163,13 +162,12 @@ def test_clip_grads_scales_an_aliased_pair_once():
 
 
 def test_clip_grads_accepts_read_only_views():
-    # mean's backward hands out read-only broadcast views; gather_grads
-    # copies them into the array optimizer_step clips in place
+    # a (2, 2) tensor whose gradient is 1 everywhere, a global norm of 2:
+    # each element is clipped to 0.5
     store = ParamStore()
-    w = store.add("w", np.zeros((2, 2)))
+    store.add("w", np.zeros((2, 2)))
     state = AdamState(store)
-    mul(mean(w), 4.0).backward()
-    training.optimizer_step(store, store.gather_grads(), state, grad_clip=1.0)
+    training.optimizer_step(store, np.ones(4), state, grad_clip=1.0)
     np.testing.assert_allclose(state.m["w"], np.full((2, 2), 0.1 * 0.5), rtol=1e-12)
 
 
@@ -291,8 +289,9 @@ def test_epoch_means_sum_float32_terms_in_float64(monkeypatch):
 
 
 def test_an_epoch_holds_one_batch_tape_at_a_time():
-    # desk shape, 32-sentence batches: with each batch's tape freed before
-    # the next forward, two batches peak no higher than one
+    # desk shape, 32-sentence batches: with each batch's forward and
+    # backward arrays freed before the next batch, two batches peak no
+    # higher than one
     corpus = make_synthetic_corpus(2, 32, 50, (5, 12), seed=11)
     vocab = build_vocabulary(corpus)
     cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=48,
