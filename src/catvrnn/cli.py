@@ -93,8 +93,8 @@ class ArgumentParser(argparse.ArgumentParser):
 def load_config_file(path, parser: argparse.ArgumentParser) -> tuple[dict, dict]:
     """Flat key=value file; # starts a comment. Values stay strings, which
     argparse converts with each option's own type as it converts a flag.
-    A switch (an option whose default is a bool) takes true or false.
-    Returns the values and each key's line number."""
+    A switch (an option whose default is a bool) takes true or false; a key
+    is given once. Returns the values and each key's line number."""
     values, lines = {}, {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -104,6 +104,9 @@ def load_config_file(path, parser: argparse.ArgumentParser) -> tuple[dict, dict]
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("-", "_")
+        if key in lines:
+            raise UsageError(f"{path}:{lineno}: {key} is already set on line "
+                             f"{lines[key]}")
         if isinstance(parser.get_default(key), bool):
             if value.lower() not in ("true", "false"):
                 raise UsageError(f"{path}:{lineno}: {key} is a switch: "
@@ -390,20 +393,24 @@ EMPTY_KEY = "empty"
 def _empty_samples(path, num_categories: int) -> list[tuple[list[str], int]]:
     """The empty samples of a generated TSV, from the per-category counts
     that ``generate`` writes into its header; none when it has no count.
-    The counts may not name a category past ``num_categories``."""
+    The counts may not name a category past ``num_categories``, nor exceed
+    the samples per category, which the header's ``samples`` gives."""
+    fields = dict(line[2:].split("=", 1) for line in read_text(path).splitlines()
+                  if line.startswith("# ") and "=" in line)
+    if EMPTY_KEY not in fields:
+        return []
     prefix = f"# {EMPTY_KEY}="
-    for line in read_text(path).splitlines():
-        if line.startswith(prefix):
-            try:
-                counts = json.loads(line[len(prefix):])
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}: bad {prefix!r} header: {e}") from e
-            if not (isinstance(counts, list) and len(counts) <= num_categories
-                    and all(isinstance(k, int) and k >= 0 for k in counts)):
-                raise DataError(f"{path}: {prefix!r} needs a list of at most "
-                                f"{num_categories} counts, got {counts!r}")
-            return [([], c) for c, k in enumerate(counts) for _ in range(k)]
-    return []
+    try:
+        counts = json.loads(fields[EMPTY_KEY])
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: bad {prefix!r} header: {e}") from e
+    samples = fields.get("samples", "")
+    if not (isinstance(counts, list) and len(counts) <= num_categories
+            and all(type(k) is int and k >= 0 for k in counts)
+            and samples.isdigit() and max(counts, default=0) <= int(samples)):
+        raise DataError(f"{path}: {prefix!r} needs a list of at most {num_categories} "
+                        f"counts, each at most '# samples={samples}', got {counts!r}")
+    return [([], c) for c, k in enumerate(counts) for _ in range(k)]
 
 
 # --- evaluate --------------------------------------------------------------------

@@ -162,14 +162,15 @@ def decode_ids(ids, vocab: Vocabulary) -> list[str]:
 
 
 def load_corpus(path, num_categories: int | None = None) -> LabeledCorpus:
-    """Parse a corpus TSV; malformed lines are reported with their numbers."""
+    """Parse a corpus TSV; malformed lines are reported with their numbers.
+    Labels must be below ``num_categories``, or without it cover 0..max."""
     path = Path(path)
     try:
         text = read_text(path)
     except OSError as e:
         raise DataError(f"cannot read corpus file {path}: {e}") from e
     sentences = []
-    max_cat = -1
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -182,16 +183,24 @@ def load_corpus(path, num_categories: int | None = None) -> LabeledCorpus:
             raise DataError(f"{path}:{lineno}: non-integer category {cat_str!r}")
         if cat < 0:
             raise DataError(f"{path}:{lineno}: negative category {cat}")
+        if num_categories is not None and cat >= num_categories:
+            raise DataError(f"{path}:{lineno}: category {cat} out of range "
+                            f"[0, {num_categories})")
         tokens = tuple(text_part.split())
         if not tokens:
             raise DataError(f"{path}:{lineno}: empty sentence text")
         if PAD_TOKEN in tokens:
             raise DataError(f"{path}:{lineno}: embedded {PAD_TOKEN} token")
         sentences.append(LabeledSentence(tokens=tokens, category=cat))
-        max_cat = max(max_cat, cat)
+        seen.add(cat)
     if not sentences:
         raise DataError(f"{path}: no sentences found")
-    k = num_categories if num_categories is not None else max_cat + 1
+    k = len(seen) if num_categories is None else num_categories
+    if max(seen) >= k:
+        # inferred, and a gap: the first label that is not its own rank
+        missing = next(i for i, cat in enumerate(sorted(seen)) if cat != i)
+        raise DataError(f"{path}: category {missing} has no sentences, but the "
+                        f"labels run to {max(seen)}")
     return LabeledCorpus(sentences=sentences, num_categories=k,
                          provenance=path.name)
 

@@ -90,7 +90,6 @@ class EvalClassifier:
             )
         self.cfg = cfg
         self.vocab = vocab
-        self.store = ParamStore()
         self.val_accuracy: float | None = None
         gen = rng.stream("init") if rng is not None else None
         dt = np.float64
@@ -100,21 +99,19 @@ class EvalClassifier:
                 return np.zeros(shape, dtype=dt)
             return gen.uniform(-scale, scale, size=shape)
 
-        add = self.store.add
         e, f, widths = CLF_EMBED, CLF_MAPS, CLF_WIDTHS
-        add("embedding", draw((cfg.vocab_size, e), scale=0.1))
+        weights = [("embedding", draw((cfg.vocab_size, e), scale=0.1))]
         # each width's filter bank is drawn as (w*E, F), its E-row block k the
         # filter of offset k; "conv.w" holds the blocks side by side, width by
         # width, as (E, sum(widths)*F): the column order ``logits`` reads
         banks = [draw((w * e, f), scale=np.sqrt(6.0 / (w * e + f)))
                  .reshape(w, e, f).transpose(1, 0, 2).reshape(e, w * f) for w in widths]
-        add("conv.w", np.hstack(banks))
-        for w in widths:
-            add(f"conv{w}.b", draw(f))
+        weights += [("conv.w", np.hstack(banks)), *((f"conv{w}.b", draw(f)) for w in widths)]
         head_in = f * len(widths)
         limit = np.sqrt(6.0 / (head_in + cfg.num_categories))
-        add("head.w", draw((head_in, cfg.num_categories), scale=limit))
-        add("head.b", draw(cfg.num_categories))
+        weights += [("head.w", draw((head_in, cfg.num_categories), scale=limit)),
+                    ("head.b", draw(cfg.num_categories))]
+        self.store = ParamStore(weights)
 
     def logits(self, ids: np.ndarray, train_mode: bool = False,
                dropout_rng: np.random.Generator | None = None,
@@ -134,7 +131,7 @@ class EvalClassifier:
             raise ConfigurationError(
                 f"inputs of length {t} shorter than widest filter {max(CLF_WIDTHS)}"
             )
-        embedding = self.store["embedding"].data
+        embedding = self.store["embedding"]
         if ids.size and (ids.min() < 0 or ids.max() >= len(embedding)):
             raise ConfigurationError(
                 f"row id out of range [0, {len(embedding)}): {ids.min()}..{ids.max()}"
@@ -142,7 +139,7 @@ class EvalClassifier:
         uniq, inv = np.unique(ids, return_inverse=True)
         inv = inv.reshape(b, t)
         emb = embedding[uniq]
-        table = emb @ self.store["conv.w"].data
+        table = emb @ self.store["conv.w"]
         f, lo = CLF_MAPS, 0
         pooled, argmax = [], []
         for w in CLF_WIDTHS:
@@ -151,7 +148,7 @@ class EvalClassifier:
             for k in range(1, w):
                 conv += table[inv[:, k: k + npos], lo + k * f: lo + (k + 1) * f]
             lo += w * f
-            conv += self.store[f"conv{w}.b"].data
+            conv += self.store[f"conv{w}.b"]
             np.maximum(conv, 0.0, out=conv)
             # max over positions, at the first argmax
             idx = conv.argmax(axis=1)
@@ -165,8 +162,8 @@ class EvalClassifier:
             keep = 1.0 - CLF_DROPOUT
             mask = (dropout_rng.random(features.shape) < keep) / keep
             features = features * mask
-        out = features @ self.store["head.w"].data
-        out += self.store["head.b"].data
+        out = features @ self.store["head.w"]
+        out += self.store["head.b"]
         if saved is not None:
             saved.update(uniq=uniq, inv=inv, emb=emb, features=features, mask=mask,
                          argmax=np.stack(argmax, axis=1))
@@ -195,7 +192,7 @@ class EvalClassifier:
                                          np.full(b, 1.0 / b), out=logits)
         np.matmul(saved["features"].T, g_logits, out=views["head.w"])
         np.sum(g_logits, axis=0, out=views["head.b"])
-        g_pool = g_logits @ self.store["head.w"].data.T
+        g_pool = g_logits @ self.store["head.w"].T
         g_pool *= saved["mask"]
         # the relu passes a pooled map's gradient only where its max is > 0
         # (a feature dropout zeroed has none left to pass)
@@ -217,7 +214,7 @@ class EvalClassifier:
         np.matmul(saved["emb"].T, g_table, out=views["conv.w"])
         g_emb = views["embedding"]
         g_emb.fill(0.0)
-        g_emb[uniq] = g_table @ self.store["conv.w"].data.T
+        g_emb[uniq] = g_table @ self.store["conv.w"].T
         return loss
 
     def predict(self, ids: np.ndarray) -> np.ndarray:

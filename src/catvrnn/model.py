@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, asdict
 from types import SimpleNamespace
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,9 +119,10 @@ class LossBreakdown:
     total: np.ndarray
 
 
-class CatVrnnParams:
-    """All learnable weights, registered in a ParamStore in a fixed order,
-    each stored as the step multiplies it.
+def initial_weights(cfg: ModelConfig, rng: Rng | None = None) -> list[tuple]:
+    """Every learnable weight's initial array, as ``(store name, array)`` in
+    store order, each shaped as the step multiplies it; all zeros without
+    ``rng``.
 
     Groups: token embedding; encoder stack, its first layer as embedding
     rows and hidden rows, with the mu|sigma head; decoder stack with the
@@ -131,77 +132,64 @@ class CatVrnnParams:
     the KL term is on; feature extractors when on. Each block is filled
     from initial draws taken per layer and per gate, in that order.
     """
+    dt = cfg.np_dtype()
+    gen = rng.stream("init") if rng is not None else None
+    V, E, H, L, K = (cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim,
+                     cfg.latent_dim, cfg.num_categories)
+
+    def uniform(limit, *shape):
+        if gen is None:
+            return np.zeros(shape, dtype=dt)
+        return gen.uniform(-limit, limit, size=shape).astype(dt)
+
+    def glorot(fan_in, fan_out):
+        return uniform(np.sqrt(6.0 / (fan_in + fan_out)), fan_in, fan_out)
+
+    def layer(name, fan_in, fan_out, weight=None):
+        weight = glorot(fan_in, fan_out) if weight is None else weight
+        return [(f"{name}.w", weight), (f"{name}.b", np.zeros(fan_out, dt))]
+
+    def gaussian_head(name):
+        # mu's layer, then sigma's, side by side
+        return layer(name, H, 2 * L, np.hstack([glorot(H, L), glorot(H, L)]))
+
+    weights = [("embedding", uniform(0.1, V, E))]
+    # the token side (embedding rows) runs over all steps at once, the
+    # hidden rows inside the recurrence
+    enc1 = glorot(E + H, 2 * H)
+    weights += [("enc.fc1.wx", enc1[:E]), ("enc.fc1.wh", enc1[E:]),
+                ("enc.fc1.b", np.zeros(2 * H, dt)), *layer("enc.fc2", 2 * H, H),
+                *gaussian_head("musigma"), *layer("dec.fc1", L + H, H),
+                *layer("dec.fc2", H, E), *layer("out", E, V)]
+    # per gate (reset, update, candidate): input side over [x, z], then
+    # hidden side; the reset and update hidden sides multiply h together,
+    # the candidate's multiplies r * h
+    gates = [(glorot(E + L, H), glorot(H, H)) for _ in range(3)]
+    x_side = np.hstack([x for x, _ in gates])
+    weights += [("gru.wx", x_side[:E]), ("gru.wz", x_side[E:]),
+                ("gru.w_ru", np.hstack([gates[0][1], gates[1][1]])),
+                ("gru.w_hn", gates[2][1]), ("gru.b", np.zeros(3 * H, dt)),
+                *layer("cls", H, K)]
+    if cfg.init_mode == "adaptive":
+        # both vectors start with unit-scale entries: the bias anchors
+        # category 0 away from the origin so the evaluation-time state
+        # (no training noise) still carries a recognizable signature
+        weights += [("init.omega", uniform(1.0, H)), ("init.bias", uniform(1.0, H))]
+    if cfg.use_kl_term:
+        weights += [*layer("prior.fc1", H, H), *gaussian_head("prior.musigma")]
+    if cfg.use_feature_extractors:
+        weights += [*layer("featx.fc1", E, E), *layer("featx.fc2", E, E),
+                    *layer("featz.fc1", L, L), *layer("featz.fc2", L, L)]
+    return weights
+
+
+class CatVrnnParams:
+    """The model's config and its ``ParamStore``, laid out from
+    ``initial_weights``: the step reads each weight as ``store[name]``."""
 
     def __init__(self, cfg: ModelConfig, rng: Rng | None = None):
         self.cfg = cfg
-        self.store = ParamStore()
-        add = self.store.add
-        dt = cfg.np_dtype()
-        gen = rng.stream("init") if rng is not None else None
-        V, E, H, L, K = (cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim,
-                         cfg.latent_dim, cfg.num_categories)
-
-        def uniform(limit, *shape):
-            if gen is None:
-                return np.zeros(shape, dtype=dt)
-            return gen.uniform(-limit, limit, size=shape).astype(dt)
-
-        def glorot(fan_in, fan_out):
-            return uniform(np.sqrt(6.0 / (fan_in + fan_out)), fan_in, fan_out)
-
-        def layer(name, fan_in, fan_out, weight=None):
-            weight = glorot(fan_in, fan_out) if weight is None else weight
-            return add(f"{name}.w", weight), add(f"{name}.b", np.zeros(fan_out, dt))
-
-        def gaussian_head(name):
-            # mu's layer, then sigma's, side by side
-            return layer(name, H, 2 * L, np.hstack([glorot(H, L), glorot(H, L)]))
-
-        self.embedding = add("embedding", uniform(0.1, V, E))
-        # the token side (embedding rows) runs over all steps at once, the
-        # hidden rows inside the recurrence
-        enc1 = glorot(E + H, 2 * H)
-        self.enc_x = add("enc.fc1.wx", enc1[:E])
-        enc_h = add("enc.fc1.wh", enc1[E:])
-        self.enc_b = add("enc.fc1.b", np.zeros(2 * H, dt))
-        enc2 = layer("enc.fc2", 2 * H, H)
-        head = gaussian_head("musigma")
-        self.decoder = [layer("dec.fc1", L + H, H), layer("dec.fc2", H, E),
-                        layer("out", E, V)]
-        self.out_layer = self.decoder[-1]
-
-        # per gate (reset, update, candidate): input side over [x, z], then
-        # hidden side; the reset and update hidden sides multiply h together,
-        # the candidate's multiplies r * h
-        gates = [(glorot(E + L, H), glorot(H, H)) for _ in range(3)]
-        x_side = np.hstack([x for x, _ in gates])
-        self.gru_x = add("gru.wx", x_side[:E])
-        gru_z = add("gru.wz", x_side[E:])
-        w_ru = add("gru.w_ru", np.hstack([gates[0][1], gates[1][1]]))
-        w_hn = add("gru.w_hn", gates[2][1])
-        self.gru_b = add("gru.b", np.zeros(3 * H, dt))
-        self.classifier = layer("cls", H, K)
-
-        if cfg.init_mode == "adaptive":
-            # both vectors start with unit-scale entries: the bias anchors
-            # category 0 away from the origin so the evaluation-time state
-            # (no training noise) still carries a recognizable signature
-            self.init_omega = add("init.omega", uniform(1.0, H))
-            self.init_bias = add("init.bias", uniform(1.0, H))
-
-        if cfg.use_kl_term:
-            self.prior = [layer("prior.fc1", H, H), gaussian_head("prior.musigma")]
-
-        featz = []
-        if cfg.use_feature_extractors:
-            self.feat_x = [layer("featx.fc1", E, E), layer("featx.fc2", E, E)]
-            featz = [*layer("featz.fc1", L, L), *layer("featz.fc2", L, L)]
-        self.recurrent = Recurrent(enc_h, *enc2, *head, gru_z, w_ru, w_hn, *featz)
-
-    @classmethod
-    def zeros(cls, cfg: ModelConfig) -> "CatVrnnParams":
-        """All-zero weights; step logits are uniform over the vocabulary."""
-        return cls(cfg, rng=None)
+        self.store = ParamStore(initial_weights(cfg, rng))
 
 
 def parameter_count(params: CatVrnnParams) -> int:
@@ -241,8 +229,8 @@ def init_hidden_adaptive(c, params: CatVrnnParams, train_mode: bool,
     """
     cfg = params.cfg
     cats = _category_column(c, batch, cfg.num_categories, "adaptive initialization")
-    h0 = cats[:, None].astype(cfg.np_dtype()) * params.init_omega.data
-    h0 += params.init_bias.data
+    h0 = cats[:, None].astype(cfg.np_dtype()) * params.store["init.omega"]
+    h0 += params.store["init.bias"]
     if train_mode:
         noise = rng.stream("noise").random((batch, cfg.hidden_dim))
         h0 += noise.astype(cfg.np_dtype(), copy=False)
@@ -278,57 +266,75 @@ def init_hidden(c, params: CatVrnnParams, rng: Rng, train_mode: bool,
 # that a run's parameters stay bit for bit those of that version.
 
 
+# the layer stacks ``_dense`` runs, as (weight, bias) store names
+ENC_X = [("enc.fc1.wx", "enc.fc1.b")]
+GRU_X = [("gru.wx", "gru.b")]
+FEAT_X = [("featx.fc1.w", "featx.fc1.b"), ("featx.fc2.w", "featx.fc2.b")]
+DECODER = [("dec.fc1.w", "dec.fc1.b"), ("dec.fc2.w", "dec.fc2.b"), ("out.w", "out.b")]
+PRIOR = [("prior.fc1.w", "prior.fc1.b"), ("prior.musigma.w", "prior.musigma.b")]
+CLASSIFIER = [("cls.w", "cls.b")]
+
+
 class Recurrent(NamedTuple):
-    """The weights of the recurrence step, as tensors or as their arrays: the
-    hidden rows of the encoder's first layer, its second layer, the mu and
-    sigma heads side by side, the latent rows of the GRU's input side (reset,
-    update and candidate gates side by side), the hidden side of reset and
-    update, the candidate's ``w_hn`` (which multiplies ``r * h``), and the
-    latent feature extractor when it is on."""
+    """The arrays of the recurrence step's weights, or of their gradients:
+    the hidden rows of the encoder's first layer, its second layer, the mu
+    and sigma heads side by side, the latent rows of the GRU's input side
+    (reset, update and candidate gates side by side), the hidden side of
+    reset and update, the candidate's ``w_hn`` (which multiplies ``r * h``),
+    and the latent feature extractor when it is on."""
 
-    enc_h: Any
-    enc2_w: Any
-    enc2_b: Any
-    head_w: Any
-    head_b: Any
-    gru_z: Any
-    w_ru: Any
-    w_hn: Any
-    featz1_w: Any = None
-    featz1_b: Any = None
-    featz2_w: Any = None
-    featz2_b: Any = None
+    enc_h: np.ndarray
+    enc2_w: np.ndarray
+    enc2_b: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
+    gru_z: np.ndarray
+    w_ru: np.ndarray
+    w_hn: np.ndarray
+    featz1_w: np.ndarray | None = None
+    featz1_b: np.ndarray | None = None
+    featz2_w: np.ndarray | None = None
+    featz2_b: np.ndarray | None = None
 
-    def arrays(self) -> "Recurrent":
-        return Recurrent._make(None if t is None else t.data for t in self)
+    @classmethod
+    def of(cls, arrays, cfg: ModelConfig) -> "Recurrent":
+        """The fields' arrays in ``arrays``, a store or a gradient's views,
+        by store name."""
+        names = ("enc.fc1.wh", "enc.fc2.w", "enc.fc2.b", "musigma.w", "musigma.b",
+                 "gru.wz", "gru.w_ru", "gru.w_hn")
+        if cfg.use_feature_extractors:
+            names += ("featz.fc1.w", "featz.fc1.b", "featz.fc2.w", "featz.fc2.b")
+        return cls(*(arrays[name] for name in names))
 
 
-def _dense(x: np.ndarray, layers, outs=None) -> list[np.ndarray]:
-    """``x`` through the (weight, bias) tensor pairs ``layers``, with a relu
-    after every layer but the last. Each layer's output is written into its
-    array of ``outs`` (new arrays when not given); returns the outputs."""
+def _dense(x: np.ndarray, stack, weights, outs=None) -> list[np.ndarray]:
+    """``x`` through the layers ``stack``, (weight, bias) names of arrays in
+    ``weights``, with a relu after every layer but the last. Each layer's
+    output is written into its array of ``outs`` (new arrays when not
+    given); returns the outputs."""
     ys = []
-    for i, ((w, b), y) in enumerate(zip(layers, outs or [None] * len(layers))):
-        y = np.matmul(x, w.data, out=y)
-        y += b.data
-        if i < len(layers) - 1:
+    for i, ((w, b), y) in enumerate(zip(stack, outs or [None] * len(stack))):
+        y = np.matmul(x, weights[w], out=y)
+        y += weights[b]
+        if i < len(stack) - 1:
             np.maximum(y, 0.0, out=y)
         ys.append(y)
         x = y
     return ys
 
 
-def _dense_backward(g: np.ndarray, x: np.ndarray, layers, ys, grads) -> np.ndarray:
-    """The backward of ``_dense(x, layers)``, whose outputs were ``ys`` (only
-    the hidden layers' are read), from the gradient ``g`` of its last
-    output. Writes each weight's and bias's gradient into its array of
-    ``grads`` (keyed by the tensor's id); returns the gradient of ``x``."""
-    for i in reversed(range(len(layers))):
-        w, b = layers[i]
+def _dense_backward(g: np.ndarray, x: np.ndarray, stack, weights, ys,
+                    grads) -> np.ndarray:
+    """The backward of ``_dense(x, stack, weights)``, whose outputs were
+    ``ys`` (only the hidden layers' are read), from the gradient ``g`` of
+    its last output. Writes each weight's and bias's gradient into its array
+    of ``grads``, by the same names; returns the gradient of ``x``."""
+    for i in reversed(range(len(stack))):
+        w, b = stack[i]
         inp = ys[i - 1] if i else x
-        dx = g @ w.data.T
-        np.matmul(inp.T, g, out=grads[id(w)])
-        np.sum(g, axis=0, out=grads[id(b)])
+        dx = g @ weights[w].T
+        np.matmul(inp.T, g, out=grads[w])
+        np.sum(g, axis=0, out=grads[b])
         if i:
             dx *= inp > 0  # through the relu
         g = dx
@@ -347,27 +353,23 @@ def _inputs(x_ids: np.ndarray, params: CatVrnnParams) -> SimpleNamespace:
     input ``rec_x`` (``e`` or ``feat[-1]``), and their shares of the
     encoder's first layer (``enc_x``) and of the GRU's gates (``gru_x``),
     biases included."""
-    e = params.embedding.data[x_ids]
-    feat = _dense(e, params.feat_x) if params.cfg.use_feature_extractors else []
+    e = params.store["embedding"][x_ids]
+    feat = _dense(e, FEAT_X, params.store) if params.cfg.use_feature_extractors else []
     rec_x = feat[-1] if feat else e
-    (enc_x,) = _dense(e, [(params.enc_x, params.enc_b)])
-    (gru_x,) = _dense(rec_x, [(params.gru_x, params.gru_b)])
+    (enc_x,) = _dense(e, ENC_X, params.store)
+    (gru_x,) = _dense(rec_x, GRU_X, params.store)
     return SimpleNamespace(e=e, feat=feat, rec_x=rec_x, enc_x=enc_x, gru_x=gru_x)
 
 
-def _step_widths(w: Recurrent, for_backward: bool = False) -> dict[str, int]:
-    """Name -> width of the arrays one ``recur_step`` writes, besides h_next,
-    and with ``for_backward`` those one step of ``_recur_backward`` writes:
-    ``d_<name>``, the gradient at the matmul input ``<name>``."""
+def _step_widths(w: Recurrent) -> dict[str, int]:
+    """Name -> width of the arrays one ``recur_step`` writes, besides
+    h_next."""
     hidden, latent = w.w_hn.shape[0], w.head_w.shape[1] // 2
     widths = dict(e1=w.enc_h.shape[1], e2=hidden, head=2 * latent, sigma=latent,
                   eps=latent, z=latent, gx=3 * hidden, ru=2 * hidden, rh=hidden,
                   n=hidden, tmp=hidden)
     if w.featz1_w is not None:
         widths.update(f1=latent, rec_z=latent)
-    if for_backward:
-        widths.update({f"d_{name}": widths[name] for name in
-                       ("e1", "e2", "head", "gx", "f1", "rec_z") if name in widths})
     return widths
 
 
@@ -403,7 +405,7 @@ def _draw_normal(stream: np.random.Generator, out: np.ndarray):
 
 def recur_step(h: np.ndarray, enc_x_t: np.ndarray, gru_x_t: np.ndarray,
                eps_t: np.ndarray, w: Recurrent, out: SimpleNamespace | None = None):
-    """One step of the recurrence, in numpy on ``w.arrays()``: the posterior
+    """One step of the recurrence, in numpy on the weights ``w``: the posterior
     from the token side and ``h``, the latent ``z = mu + sigma * eps_t``, and
     the GRU update. Every result is written into ``out`` (fresh arrays when
     not given), which also keeps what ``_recur_backward`` needs. Returns
@@ -458,15 +460,16 @@ def recur_step(h: np.ndarray, enc_x_t: np.ndarray, gru_x_t: np.ndarray,
 
 
 def recurrence(h0: np.ndarray, enc_x: np.ndarray, gru_x: np.ndarray, w: Recurrent,
-               stream: np.random.Generator, for_backward: bool = False):
-    """``recur_step`` over every step, on ``w.arrays()``, from ``h0`` (B, H)
-    over the token sides ``enc_x``/``gru_x`` of T*B time-major rows, with one
-    (B, L) latent draw from ``stream`` per step.
+               stream: np.random.Generator):
+    """``recur_step`` over every step, on the weights ``w``, from ``h0``
+    (B, H) over the token sides ``enc_x``/``gru_x`` of T*B time-major rows,
+    with one (B, L) latent draw from ``stream`` per step.
 
     Returns the states h0..hT as one (T+1, B, H) array and every step's
-    arrays by name, (T, B, width): ``head``, ``sigma`` and ``z``, and with
-    ``for_backward`` also the rest that ``_recur_backward`` reads and the
-    arrays it writes. Those are allocated here, in the same block, so that
+    arrays by name, (T, B, width): those ``recur_step`` writes (``head``,
+    ``sigma``, ``z`` and what ``_recur_backward`` reads), and the arrays
+    ``_recur_backward`` writes, ``d_<name>`` the gradient at the matmul
+    input ``<name>``. Those are allocated here, in the same block, so that
     a training step's largest arrays come and go as one allocation.
     """
     batch, hidden = h0.shape
@@ -477,9 +480,10 @@ def recurrence(h0: np.ndarray, enc_x: np.ndarray, gru_x: np.ndarray, w: Recurren
             f"recurrence inputs h0 {h0.shape}, enc_x {enc_x.shape}, gru_x "
             f"{gru_x.shape} do not match hidden size {w.w_hn.shape[0]}"
         )
-    widths = _step_widths(w, for_backward)
-    keep = set(widths) - {"gx", "tmp"} if for_backward else {"head", "sigma", "z"}
-    run = _Steps(widths, batch, steps, keep, enc_x.dtype)
+    widths = _step_widths(w)
+    widths.update({f"d_{name}": widths[name] for name in
+                   ("e1", "e2", "head", "gx", "f1", "rec_z") if name in widths})
+    run = _Steps(widths, batch, steps, set(widths) - {"gx", "tmp"}, enc_x.dtype)
     hs = np.empty((steps + 1, batch, hidden), dtype=enc_x.dtype)
     hs[0] = h0
     enc_rows = enc_x.reshape(steps, batch, -1)
@@ -492,15 +496,16 @@ def recurrence(h0: np.ndarray, enc_x: np.ndarray, gru_x: np.ndarray, w: Recurren
     return hs, run.arrays
 
 
-def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray],
-                    w: Recurrent) -> list[np.ndarray]:
-    """Backpropagation through time for ``recurrence``. ``grads`` are its
-    outputs' gradients (None where none arrived), ``hs`` the states h0..hT
-    and ``a`` every step's arrays, as ``recurrence(..., for_backward=True)``
-    returns them, into whose ``d_`` arrays it writes. Carries dh from the last step to the
-    first, keeps each step's gradients at the matmul inputs, and forms each
-    weight's gradient as one (K, T*B) @ (T*B, N) matmul after the loop.
-    Returns gradients for (h0, enc_x, gru_x, *the weights present)."""
+def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray], w: Recurrent,
+                    dw: Recurrent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagation through time for ``recurrence`` on the weights ``w``.
+    ``grads`` are its outputs' gradients (None where none arrived), ``hs``
+    the states h0..hT and ``a`` every step's arrays, as ``recurrence``
+    returns them, into whose ``d_`` arrays it writes. Carries dh from the
+    last step to the first, keeps each step's gradients at the matmul
+    inputs, and writes each weight's gradient into its array of ``dw`` as
+    one (K, T*B) @ (T*B, N) matmul after the loop. Returns the gradients of
+    (h0, enc_x, gru_x)."""
     steps, batch, hidden = hs.shape[0] - 1, hs.shape[1], hs.shape[2]
     latent = a["z"].shape[-1]
     featz = w.featz1_w is not None
@@ -559,19 +564,21 @@ def _recur_backward(grads, hs: np.ndarray, a: dict[str, np.ndarray],
 
     h_rows, d_gx, d_head = rows(hs[:steps]), rows(d["gx"]), rows(d["head"])
     d_e1, d_e2 = rows(d["e1"]), rows(d["e2"])
-    weights = Recurrent(
-        enc_h=h_rows.T @ d_e1,
-        enc2_w=rows(a["e1"]).T @ d_e2, enc2_b=d_e2.sum(axis=0),
-        head_w=rows(a["e2"]).T @ d_head, head_b=d_head.sum(axis=0),
-        gru_z=rows(a["rec_z" if featz else "z"]).T @ d_gx,
-        w_ru=h_rows.T @ d_gx[:, :2 * hidden],
-        w_hn=rows(a["rh"]).T @ d_gx[:, 2 * hidden:])
+    np.matmul(h_rows.T, d_e1, out=dw.enc_h)
+    np.matmul(rows(a["e1"]).T, d_e2, out=dw.enc2_w)
+    np.sum(d_e2, axis=0, out=dw.enc2_b)
+    np.matmul(rows(a["e2"]).T, d_head, out=dw.head_w)
+    np.sum(d_head, axis=0, out=dw.head_b)
+    np.matmul(rows(a["rec_z" if featz else "z"]).T, d_gx, out=dw.gru_z)
+    np.matmul(h_rows.T, d_gx[:, :2 * hidden], out=dw.w_ru)
+    np.matmul(rows(a["rh"]).T, d_gx[:, 2 * hidden:], out=dw.w_hn)
     if featz:
         d_f1, d_rec = rows(d["f1"]), rows(d["rec_z"])
-        weights = weights._replace(
-            featz1_w=rows(a["z"]).T @ d_f1, featz1_b=d_f1.sum(axis=0),
-            featz2_w=rows(a["f1"]).T @ d_rec, featz2_b=d_rec.sum(axis=0))
-    return [dh, d_e1, d_gx, *(g for g in weights if g is not None)]
+        np.matmul(rows(a["z"]).T, d_f1, out=dw.featz1_w)
+        np.sum(d_f1, axis=0, out=dw.featz1_b)
+        np.matmul(rows(a["f1"]).T, d_rec, out=dw.featz2_w)
+        np.sum(d_rec, axis=0, out=dw.featz2_b)
+    return dh, d_e1, d_gx
 
 
 def kl_gaussians(mu_q: np.ndarray, sigma_q: np.ndarray, mu_p: np.ndarray,
@@ -595,7 +602,7 @@ def _kl(mu: np.ndarray, sigma: np.ndarray, h_prev: np.ndarray, params: CatVrnnPa
     """KL of the posterior (mu, sigma) from the prior conditioned on the
     previous state, per row, and what its backward reads: the prior net's
     outputs ``prior`` (trunk, then mu|raw sigma) besides ``kl_gaussians``'."""
-    prior = _dense(h_prev, params.prior)
+    prior = _dense(h_prev, PRIOR, params.store)
     latent = mu.shape[-1]
     sigma_p = np.logaddexp(0.0, prior[-1][:, latent:])
     sigma_p += SIGMA_FLOOR
@@ -633,7 +640,7 @@ def _step_arrays(params: CatVrnnParams, count: int):
     call: the recurrence's arrays, the token side (``_inputs``) of every
     vocabulary entry, and every array a step writes."""
     cfg = params.cfg
-    rec = params.recurrent.arrays()
+    rec = Recurrent.of(params.store, cfg)
     tokens = _inputs(np.arange(cfg.vocab_size), params)
     table = tokens.enc_x, tokens.gru_x
     del tokens  # the embedding rows go before the step's block is allocated
@@ -657,7 +664,7 @@ def _step(x_ids: np.ndarray, params: CatVrnnParams, rec: Recurrent,
     np.copyto(b.h, b.h_next)
     recur_step(b.h, b.enc_x, b.gru_x, b.eps, rec, b)
     np.concatenate([b.z, b.h], axis=1, out=b.zh)
-    _dense(b.zh, params.decoder, [b.dec1, b.dec2, b.logits])
+    _dense(b.zh, DECODER, params.store, [b.dec1, b.dec2, b.logits])
 
 
 def _run_steps(inputs: np.ndarray, c, params: CatVrnnParams, rng: Rng,
@@ -716,24 +723,23 @@ def _teacher_inputs(x_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 
 def _teacher_pass(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
-                  rng: Rng, train_mode: bool, for_backward: bool):
-    """``forward_teacher``, and the arrays ``loss_and_grad``'s backward reads
-    (all of them when ``for_backward``)."""
+                  rng: Rng, train_mode: bool):
+    """``forward_teacher``, and the arrays ``loss_and_grad``'s backward reads."""
     x_ids = _teacher_inputs(x_ids, cfg)
     batch, T = x_ids.shape
     h0 = init_hidden(c, params, rng, train_mode, batch)
     # time-major rows: step t is rows t*batch .. (t+1)*batch
     ids = x_ids.T.reshape(-1)
     tokens = _inputs(ids, params)
-    hs, run = recurrence(h0, tokens.enc_x, tokens.gru_x, params.recurrent.arrays(),
-                         rng.stream("latent"), for_backward)
+    hs, run = recurrence(h0, tokens.enc_x, tokens.gru_x, Recurrent.of(params.store, cfg),
+                         rng.stream("latent"))
     del tokens.enc_x, tokens.gru_x  # no backward reads them
     h_prev = hs[:T].reshape(T * batch, -1)
     zh = np.concatenate([run["z"].reshape(T * batch, -1), h_prev], axis=1)
     f = SimpleNamespace(ids=ids, tokens=tokens, hs=hs, run=run, h_prev=h_prev, zh=zh,
-                        decoded=_dense(zh, params.decoder))
+                        decoded=_dense(zh, DECODER, params.store))
     fwd = SequenceForward(logits=f.decoded[-1].reshape(T, batch, cfg.vocab_size),
-                          class_logits=_dense(hs[T], [params.classifier])[0],
+                          class_logits=_dense(hs[T], CLASSIFIER, params.store)[0],
                           kl_sum=None, final_hidden=hs[T])
     if cfg.use_kl_term:
         mu = run["head"].reshape(T * batch, -1)[:, :cfg.latent_dim]
@@ -756,7 +762,7 @@ def forward_teacher(x_ids: np.ndarray, c, params: CatVrnnParams,
     ``T*B`` rows before it, and the decoder, output layer and prior once
     over the stacked states after it. ``loss_and_grad`` runs the same pass.
     """
-    return _teacher_pass(x_ids, c, params, cfg, rng, train_mode, False)[0]
+    return _teacher_pass(x_ids, c, params, cfg, rng, train_mode)[0]
 
 
 def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConfig,
@@ -779,7 +785,8 @@ def forward_stepwise(x_ids: np.ndarray, c, params: CatVrnnParams, cfg: ModelConf
         return np.ones(batch, dtype=bool)
 
     h = _run_steps(x_ids, c, params, rng, train_mode, _step_arrays(params, batch), record)
-    return SequenceForward(logits=logits, class_logits=_dense(h, [params.classifier])[0],
+    return SequenceForward(logits=logits,
+                           class_logits=_dense(h, CLASSIFIER, params.store)[0],
                            kl_sum=kl_sum, final_hidden=h)
 
 
@@ -847,46 +854,41 @@ def loss_and_grad(x_ids: np.ndarray, targets: np.ndarray, c, params: CatVrnnPara
     unless the mean is not finite. The backward runs by hand from the output
     layer's softmax gradient, written into the logits' own buffer, to the
     token side and the adaptive h0."""
-    fwd, f = _teacher_pass(x_ids, c, params, cfg, rng, True, True)
+    fwd, f = _teacher_pass(x_ids, c, params, cfg, rng, True)
     loss, parts = _loss(fwd, targets, c, cfg)
     if not np.isfinite(loss.total.mean()):
         return loss
     batch, logits = len(fwd.class_logits), f.decoded[-1]
-    store = params.store
-    # each tensor's view of ``grad``, by the tensor's id
-    grads = {id(t): view for (_, t), view in zip(store.items(),
-                                                 store.views(grad).values())}
+    store, grads = params.store, params.store.views(grad)
     # the mean's 1/B reaches every per-sentence term
     c_mean = np.ones((), dtype=logits.dtype) / batch
     g_logits = nm.cross_entropy_grad(logits, parts.m, parts.ls, parts.targets,
                                      c_mean * parts.mask, out=logits)
-    g_zh = _dense_backward(g_logits, f.zh, params.decoder, f.decoded, grads)
+    g_zh = _dense_backward(g_logits, f.zh, DECODER, store, f.decoded, grads)
     g_z, g_hprev = np.split(g_zh, [cfg.latent_dim], axis=1)
     g_mu = g_sigma = g_hT = None
     if cfg.use_kl_term:
         g_mu, g_sigma, g_head = _kl_backward(c_mean, f.kl)
-        g_hprev = g_hprev + _dense_backward(g_head, f.h_prev, params.prior, f.kl.prior,
+        g_hprev = g_hprev + _dense_backward(g_head, f.h_prev, PRIOR, store, f.kl.prior,
                                             grads)
     if cfg.use_classification:
         g_cls = nm.cross_entropy_grad(fwd.class_logits, parts.cls_m, parts.cls_ls,
                                       parts.cats, np.full(batch, c_mean),
                                       out=fwd.class_logits)
-        g_hT = _dense_backward(g_cls, f.hs[-1], [params.classifier], [], grads)
+        g_hT = _dense_backward(g_cls, f.hs[-1], CLASSIFIER, store, [], grads)
     else:
-        for t in params.classifier:
-            grads[id(t)].fill(0.0)
+        for name in CLASSIFIER[0]:
+            grads[name].fill(0.0)
 
-    dh, d_enc_x, d_gru_x, *rec_grads = _recur_backward(
-        [g_hprev, g_z, g_mu, g_sigma, g_hT], f.hs, f.run, params.recurrent.arrays())
-    for t, g in zip((t for t in params.recurrent if t is not None), rec_grads):
-        grads[id(t)][...] = g
+    dh, d_enc_x, d_gru_x = _recur_backward(
+        [g_hprev, g_z, g_mu, g_sigma, g_hT], f.hs, f.run, Recurrent.of(store, cfg),
+        Recurrent.of(grads, cfg))
 
-    tokens, embedding = f.tokens, grads[id(params.embedding)]
-    g_e = _dense_backward(d_enc_x, tokens.e, [(params.enc_x, params.enc_b)], [], grads)
-    g_rec = _dense_backward(d_gru_x, tokens.rec_x, [(params.gru_x, params.gru_b)], [],
-                            grads)
+    tokens, embedding = f.tokens, grads["embedding"]
+    g_e = _dense_backward(d_enc_x, tokens.e, ENC_X, store, [], grads)
+    g_rec = _dense_backward(d_gru_x, tokens.rec_x, GRU_X, store, [], grads)
     if tokens.feat:
-        g_rec = _dense_backward(g_rec, tokens.e, params.feat_x, tokens.feat, grads)
+        g_rec = _dense_backward(g_rec, tokens.e, FEAT_X, store, tokens.feat, grads)
     g_e += g_rec
     embedding.fill(0.0)
     np.add.at(embedding, f.ids, g_e)
@@ -894,8 +896,8 @@ def loss_and_grad(x_ids: np.ndarray, targets: np.ndarray, c, params: CatVrnnPara
     if cfg.init_mode == "adaptive":
         # h0 = c * omega + bias + noise
         np.sum(dh * parts.cats[:, None].astype(dh.dtype), axis=0,
-               out=grads[id(params.init_omega)])
-        np.sum(dh, axis=0, out=grads[id(params.init_bias)])
+               out=grads["init.omega"])
+        np.sum(dh, axis=0, out=grads["init.bias"])
     return loss
 
 

@@ -4,9 +4,10 @@ gradient checker.
 
 Nothing here records a graph: the model's backward (``model``) and the
 scoring classifier's (``evaluation``) are written by hand in numpy, and
-``check_gradient`` checks them against central differences. Values are
-double precision by default (single precision passes through when the
-inputs carry it).
+``check_gradient`` checks them against central differences. The store
+lays every weight out in one array, in the dtype of the arrays it is built
+from, and names each weight's view of it; the backwards write their
+gradients into an array laid out the same way, through the same names.
 """
 
 from __future__ import annotations
@@ -14,36 +15,27 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
-DEFAULT_DTYPE = np.float64
-
-
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype in (np.float32, np.float64):
-        return arr
-    return arr.astype(DEFAULT_DTYPE)
-
 
 class Tensor:
-    """One parameter of a ``ParamStore``: ``data`` is its numpy array, a view
-    of the store's ``flat`` once the store is laid out."""
+    """A handle on one weight of a ``ParamStore``, ``data`` its view. The
+    program reads weights as ``store[name]``; only the benchmark reads them
+    through handles (``ParamStore.items``) and installs a span on
+    ``backward``. Both go when it stops (ROADMAP item 1, stage A)."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        self.data = _as_array(data)
+        self.data = data
 
     def backward(self):
         """Raises: nothing records a graph, so there is nothing to run
-        backward. The method is kept only because the benchmark's tracer
-        installs a span on ``Tensor.backward`` by name; it goes when the
-        benchmark stops reading it (ROADMAP item 1, stage A)."""
+        backward."""
         raise ConfigurationError("nothing records a graph: the backwards are written "
                                  "by hand")
 
@@ -103,42 +95,33 @@ def reparameterize(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray,
 
 
 class ParamStore:
-    """Ordered name -> Tensor map for every learnable weight, in one buffer.
+    """Every learnable weight, laid out once in one array, ``flat``, and
+    addressed by name: ``store[name]`` is that weight's view of it.
 
-    Iteration order is the insertion order, which is deterministic for a
-    fixed construction sequence; names are unique. The first use of
-    ``flat`` copies every tensor's data, in that order, into one array and
-    makes it a view of that; the layout is then fixed, and ``views`` cuts
-    any array of that size the same way (Adam's moments, the gradient).
+    Built from ``(name, initial array)`` entries, concatenated in their
+    order; names are unique. ``views`` cuts any array of ``flat``'s size the
+    same way (Adam's moments, the gradient), and ``layout`` lists the
+    ``[name, shape]`` pairs a container's header records.
     """
 
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-        self._flat: np.ndarray | None = None
+    def __init__(self, entries):
+        entries = list(entries)
+        self._layout = self.layout_of(entries)
+        self.flat = np.concatenate([np.reshape(a, -1) for _, a in entries])
+        self._views = self.views(self.flat)
+        if len(self._views) < len(entries):
+            raise ConfigurationError(f"duplicate parameter names in {self.names()}")
 
-    def add(self, name: str, data) -> Tensor:
-        if name in self._tensors:
-            raise ConfigurationError(f"duplicate parameter name {name!r}")
-        if self._flat is not None:
-            raise ConfigurationError(f"cannot add {name!r}: the store is laid out")
-        t = Tensor(data)
-        self._tensors[name] = t
-        return t
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Every tensor's data as one 1-d array, in insertion order."""
-        if self._flat is None:
-            self._flat = np.concatenate([t.data.reshape(-1)
-                                         for t in self._tensors.values()])
-            for t, view in zip(self._tensors.values(), self.views(self._flat).values()):
-                t.data = view
-        return self._flat
+    @staticmethod
+    def layout_of(entries) -> list[list]:
+        """The ``layout`` of a store of ``(name, array)`` entries, read off the
+        arrays without laying them out."""
+        return [[name, list(np.shape(a))] for name, a in entries]
 
     def layout(self) -> list[list]:
         """``[name, shape]`` pairs in store order, each shape a list: how
         ``flat`` is cut, and what a container's header records."""
-        return [[name, list(t.data.shape)] for name, t in self._tensors.items()]
+        return [[name, list(shape)] for name, shape in self._layout]
 
     @staticmethod
     def layout_views(layout: list, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -153,23 +136,24 @@ class ParamStore:
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """``flat``, an array laid out like the store's, as name -> view
-        shaped like that tensor."""
-        return self.layout_views(self.layout(), flat)
+        shaped like that weight."""
+        return self.layout_views(self._layout, flat)
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
 
     def __len__(self) -> int:
-        return len(self._tensors)
+        return len(self._layout)
 
     def names(self) -> list[str]:
-        return list(self._tensors)
+        return [name for name, _ in self._layout]
 
-    def items(self) -> Iterable[tuple[str, Tensor]]:
-        return self._tensors.items()
+    def items(self) -> list[tuple[str, Tensor]]:
+        """``(name, Tensor)`` handles, for the benchmark only (see ``Tensor``)."""
+        return [(name, Tensor(view)) for name, view in self._views.items()]
 
     def total_parameters(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+        return self.flat.size
 
 
 # --- seeded random streams -------------------------------------------------
@@ -291,7 +275,7 @@ def check_gradient(loss_fn: Callable[[], float], store: ParamStore,
         elements = np.sort(np.concatenate([quota, extra]))
     names = store.names()
     # the index in ``names`` of the tensor that holds each checked element
-    owners = np.searchsorted(np.cumsum([store[n].data.size for n in names]),
+    owners = np.searchsorted(np.cumsum([store[n].size for n in names]),
                              elements, side="right")
 
     eps = float(np.finfo(flat.dtype).eps)

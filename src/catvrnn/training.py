@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError, require_ints
 from .numeric import ParamStore, Rng
-from .model import CatVrnnParams, ModelConfig, loss_and_grad
+from .model import CatVrnnParams, ModelConfig, initial_weights, loss_and_grad
 from .data import atomic_open, atomic_write_text, read_text
 
 log = logging.getLogger(__name__)
@@ -215,7 +215,7 @@ class Checkpoint:
         return ParamStore.layout_views(self.layout, self.body[2])
 
     def build_params(self) -> CatVrnnParams:
-        params = CatVrnnParams.zeros(self.config)
+        params = CatVrnnParams(self.config)
         params.store.flat[...] = self.body[0]
         return params
 
@@ -344,7 +344,7 @@ def _parse_model_header(header: dict) -> tuple[dict, list, str, int]:
     if not isinstance(header["vocab_digest"], str):
         raise TypeError(f"vocab_digest {header['vocab_digest']!r} is not a string")
     Rng(0).set_state(header["rng"])  # a stream state, or an error here
-    fields = dict(config=config, layout=CatVrnnParams.zeros(config).store.layout(),
+    fields = dict(config=config, layout=ParamStore.layout_of(initial_weights(config)),
                   epoch=header["epoch"], vocab_digest=header["vocab_digest"],
                   rng_state=header["rng"],
                   adam_scalars={"lr": float(lr), "step": adam["step"]},

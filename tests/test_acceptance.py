@@ -151,7 +151,7 @@ def test_c02_initialization_invariants():
     params = CatVrnnParams(acfg, Rng(3))
     h = [init_hidden_adaptive(c, params, False, rng)[0] for c in range(6)]
     for c in range(5):
-        np.testing.assert_allclose(h[c + 1] - h[c], params.init_omega.data,
+        np.testing.assert_allclose(h[c + 1] - h[c], params.store["init.omega"],
                                    atol=1e-12)
 
     z1 = init_hidden_zero(cfg, batch=4)
@@ -336,7 +336,7 @@ def test_c07_perplexity_anchors(memorized):
     vocab = build_vocabulary(corpus)
     cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=10,
                       hidden_dim=8, latent_dim=4, max_len=8)
-    uniform = CatVrnnParams.zeros(cfg)
+    uniform = CatVrnnParams(cfg)
     ppl_uniform = perplexity(uniform, cfg, corpus, vocab)
     assert abs(ppl_uniform - len(vocab)) < 1e-9 * len(vocab)
 
@@ -465,8 +465,8 @@ def test_c10_parameter_accounting():
     counts = {}
     for v in (50, 51, 80):
         cfg = ModelConfig(vocab_size=v, num_categories=2)
-        params = CatVrnnParams.zeros(cfg)
-        enumerated = sum(t.data.size for _, t in params.store.items())
+        params = CatVrnnParams(cfg)
+        enumerated = sum(params.store[name].size for name in params.store.names())
         assert enumerated == parameter_count(params)
         counts[v] = enumerated
     assert counts[51] - counts[50] == 601
@@ -474,9 +474,9 @@ def test_c10_parameter_accounting():
 
     # the vocabulary-dependent part is embedding (300/V) plus output (301/V)
     cfg = ModelConfig(vocab_size=50, num_categories=2)
-    params = CatVrnnParams.zeros(cfg)
-    emb = params.store["embedding"].data.size
-    out_w = params.store["out.w"].data.size
-    out_b = params.store["out.b"].data.size
+    params = CatVrnnParams(cfg)
+    emb = params.store["embedding"].size
+    out_w = params.store["out.w"].size
+    out_b = params.store["out.b"].size
     assert emb == 300 * 50 and out_w == 300 * 50 and out_b == 50
     announce("C10", "parameter-accounting")

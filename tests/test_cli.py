@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from catvrnn import cli
+from catvrnn import cli, numeric
 from catvrnn.cli import main
 from catvrnn.data import (
     build_vocabulary,
@@ -838,6 +838,37 @@ def test_grad_check_fails_when_training_and_sampling_paths_diverge(monkeypatch,
     out = capsys.readouterr().out
     assert out.count(": PASS") == len(cli.GRAD_CHECK_VARIANTS)
     assert "overall: FAIL" in out
+
+
+# --- parameters by name ------------------------------------------------------------
+
+
+def test_the_program_never_builds_a_parameter_handle(tmp_path, synth_corpus_file,
+                                                     monkeypatch):
+    # every weight is read as store[name] and every gradient written through
+    # the store's views of it; only the benchmark builds numeric.Tensor handles
+    def refuse(self, data):
+        raise AssertionError("a numeric.Tensor handle was built")
+
+    monkeypatch.setattr(numeric.Tensor, "__init__", refuse)
+    corpus, run = str(synth_corpus_file), tmp_path / "run"
+    assert run_cli("train", "--corpus", corpus, "--out", str(run), "--epochs", "1",
+                   "--batch-size", "16", "--init", "adaptive", "--use-kl",
+                   "--feature-extractors", "--embed-dim", "6", "--hidden-dim", "5",
+                   "--latent-dim", "3", "--max-len", "7") == 0
+    ckpt, vocab = str(run / "epoch_0001.ckpt"), str(run / "vocab.txt")
+    assert run_cli("train", "--corpus", corpus, "--out", str(run), "--epochs", "2",
+                   "--resume", ckpt) == 0
+    generated, clf = str(tmp_path / "gen.tsv"), str(tmp_path / "eval.clf")
+    assert run_cli("generate", "--checkpoint", ckpt, "--vocab", vocab, "--out",
+                   generated, "-n", "4") == 0
+    # a classifier fit, sampling and perplexity, and the classifier saved
+    assert run_cli("evaluate", "--checkpoint", ckpt, "--vocab", vocab, "--corpus",
+                   corpus, "--samples", "4", "--classifier-epochs", "1",
+                   "--save-classifier", clf) == 0
+    assert run_cli("evaluate", "--corpus", corpus, "--generated", generated,
+                   "--classifier", clf) == 0
+    assert run_cli("grad-check", "--max-checks", "0") == 0
 
 
 # --- config file precedence ----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Every damaged model checkpoint or classifier file is a data error naming
-the file.
+the file, and so is every damaged text file a command reads.
 
 Each case derives a damaged copy of a good file, runs the command that reads
 it through ``cli.main`` in process, and expects exit 2, the file's path in
 the message and no traceback. Header edits are re-digested unless the case
-says otherwise, so that only the edit is wrong.
+says otherwise, so that only the edit is wrong. A config file's damage is a
+usage error (exit 1).
 """
 
 import hashlib
@@ -235,3 +236,76 @@ def test_the_good_files_are_read(good, tmp_path, kind):
     # the control: the same commands on an undamaged copy succeed
     code, _ = read_damaged(good, tmp_path, kind, "none", lambda raw: raw)
     assert code == 0
+
+
+# --- text files -------------------------------------------------------------------
+
+
+def generated_file(good, tmp_path, header="", extra=""):
+    """A generated TSV: ``header`` lines, the good corpus's sentences, then
+    ``extra`` lines."""
+    path = tmp_path / "generated.tsv"
+    path.write_text(header + good["corpus"].read_text(encoding="utf-8") + extra,
+                    encoding="utf-8")
+    return path
+
+
+def evaluate_generated(good, path):
+    return ["evaluate", "--corpus", str(good["corpus"]), "--generated", str(path),
+            "--classifier", str(good["classifier"])]
+
+
+def label_out_of_range(good, tmp_path):
+    # evaluate reads a generated file's labels against the corpus's 2
+    path = generated_file(good, tmp_path, extra="5\tw0 w1\n")
+    line = len(path.read_text(encoding="utf-8").splitlines())
+    return evaluate_generated(good, path), 2, f"{path}:{line}: category 5 out of range [0, 2)"
+
+
+def empty_count_above_samples(good, tmp_path):
+    # generate writes 3 samples per category, of which at most 3 are empty
+    path = generated_file(good, tmp_path, header="# samples=3\n# empty=[0, 4]\n")
+    return evaluate_generated(good, path), 2, (
+        f"{path}: '# empty=' needs a list of at most 2 counts, each at most "
+        "'# samples=3', got [0, 4]")
+
+
+def category_gap(good, tmp_path):
+    # labels 0, 1 and 3: category 2 has no sentences
+    path = tmp_path / "gap.tsv"
+    path.write_text("0\tw0 w1\n1\tw2 w3\n3\tw4 w5\n", encoding="utf-8")
+    argv = ["train", "--corpus", str(path), "--out", str(tmp_path / "run"),
+            "--epochs", "1", "--init", "adaptive"]
+    return argv, 2, f"{path}: category 2 has no sentences, but the labels run to 3"
+
+
+def config_key_twice(spellings):
+    def case(good, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{spellings[0]} = 8\n# a comment\n{spellings[1]} = 16\n",
+                        encoding="utf-8")
+        argv = ["train", "--config", str(path), "--corpus", str(good["corpus"]),
+                "--out", str(tmp_path / "run"), "--epochs", "1", "--embed-dim", "6",
+                "--hidden-dim", "5", "--latent-dim", "3", "--max-len", "6"]
+        return argv, 1, f"{path}:3: batch_size is already set on line 1"
+    return case
+
+
+TEXT = {
+    "generated-label-out-of-range": label_out_of_range,
+    "generated-empty-count-above-samples": empty_count_above_samples,
+    "corpus-category-without-sentences": category_gap,
+    "config-key-twice": config_key_twice(["batch_size", "batch_size"]),
+    "config-key-twice-spelled-two-ways": config_key_twice(["batch_size", "batch-size"]),
+}
+
+
+@pytest.mark.parametrize("name", TEXT)
+def test_a_damaged_text_file_is_an_error_naming_it(good, tmp_path, capsys, name):
+    argv, expected, message = TEXT[name](good, tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()

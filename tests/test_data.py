@@ -70,6 +70,26 @@ def test_load_rejects_bad_category_and_empty_text(tmp_path):
         load_corpus(tmp_path / "missing.tsv")
 
 
+@pytest.mark.parametrize("labels, missing", [((0, 1, 3), 2), ((3, 1, 0), 2),
+                                             ((1, 2), 0), ((0, 1, 2_000_000_000), 2)])
+def test_load_rejects_a_category_without_sentences(tmp_path, labels, missing):
+    # the count is inferred from the largest label, so every id below it
+    # needs a sentence; the error is found from the labels alone
+    p = tmp_path / "c.tsv"
+    p.write_text("".join(f"{c}\tw{c}\n" for c in labels), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{p}: category {missing} has no sentences, "
+                                        rf"but the labels run to {max(labels)}$"):
+        load_corpus(p)
+
+
+def test_load_with_a_category_count_reports_the_line_of_a_label_past_it(tmp_path):
+    p = tmp_path / "c.tsv"
+    p.write_text("0\ta\n1\tb\n", encoding="utf-8")
+    assert load_corpus(p, num_categories=3).num_categories == 3
+    with pytest.raises(DataError, match=rf"^{p}:2: category 1 out of range \[0, 1\)$"):
+        load_corpus(p, num_categories=1)
+
+
 def test_load_skips_comment_header(tmp_path):
     p = tmp_path / "c.tsv"
     p.write_text("# seed=3\n0\thello\n", encoding="utf-8")

@@ -114,9 +114,8 @@ def test_classifier_chance_level_on_shuffled_labels():
 def test_classifier_training_is_deterministic(disjoint_corpus):
     a = train_eval_classifier(disjoint_corpus, seed=9, epochs=2)
     b = train_eval_classifier(disjoint_corpus, seed=9, epochs=2)
-    for (n1, t1), (n2, t2) in zip(a.store.items(), b.store.items()):
-        assert n1 == n2
-        np.testing.assert_array_equal(t1.data, t2.data)
+    assert a.store.layout() == b.store.layout()
+    np.testing.assert_array_equal(a.store.flat, b.store.flat)
 
 
 def test_classifier_rejects_single_category():
@@ -141,7 +140,7 @@ def window_gather_forward(clf, ids, dropout_rng=None):
     matmul per filter width, the reference the one-table form is checked
     against: (logits, what ``window_gather_backward`` reads). Dropout is
     drawn from ``dropout_rng`` when given."""
-    p = {name: t.data for name, t in clf.store.items()}
+    p = clf.store.views(clf.store.flat)
     b, t = ids.shape
     e, f = CLF_EMBED, CLF_MAPS
     lo, pooled, windows = 0, [], []
@@ -172,7 +171,7 @@ def window_gather_backward(clf, targets, logits, saved):
     its gradient, name -> array, written out naively: each pooled gradient
     goes to its argmax window, a bank gets ``cols.T @ g`` and the embedding
     rows are scattered with ``np.add.at``."""
-    p = {name: t.data for name, t in clf.store.items()}
+    p = clf.store.views(clf.store.flat)
     b, e, f = len(logits), CLF_EMBED, CLF_MAPS
     rows = np.arange(b)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -207,9 +206,9 @@ def random_classifier(max_len, vocab_size=40, seed=3):
     cfg = ClassifierConfig(vocab_size=vocab_size, num_categories=3, max_len=max_len)
     clf = EvalClassifier(cfg, vocab, rng=Rng(seed))
     rng = np.random.default_rng(seed)
-    for name, t in clf.store.items():
+    for name in clf.store.names():
         if name.endswith(".b"):  # biases start at zero; make them count
-            t.data[:] = rng.normal(size=t.data.shape) * 0.1
+            clf.store[name][:] = rng.normal(size=clf.store[name].shape) * 0.1
     return clf
 
 
@@ -285,7 +284,7 @@ def test_loss_and_grad_of_a_width_whose_windows_are_all_cut_by_the_relu():
     # every width-4 window is <= 0 after its bias: the relu passes nothing
     # back through that width
     clf = random_classifier(9)
-    clf.store["conv4.b"].data[:] = -1e3
+    clf.store["conv4.b"][:] = -1e3
     ids = np.random.default_rng(2).integers(0, clf.cfg.vocab_size, size=(5, 9))
     grads = assert_matches_the_window_gather_reference(clf, ids, np.array([0, 1, 2, 0, 1]))
     assert not grads["conv4.b"].any()
@@ -400,7 +399,7 @@ def test_perplexity_uniform_model_equals_vocab_size():
     vocab = build_vocabulary(corpus)
     cfg = ModelConfig(vocab_size=len(vocab), num_categories=2, embed_dim=6,
                       hidden_dim=5, latent_dim=3, max_len=7)
-    params = CatVrnnParams.zeros(cfg)
+    params = CatVrnnParams(cfg)
     ppl = perplexity(params, cfg, corpus, vocab)
     assert abs(ppl - len(vocab)) < 1e-9 * len(vocab)
 
@@ -443,7 +442,7 @@ def test_perplexity_rejects_empty():
                       hidden_dim=3, latent_dim=2, max_len=3)
     empty = LabeledCorpus(sentences=[], num_categories=1)
     with pytest.raises(DataError):
-        perplexity(CatVrnnParams.zeros(cfg), cfg, empty, vocab)
+        perplexity(CatVrnnParams(cfg), cfg, empty, vocab)
 
 
 def perplexity_full_batch(params, cfg, corpus, vocab, seed=0):

@@ -15,7 +15,7 @@ from catvrnn.cli import GRAD_CHECK_VARIANTS, grad_check_config
 from catvrnn.data import Vocabulary
 from catvrnn.errors import ConfigurationError, DataError
 from catvrnn.evaluation import ClassifierConfig, EvalClassifier
-from catvrnn.numeric import Rng, check_gradient
+from catvrnn.numeric import Rng, check_gradient, nll_rows
 from catvrnn.model import (
     PAD_ID,
     CatVrnnParams,
@@ -133,7 +133,7 @@ def test_static_init_category_means_differ_by_two_omega_l1():
 
 def test_adaptive_init_zero_params_eval_mode():
     cfg = tiny_cfg(init_mode="adaptive", num_categories=4)
-    params = CatVrnnParams.zeros(cfg)
+    params = CatVrnnParams(cfg)
     for c in range(4):
         h0 = init_hidden_adaptive(c, params, train_mode=False, rng=Rng(0))
         np.testing.assert_array_equal(h0, np.zeros((1, cfg.hidden_dim)))
@@ -142,9 +142,9 @@ def test_adaptive_init_zero_params_eval_mode():
 def test_adaptive_init_category_zero_returns_bias():
     cfg = tiny_cfg(init_mode="adaptive")
     params = CatVrnnParams(cfg, Rng(5))
-    params.init_bias.data[:] = np.arange(cfg.hidden_dim, dtype=float)
+    params.store["init.bias"][:] = np.arange(cfg.hidden_dim, dtype=float)
     h0 = init_hidden_adaptive(0, params, train_mode=False, rng=Rng(0))
-    np.testing.assert_array_equal(h0[0], params.init_bias.data)
+    np.testing.assert_array_equal(h0[0], params.store["init.bias"])
 
 
 def test_adaptive_init_constant_difference_between_categories():
@@ -153,7 +153,7 @@ def test_adaptive_init_constant_difference_between_categories():
     rng = Rng(0)
     h = [init_hidden_adaptive(c, params, False, rng)[0] for c in range(5)]
     for c in range(4):
-        np.testing.assert_allclose(h[c + 1] - h[c], params.init_omega.data,
+        np.testing.assert_allclose(h[c + 1] - h[c], params.store["init.omega"],
                                    atol=1e-12)
 
 
@@ -245,7 +245,7 @@ def test_single_step_recurrence_gradient_check():
 
 def test_cell_step_sigma_strictly_positive(monkeypatch):
     cfg = tiny_cfg()
-    params = CatVrnnParams.zeros(cfg)
+    params = CatVrnnParams(cfg)
     steps = record_steps(monkeypatch)
     generate(0, 1, params, cfg, Rng(0))
     assert len(steps) == cfg.max_len
@@ -296,7 +296,7 @@ def test_generate_matches_the_full_batch_sampler(kw, pad_bias):
     cfg = tiny_cfg(max_len=8, **kw)
     params = CatVrnnParams(cfg, Rng(4))
     # a larger PAD logit stops the rows at many different steps
-    params.out_layer[1].data[PAD_ID] += pad_bias
+    params.store["out.b"][PAD_ID] += pad_bias
     rng, ref = Rng(11), Rng(11)
     for c in range(cfg.num_categories):
         got = generate(c, 40, params, cfg, rng)
@@ -311,7 +311,7 @@ def test_generate_matches_the_full_batch_sampler(kw, pad_bias):
 def test_generate_with_every_row_stopped_at_step_zero_advances_the_streams():
     cfg = tiny_cfg(max_len=6)
     params = CatVrnnParams(cfg, Rng(4))
-    bias = params.out_layer[1].data
+    bias = params.store["out.b"]
     saved = bias[PAD_ID]
     bias[PAD_ID] = 1e4
     rng, ref = Rng(3), Rng(3)
@@ -343,7 +343,7 @@ def test_forward_shapes_and_class_normalization():
     assert all(l.shape == (2, cfg.vocab_size) for l in fwd.logits)
     # unnormalized class scores: the classifier head on the final state
     assert fwd.class_logits.shape == (2, 2)
-    w, b = (params.store["cls.w"].data, params.store["cls.b"].data)
+    w, b = params.store["cls.w"], params.store["cls.b"]
     np.testing.assert_array_equal(fwd.class_logits,
                                   fwd.final_hidden @ w + b)
 
@@ -451,7 +451,7 @@ def test_joint_loss_perfect_predictions_near_zero():
 
 def test_joint_loss_uniform_logits_closed_form():
     cfg = tiny_cfg()
-    params = CatVrnnParams.zeros(cfg)
+    params = CatVrnnParams(cfg)
     x = padded([[3, 4, 5]], cfg.max_len)
     fwd = forward_teacher(x, 0, params, cfg, Rng(0))
     targets = np.array([[3, 4, 5, 0, 0]])
@@ -572,8 +572,8 @@ def test_float32_sampling_never_draws_past_a_row_total_below_one():
     # zero weights make the logits out.b: 12 equal and one at -1e4, whose
     # float32 cumulative sum ends at 0.9999999, below a draw of nextafter(1, 0)
     cfg = tiny_cfg(vocab_size=13, dtype="float32")
-    params = CatVrnnParams.zeros(cfg)
-    params.store["out.b"].data[-1] = -1e4
+    params = CatVrnnParams(cfg)
+    params.store["out.b"][-1] = -1e4
 
     class TopDraws(Rng):
         def stream(self, name):
@@ -593,9 +593,9 @@ def test_generate_skips_the_prior_net(monkeypatch):
     cfg = tiny_cfg(use_kl_term=True)
     params = CatVrnnParams(cfg, Rng(4))
     off_cfg = dataclasses.replace(cfg, use_kl_term=False)
-    off = CatVrnnParams.zeros(off_cfg)
-    for name, t in off.store.items():
-        t.data[...] = params.store[name].data
+    off = CatVrnnParams(off_cfg)
+    for name in off.store.names():
+        off.store[name][...] = params.store[name]
     expected = generate(1, 20, off, off_cfg, Rng(8))
 
     def prior_net(*args, **kwargs):
@@ -603,6 +603,88 @@ def test_generate_skips_the_prior_net(monkeypatch):
 
     monkeypatch.setattr("catvrnn.model._kl", prior_net)
     assert generate(1, 20, params, cfg, Rng(8)) == expected
+
+
+# --- gradients by store name ----------------------------------------------------------
+
+
+# grad-check's batch and classifier vocabulary
+GRAD_X = np.array([[0, 3, 7, 2, 5], [0, 4, 4, 9, 0]])
+GRAD_TARGETS = np.array([[3, 7, 2, 5, 11], [4, 4, 9, 0, 0]])
+GRAD_CATS = np.array([0, 1])
+GRAD_VOCAB = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(10)])
+GRAD_CLF = ClassifierConfig(vocab_size=12, num_categories=2, max_len=5)
+
+
+def grad_check_case(which: str, cfg: ModelConfig | None = None):
+    """(store, loss, analytic gradient) as grad-check builds them at seed 0:
+    of the classifier's loss when ``which`` is "classifier", else of the
+    batch-mean joint loss of its variant ``which`` (or of ``cfg``). The
+    gradient array starts as NaN, so an element never written stays NaN."""
+    if which == "classifier":
+        clf = EvalClassifier(GRAD_CLF, GRAD_VOCAB, rng=Rng(0))
+
+        def loss():
+            logits = clf.logits(GRAD_X, train_mode=True,
+                                dropout_rng=np.random.default_rng(1))
+            return nll_rows(logits, GRAD_CATS)[0].mean()
+
+        analytic = np.full_like(clf.store.flat, np.nan)
+        clf.loss_and_grad(GRAD_X, GRAD_CATS, np.random.default_rng(1), analytic)
+        return clf.store, loss, analytic
+    cfg = cfg or grad_check_config(which)
+    params = CatVrnnParams(cfg, Rng(0))
+
+    def loss():
+        fwd = forward_teacher(GRAD_X, GRAD_CATS, params, cfg, Rng(1), train_mode=True)
+        return joint_loss(fwd, GRAD_TARGETS, GRAD_CATS, cfg).total.mean()
+
+    analytic = np.full_like(params.store.flat, np.nan)
+    loss_and_grad(GRAD_X, GRAD_TARGETS, GRAD_CATS, params, cfg, Rng(1), analytic)
+    return params.store, loss, analytic
+
+
+@pytest.mark.parametrize("which", [*GRAD_CHECK_VARIANTS, "no-classification",
+                                   "classifier"])
+def test_every_gradient_element_is_written(which):
+    cfg = None
+    if which == "no-classification":
+        cfg = dataclasses.replace(grad_check_config("static"), use_classification=False)
+    store, _, analytic = grad_check_case(which, cfg)
+    unwritten = [name for name, g in store.views(analytic).items() if np.isnan(g).any()]
+    assert not unwritten
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    return {which: grad_check_case(which) for which in ("ablation", "classifier")}
+
+
+# every tensor of the ablation variant, whose names are a superset of every
+# variant's, and of the classifier; None: the gradient as computed
+SWEEP = [("ablation", name) for name in
+         CatVrnnParams(grad_check_config("ablation")).store.names()]
+SWEEP += [("classifier", name) for name in
+          EvalClassifier(GRAD_CLF, GRAD_VOCAB).store.names()]
+SWEEP += [("ablation", None), ("classifier", None)]
+
+
+@pytest.mark.parametrize("which, name", SWEEP, ids=[f"{w}-{n}" for w, n in SWEEP])
+def test_the_per_tensor_quota_catches_a_wrong_gradient_of_every_tensor(sweep_cases,
+                                                                      which, name):
+    # one tensor's gradient perturbed as --corrupt-backward perturbs all of
+    # them: its quota of checked elements alone must catch it
+    store, loss, analytic = sweep_cases[which]
+    grad = analytic.copy()
+    if name is not None:
+        wrong = store.views(grad)[name]
+        wrong *= 1.01
+        wrong += 1e-3
+    report = check_gradient(loss, store, grad, max_checks=0)
+    assert len(report.per_param) == len(store)
+    failing = {e.name for e in report.per_param if not e.max_rel_err < report.tolerance}
+    assert failing == ({name} if name else set()), report.summary()
+    assert report.passed == (name is None)
 
 
 # --- parameter accounting --------------------------------------------------------------------
@@ -641,16 +723,16 @@ def test_vocab_dependent_coefficient_is_601_at_default_widths():
     # weights+bias per vocabulary entry
     c1 = ModelConfig(vocab_size=100, num_categories=2)
     c2 = ModelConfig(vocab_size=101, num_categories=2)
-    p1 = CatVrnnParams.zeros(c1)
-    p2 = CatVrnnParams.zeros(c2)
+    p1 = CatVrnnParams(c1)
+    p2 = CatVrnnParams(c2)
     assert parameter_count(p2) - parameter_count(p1) == 601
 
 
 def test_classifier_head_delta_per_category():
     c2 = tiny_cfg(num_categories=2, init_mode="adaptive")
     c5 = tiny_cfg(num_categories=5, init_mode="adaptive")
-    d = parameter_count(CatVrnnParams.zeros(c5)) - parameter_count(
-        CatVrnnParams.zeros(c2))
+    d = parameter_count(CatVrnnParams(c5)) - parameter_count(
+        CatVrnnParams(c2))
     assert d == (c2.hidden_dim + 1) * 3
 
 
@@ -659,9 +741,9 @@ def test_classifier_head_delta_per_category():
 
 def store_sha256(store) -> str:
     h = hashlib.sha256()
-    for name, t in store.items():
+    for name in store.names():
         h.update(name.encode())
-        h.update(t.data.tobytes())
+        h.update(store[name].tobytes())
     return h.hexdigest()
 
 
@@ -679,25 +761,26 @@ def test_fused_blocks_hold_the_per_gate_draws():
     assert store_sha256(params.store) == (
         "0c5e1dcd17635caf3b4e7bb24b87899d99fe6c0718cb55e03ef43a361fa46bf2")
     cfg = ModelConfig(vocab_size=50, num_categories=2)
-    params = CatVrnnParams.zeros(cfg)
+    params = CatVrnnParams(cfg)
     assert len(params.store) == 21
     assert parameter_count(params) == count_from_config(cfg)
 
 
 def test_each_store_is_views_of_one_buffer():
-    # check_gradient perturbs t.data.reshape(-1)[i] in place: that must reach
-    # the weight the forward reads, and Adam's one pass over the buffer must
-    # reach every tensor
+    # check_gradient perturbs the buffer in place: that must reach the view
+    # the forward reads, and Adam's one pass over the buffer must reach every
+    # tensor
     vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{i}" for i in range(10)])
     clf = EvalClassifier(ClassifierConfig(vocab_size=12, num_categories=2, max_len=6),
                          vocab, rng=Rng(1))
     for store in (CatVrnnParams(grad_check_config("ablation"), Rng(0)).store, clf.store):
         flat = store.flat
         lo = 0
-        for name, t in store.items():
-            assert t.data.dtype == flat.dtype and t.data.flags.c_contiguous, name
-            t.data.reshape(-1)[-1] = 123.0
-            lo += t.data.size
+        for name in store.names():
+            view = store[name]
+            assert view.dtype == flat.dtype and view.flags.c_contiguous, name
+            view.reshape(-1)[-1] = 123.0
+            lo += view.size
             assert flat[lo - 1] == 123.0, name
         assert lo == flat.size
 
@@ -744,7 +827,7 @@ def test_adaptive_difference_property(K, hidden):
     rng = Rng(2)
     h = [init_hidden_adaptive(c, params, False, rng)[0] for c in range(K)]
     for c in range(K - 1):
-        np.testing.assert_allclose(h[c + 1] - h[c], params.init_omega.data,
+        np.testing.assert_allclose(h[c + 1] - h[c], params.store["init.omega"],
                                    atol=1e-12)
 
 

@@ -16,7 +16,6 @@ from catvrnn.model import (Recurrent, _dense, _recur_backward, kl_gaussians, rec
 from catvrnn.numeric import (
     ParamStore,
     Rng,
-    Tensor,
     check_gradient,
     cross_entropy_grad,
     nll_rows,
@@ -29,19 +28,17 @@ from catvrnn.numeric import (
 
 
 def test_mlp_identity_passthrough():
-    w = Tensor(np.eye(4))
-    b = Tensor(np.zeros(4))
     v = np.array([0.3, -1.2, 4.0, 0.0])
-    (out,) = _dense(v, [(w, b)])
+    (out,) = _dense(v, [("w", "b")], {"w": np.eye(4), "b": np.zeros(4)})
     np.testing.assert_array_equal(out, v)
 
 
 def test_mlp_zero_weights_relu_is_zero():
     # every layer but the last ends in a relu: a negative bias is cut to zero
-    w = Tensor(np.zeros((5, 3)))
-    b = Tensor(np.full(3, -1.0))
+    weights = {"w1": np.zeros((5, 3)), "b1": np.full(3, -1.0), "w2": np.ones((3, 2)),
+               "b2": np.zeros(2)}
     v = np.arange(5, dtype=float)
-    hidden, _ = _dense(v, [(w, b), (Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))])
+    hidden, _ = _dense(v, [("w1", "b1"), ("w2", "b2")], weights)
     np.testing.assert_array_equal(hidden, np.zeros(3))
 
 
@@ -57,7 +54,8 @@ def test_mlp_matches_hand_rolled_matrix_arithmetic():
     h = [max(sum(x[i] * w1[i][j] for i in range(4)) + b1[j], 0.0) for j in range(3)]
     expected = [sum(h[i] * w2[i][j] for i in range(3)) + b2[j] for j in range(2)]
 
-    _, out = _dense(x, [(Tensor(w1), Tensor(b1)), (Tensor(w2), Tensor(b2))])
+    _, out = _dense(x, [("w1", "b1"), ("w2", "b2")],
+                    {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -220,34 +218,42 @@ def test_gru_shape_contract_and_mismatch():
                    Rng(0).stream("latent"))
 
 
-def recurrence_params(rng, d, h, latent, featz=False, store=None):
-    """``recurrent_from`` as parameters ``rec0``, ``rec1``, ... of ``store`` (a
-    new one when not given): (store, Recurrent of tensors)."""
-    store = ParamStore() if store is None else store
+def recurrence_weights(rng, d, h, latent, featz=False) -> Recurrent:
+    """``recurrent_from`` around random GRU arrays, halved."""
     ws = random_gru_arrays(rng, d + latent, h)
-    w = Recurrent(*(None if a is None else store.add(f"rec{i}", a * 0.5)
-                    for i, a in enumerate(recurrent_from(rng, ws, latent, featz))))
-    return store, w
+    return Recurrent(*(a * 0.5 for a in recurrent_from(rng, ws, latent, featz)
+                       if a is not None))
 
 
-def recurrence_loss_and_grad(store, w, h0, enc_x, gru_x, probes, seed):
+def recurrence_store(w: Recurrent, **inputs) -> ParamStore:
+    """A store of the weights ``w`` as ``rec0``, ``rec1``, ... by field, then
+    of ``inputs`` by name."""
+    return ParamStore([*((f"rec{i}", a) for i, a in enumerate(w) if a is not None),
+                       *inputs.items()])
+
+
+def recurrence_loss_and_grad(store, h0, enc_x, gru_x, probes, seed):
     """The loss sum(output_k * probes[k]) over the recurrence's outputs
     (h_prev, z, mu, sigma, h_final; a probe is None for an output left out)
-    from ``h0``, ``enc_x`` and ``gru_x`` (tensors of ``store`` or arrays),
-    with its gradient from ``_recur_backward``, laid out like ``store.flat``:
-    the weights of ``w`` are ``rec0``, ``rec1``, ... by field, the three
-    inputs ``h0``, ``enc_x`` and ``gru_x`` when in ``store``."""
-    arrays = w.arrays()
-    inputs = [x.data if isinstance(x, Tensor) else x for x in (h0, enc_x, gru_x)]
-    hs, run = recurrence(*inputs, arrays, Rng(seed).stream("latent"), for_backward=True)
-    steps, latent = len(hs) - 1, arrays.head_w.shape[1] // 2
+    from ``h0``, ``enc_x`` and ``gru_x`` (arrays of ``store`` or not) on the
+    weights ``rec0``, ``rec1``, ... of ``store``, with its gradient from
+    ``_recur_backward``, laid out like ``store.flat``."""
+    def rec(arrays):
+        return Recurrent(*(arrays[n] for n in store.names() if n.startswith("rec")))
+
+    w = rec(store)
+    hs, run = recurrence(h0, enc_x, gru_x, w, Rng(seed).stream("latent"))
+    steps, latent = len(hs) - 1, w.head_w.shape[1] // 2
     outs = [hs[:steps], run["z"], run["head"][..., :latent], run["sigma"]]
     outs = [o.reshape(-1, o.shape[-1]) for o in outs] + [hs[steps]]
     loss = sum(float((o * p).sum()) for o, p in zip(outs, probes) if p is not None)
-    dh0, d_enc_x, d_gru_x, *weights = _recur_backward(probes, hs, run, arrays)
-    by_name = dict(zip((f"rec{i}" for i, t in enumerate(w) if t is not None), weights))
-    by_name.update(h0=dh0, enc_x=d_enc_x, gru_x=d_gru_x)
-    return loss, np.concatenate([by_name[n].reshape(-1) for n in store.names()])
+    grad = np.empty_like(store.flat)
+    views = store.views(grad)
+    inputs = _recur_backward(probes, hs, run, w, rec(views))
+    for name, g in zip(("h0", "enc_x", "gru_x"), inputs):
+        if name in views:
+            views[name][...] = g
+    return loss, grad
 
 
 @pytest.mark.parametrize("featz", [False, True])
@@ -256,37 +262,38 @@ def test_recurrence_gradient_of_each_output(output, featz):
     # one output in the loss: the other four never receive a gradient
     rng = np.random.default_rng(21)
     steps, batch, h, latent = 3, 2, 3, 2
-    store, w = recurrence_params(rng, 2, h, latent, featz)
-    h0 = store.add("h0", rng.normal(size=(batch, h)))
-    enc_x = store.add("enc_x", rng.normal(size=(steps * batch, 2 * h)))
-    gru_x = store.add("gru_x", rng.normal(size=(steps * batch, 3 * h)))
+    store = recurrence_store(recurrence_weights(rng, 2, h, latent, featz),
+                             h0=rng.normal(size=(batch, h)),
+                             enc_x=rng.normal(size=(steps * batch, 2 * h)),
+                             gru_x=rng.normal(size=(steps * batch, 3 * h)))
     k = ["h_prev", "z", "mu", "sigma", "h_final"].index(output)
     shapes = [(steps * batch, h)] + [(steps * batch, latent)] * 3 + [(batch, h)]
     probes = [None] * 5
     probes[k] = np.random.default_rng(k).normal(size=shapes[k])
 
     def loss_and_grad():
-        return recurrence_loss_and_grad(store, w, h0, enc_x, gru_x, probes, 4)
+        return recurrence_loss_and_grad(store, store["h0"], store["enc_x"],
+                                        store["gru_x"], probes, 4)
 
     # tiny entries need the wider step to rise above rounding
     report = check_gradient(lambda: loss_and_grad()[0], store, loss_and_grad()[1],
                             tolerance=1e-4, fd_step=1e-3, max_checks=400)
     assert report.passed, report.summary()
-    assert {e.name for e in report.per_param} == set(dict(store.items()))
+    assert {e.name for e in report.per_param} == set(store.names())
 
 
 def test_gru_gradient_matches_finite_differences():
     # every weight of the recurrence, the GRU's (rec5..rec7) among them
     rng = np.random.default_rng(11)
     d, h, latent = 4, 3, 2
-    store, w = recurrence_params(rng, d, h, latent)
+    store = recurrence_store(recurrence_weights(rng, d, h, latent))
     x = rng.normal(size=(2, 2 * h))
     gx = rng.normal(size=(2, 3 * h))
     hv = rng.normal(size=(2, h))
     probes = [None] * 4 + [rng.normal(size=(2, h))]
 
     def loss_and_grad():
-        return recurrence_loss_and_grad(store, w, hv, x, gx, probes, 2)
+        return recurrence_loss_and_grad(store, hv, x, gx, probes, 2)
 
     report = check_gradient(lambda: loss_and_grad()[0], store, loss_and_grad()[1],
                             tolerance=1e-4)
@@ -314,8 +321,8 @@ def test_reparameterize_monte_carlo_statistics():
 def test_reparameterize_deterministic_per_seed():
     # recur_step draws nothing itself: recurrence takes one draw a step
     rng = np.random.default_rng(0)
-    store, w = recurrence_params(rng, 2, 3, 8)
-    args = (np.zeros((1, 3)), np.zeros((2, 6)), np.zeros((2, 9)), w.arrays())
+    w = recurrence_weights(rng, 2, 3, 8)
+    args = (np.zeros((1, 3)), np.zeros((2, 6)), np.zeros((2, 9)), w)
     z1 = recurrence(*args, Rng(5).stream("latent"))[1]["z"]
     z2 = recurrence(*args, Rng(5).stream("latent"))[1]["z"]
     z3 = recurrence(*args, Rng(6).stream("latent"))[1]["z"]
@@ -331,13 +338,14 @@ def test_reparameterize_rejects_nonpositive_sigma():
 def test_reparameterize_gradient_flows_to_mu_and_sigma():
     # z = mu + sigma * eps inside the recurrence: both halves of the head
     rng = np.random.default_rng(1)
-    store, w = recurrence_params(rng, 2, 3, 2)
-    arrays = w.arrays()
-    hs, run = recurrence(np.ones((1, 3)), np.ones((1, 6)), np.ones((1, 9)), arrays,
-                         Rng(1).stream("latent"), for_backward=True)
+    w = recurrence_weights(rng, 2, 3, 2)
+    hs, run = recurrence(np.ones((1, 3)), np.ones((1, 6)), np.ones((1, 9)), w,
+                         Rng(1).stream("latent"))
     # the loss sum(z * z)
     g_z = 2.0 * run["z"].reshape(1, -1)
-    grad = _recur_backward([None, g_z, None, None, None], hs, run, arrays)[3:][4]
+    dw = Recurrent(*(np.empty_like(a) for a in w if a is not None))
+    _recur_backward([None, g_z, None, None, None], hs, run, w, dw)
+    grad = dw.head_b
     assert np.all(grad[:2] != 0) and np.all(grad[2:] != 0)
 
 
@@ -477,14 +485,13 @@ def test_check_gradient_passes_linear_regression():
     # the mean squared error of x @ w + b, whose gradient is 2/N x^T r and
     # 2/N sum(r) for the residuals r
     rng = np.random.default_rng(5)
-    store = ParamStore()
-    w = store.add("w", rng.normal(size=(6, 1)))
-    b = store.add("b", np.zeros(1))
+    store = ParamStore([("w", rng.normal(size=(6, 1))), ("b", np.zeros(1))])
+    w, b = store["w"], store["b"]
     x = rng.normal(size=(20, 6))
     y = rng.normal(size=(20, 1))
 
     def residuals():
-        return x @ w.data + b.data - y
+        return x @ w + b - y
 
     r = residuals()
     analytic = np.concatenate([(2.0 / 20 * x.T @ r).ravel(), [2.0 / 20 * r.sum()]])
@@ -495,33 +502,32 @@ def test_check_gradient_passes_linear_regression():
 
 def test_check_gradient_corrupted_backward_fails():
     # mean(w * w) over two elements: the gradient is w
-    store = ParamStore()
-    w = store.add("w", np.array([1.0, 2.0]))
+    store = ParamStore([("w", np.array([1.0, 2.0]))])
+    w = store["w"]
 
     def loss():
-        return float((w.data * w.data).mean())
+        return float((w * w).mean())
 
-    assert check_gradient(loss, store, w.data.copy(), tolerance=1e-4).passed
-    assert not check_gradient(loss, store, w.data.copy(), tolerance=1e-4,
+    assert check_gradient(loss, store, w.copy(), tolerance=1e-4).passed
+    assert not check_gradient(loss, store, w.copy(), tolerance=1e-4,
                               corrupt=True).passed
 
 
 def test_check_gradient_rejects_nonscalar():
-    store = ParamStore()
-    w = store.add("w", np.ones(3))
+    store = ParamStore([("w", np.ones(3))])
     with pytest.raises(ConfigurationError):
-        check_gradient(lambda: w.data * 2.0, store, np.full(3, 2.0))
+        check_gradient(lambda: store["w"] * 2.0, store, np.full(3, 2.0))
 
 
 def test_check_gradient_subsamples_large_stores():
     # mean((x @ w)^2) over its 4 x 20 entries: the gradient is 2/80 x^T (x @ w)
     rng = np.random.default_rng(13)
-    store = ParamStore()
-    w = store.add("w", rng.normal(size=(40, 20)))
+    store = ParamStore([("w", rng.normal(size=(40, 20)))])
+    w = store["w"]
     x = rng.normal(size=(4, 40))
 
-    analytic = (2.0 / 80 * x.T @ (x @ w.data)).ravel()
-    report = check_gradient(lambda: float(((x @ w.data) ** 2).mean()), store, analytic,
+    analytic = (2.0 / 80 * x.T @ (x @ w)).ravel()
+    report = check_gradient(lambda: float(((x @ w) ** 2).mean()), store, analytic,
                             tolerance=1e-5, max_checks=210)
     assert report.passed
     assert report.total_checked == 210
@@ -531,18 +537,18 @@ def test_check_gradient_resolves_tiny_entries_at_the_default_step():
     # correct entries of 1e-8 and 3e-7 in a loss of ~3: the central
     # difference's rounding (~eps * 3 / 1e-5) is far above 1e-4 of them
     c = np.array([1e-8, 3e-7, 1e-8])
-    store = ParamStore()
-    w = store.add("w", np.array([0.7, -1.3, 2.0]))
+    store = ParamStore([("w", np.array([0.7, -1.3, 2.0]))])
+    w = store["w"]
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 3))
     rest = rng.normal(size=10)
 
     def loss():
         # mean over rows of sum_j c_j softplus(x_ij w_j), plus a constant
-        return float((np.logaddexp(0.0, x * w.data) @ c).mean()
+        return float((np.logaddexp(0.0, x * w) @ c).mean()
                      + np.logaddexp(0.0, rest).sum())
 
-    analytic = (c * x / (1.0 + np.exp(-x * w.data))).mean(axis=0)
+    analytic = (c * x / (1.0 + np.exp(-x * w))).mean(axis=0)
     report = check_gradient(loss, store, analytic, tolerance=1e-4)
     assert report.passed, report.summary()
 
@@ -551,11 +557,10 @@ def test_check_gradient_resolves_tiny_entries_at_the_default_step():
 def test_check_gradient_fails_one_percent_off_a_tiny_entry(err):
     # d loss / d w = c; the backward is off by ``err`` on the 3e-7 entry only
     c = np.array([3e-7, 0.5, -0.25])
-    store = ParamStore()
-    w = store.add("w", np.array([1.0, 1.0, 1.0]))
+    store = ParamStore([("w", np.array([1.0, 1.0, 1.0]))])
     wrong = c * np.array([1.0 + err, 1.0, 1.0])
 
-    report = check_gradient(lambda: float(c @ w.data), store, wrong, tolerance=1e-4)
+    report = check_gradient(lambda: float(c @ store["w"]), store, wrong, tolerance=1e-4)
     assert report.passed == (err == 0.0), report.summary()
 
 
@@ -564,21 +569,16 @@ def test_check_gradient_fails_one_percent_off_a_tiny_entry(err):
 
 def test_param_store_iteration_order_is_stable():
     def build():
-        store = ParamStore()
-        for name in ("gamma", "alpha", "beta"):
-            store.add(name, np.zeros(2))
-        return store
+        return ParamStore((name, np.zeros(2)) for name in ("gamma", "alpha", "beta"))
 
     assert build().names() == build().names() == ["gamma", "alpha", "beta"]
 
 
 def test_param_store_rejects_duplicates_and_counts():
-    store = ParamStore()
-    store.add("w", np.zeros((3, 4)))
-    store.add("b", np.zeros(4))
+    store = ParamStore([("w", np.zeros((3, 4))), ("b", np.zeros(4))])
     assert store.total_parameters() == 16
     with pytest.raises(ConfigurationError):
-        store.add("w", np.zeros(1))
+        ParamStore([("w", np.zeros((3, 4))), ("b", np.zeros(4)), ("w", np.zeros(1))])
 
 
 def test_rng_streams_are_deterministic_and_independent():
@@ -637,9 +637,9 @@ def test_composite_graph_gradient_across_seeds(seed):
     vocab = Vocabulary([*SPECIALS, *(f"w{i}" for i in range(10))])
     clf = EvalClassifier(ClassifierConfig(vocab_size=12, num_categories=3, max_len=6),
                          vocab, rng=Rng(seed))
-    for name, t in clf.store.items():
+    for name in clf.store.names():
         if name.endswith(".b"):
-            t.data[:] = rng.normal(size=t.data.shape) * 0.1
+            clf.store[name][:] = rng.normal(size=clf.store[name].shape) * 0.1
     ids = rng.integers(0, 12, size=(4, 6))
     targets = rng.integers(0, 3, size=4)
 

@@ -59,30 +59,27 @@ def tiny_corpus_arrays(cfg, rows, cats):
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
-    store = ParamStore()
-    w = store.add("w", np.array([1.0, -2.0, 3.0]))
+    store = ParamStore([("w", np.array([1.0, -2.0, 3.0]))])
     state = AdamState(store)
-    before = w.data.copy()
+    before = store["w"].copy()
     adam_step(store, np.zeros(3), state)
-    np.testing.assert_array_equal(w.data, before)
+    np.testing.assert_array_equal(store["w"], before)
 
 
 def test_adam_first_step_magnitude_is_lr():
-    store = ParamStore()
-    w = store.add("w", np.array([0.0]))
+    store = ParamStore([("w", np.array([0.0]))])
     state = AdamState(store, lr=1e-3)
     adam_step(store, np.array([2.5]), state)
     # bias-corrected first step moves by ~ -lr * sign(g)
-    assert abs(w.data[0] + 1e-3) < 1e-9
-    store2 = ParamStore()
-    w2 = store2.add("w", np.array([0.0]))
+    assert abs(store["w"][0] + 1e-3) < 1e-9
+    store2 = ParamStore([("w", np.array([0.0]))])
     adam_step(store2, np.array([-0.01]), AdamState(store2, lr=1e-3))
-    assert abs(w2.data[0] - 1e-3) < 1e-9
+    assert abs(store2["w"][0] - 1e-3) < 1e-9
 
 
 def test_adam_optimizes_scalar_quadratic_and_matches_reference():
-    store = ParamStore()
-    w = store.add("w", np.array([0.0]))
+    store = ParamStore([("w", np.array([0.0]))])
+    w = store["w"]
     state = AdamState(store, lr=0.1)
 
     # independent reference: scalar Adam recurrence with plain floats
@@ -99,10 +96,10 @@ def test_adam_optimizes_scalar_quadratic_and_matches_reference():
         trajectory.append(ref_w)
 
     for t in range(100):
-        g = 2.0 * (w.data - 3.0)
+        g = 2.0 * (w - 3.0)
         adam_step(store, g.copy(), state)
-        assert abs(w.data[0] - trajectory[t]) < 1e-12
-    assert abs(w.data[0] - 3.0) < 0.5
+        assert abs(w[0] - trajectory[t]) < 1e-12
+    assert abs(w[0] - 3.0) < 0.5
 
 
 def reference_adam(params, grads, m, v, lr, beta1, beta2, eps, step):
@@ -124,11 +121,10 @@ def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit(dtype, chunk, monke
     monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
     rng = np.random.default_rng(6)
     shapes = [(4, 3), (5,), (2, 2, 2)]
-    store = ParamStore()
-    for i, shape in enumerate(shapes):
-        store.add(f"t{i}", rng.normal(size=shape).astype(dtype))
+    store = ParamStore((f"t{i}", rng.normal(size=shape).astype(dtype))
+                       for i, shape in enumerate(shapes))
     state = AdamState(store, lr=0.01)
-    ref = [t.data.copy() for _, t in store.items()]
+    ref = [store[name].copy() for name in store.names()]
     ref_m = [np.zeros_like(p) for p in ref]
     ref_v = [np.zeros_like(p) for p in ref]
     for step in range(1, 6):
@@ -137,9 +133,9 @@ def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit(dtype, chunk, monke
         grads[1][::2] *= 1e-3
         reference_adam(ref, grads, ref_m, ref_v, 0.01, 0.9, 0.999, 1e-8, step)
         adam_step(store, np.concatenate([g.reshape(-1) for g in grads]), state)
-        for (name, t), p, m, v in zip(store.items(), ref, ref_m, ref_v):
-            assert t.data.dtype == dtype
-            assert t.data.tobytes() == p.tobytes(), (name, step)
+        for name, p, m, v in zip(store.names(), ref, ref_m, ref_v):
+            assert store[name].dtype == dtype
+            assert store[name].tobytes() == p.tobytes(), (name, step)
             assert state.m[name].tobytes() == m.tobytes(), (name, step)
             assert state.v[name].tobytes() == v.tobytes(), (name, step)
 
@@ -150,9 +146,7 @@ def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit(dtype, chunk, monke
 def test_clip_grads_scales_an_aliased_pair_once():
     # two tensors with the same gradient, (1.5, 2) each: the gradient, laid
     # out like the store's buffer, is clipped once, to a global norm of 1
-    store = ParamStore()
-    store.add("a", np.zeros(2))
-    store.add("b", np.zeros(2))
+    store = ParamStore([("a", np.zeros(2)), ("b", np.zeros(2))])
     state = AdamState(store)
     training.optimizer_step(store, np.array([1.5, 2.0, 1.5, 2.0]), state, grad_clip=1.0)
     # the first moment is (1 - beta1) times the clipped gradient
@@ -164,8 +158,7 @@ def test_clip_grads_scales_an_aliased_pair_once():
 def test_clip_grads_accepts_read_only_views():
     # a (2, 2) tensor whose gradient is 1 everywhere, a global norm of 2:
     # each element is clipped to 0.5
-    store = ParamStore()
-    store.add("w", np.zeros((2, 2)))
+    store = ParamStore([("w", np.zeros((2, 2)))])
     state = AdamState(store)
     training.optimizer_step(store, np.ones(4), state, grad_clip=1.0)
     np.testing.assert_allclose(state.m["w"], np.full((2, 2), 0.1 * 0.5), rtol=1e-12)
@@ -190,9 +183,8 @@ def test_train_epoch_deterministic():
     s1, p1 = run_one_epoch(seed=3)
     s2, p2 = run_one_epoch(seed=3)
     assert s1 == s2
-    for (n1, t1), (n2, t2) in zip(p1.store.items(), p2.store.items()):
-        assert n1 == n2
-        np.testing.assert_array_equal(t1.data, t2.data)
+    assert p1.store.layout() == p2.store.layout()
+    np.testing.assert_array_equal(p1.store.flat, p2.store.flat)
 
 
 def test_train_epoch_rejects_empty():
@@ -212,8 +204,8 @@ def test_detached_zero_classifier_reports_log_k():
     cfg = tiny_cfg(use_classification=False)
     rng = Rng(1)
     params = CatVrnnParams(cfg, rng)
-    params.store["cls.w"].data[:] = 0.0
-    params.store["cls.b"].data[:] = 0.0
+    params.store["cls.w"][:] = 0.0
+    params.store["cls.b"][:] = 0.0
     inputs, targets, cats = tiny_corpus_arrays(cfg, [[2, 3], [4, 5]], [0, 1])
     plan = TrainPlan(epochs=1, batch_size=2)
     state = AdamState.from_plan(params.store, plan)
@@ -343,8 +335,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.vocab_digest == "digest"
     assert loaded.config == cfg
     rebuilt = loaded.build_params()
-    for name, t in params.store.items():
-        np.testing.assert_array_equal(rebuilt.store[name].data, t.data)
+    for name in params.store.names():
+        np.testing.assert_array_equal(rebuilt.store[name], params.store[name])
         np.testing.assert_array_equal(loaded.adam_m[name], adam.m[name])
         np.testing.assert_array_equal(loaded.adam_v[name], adam.v[name])
     rebuilt_adam = loaded.build_adam(rebuilt.store)
@@ -504,8 +496,8 @@ def test_container_bytes_match_the_copying_writer(tmp_path, monkeypatch):
         assert path.read_bytes() == ref.read_bytes(), path.name
         assert checkpoint_digest(path) == checkpoint_digest(ref)
     loaded = load_checkpoint(tmp_path / "model.ckpt").build_params()
-    for name, t in params.store.items():
-        np.testing.assert_array_equal(loaded.store[name].data, t.data)
+    for name in params.store.names():
+        np.testing.assert_array_equal(loaded.store[name], params.store[name])
 
 
 def test_capture_without_a_plan_round_trips(tmp_path):
@@ -690,7 +682,7 @@ def test_float32_training_smoke():
     cfg = tiny_cfg(dtype="float32")
     rng = Rng(5)
     params = CatVrnnParams(cfg, rng)
-    assert all(t.data.dtype == np.float32 for _, t in params.store.items())
+    assert params.store.flat.dtype == np.float32
     inputs, targets, cats = tiny_corpus_arrays(cfg, [[2, 3, 4], [5, 6]], [0, 1])
     plan = TrainPlan(epochs=3, batch_size=2)
     state = AdamState.from_plan(params.store, plan)
@@ -698,4 +690,4 @@ def test_float32_training_smoke():
         stats = train_epoch(inputs, targets, cats, params, state, cfg, rng,
                             epoch, plan)
         assert np.isfinite(stats.mean_gen_nll)
-    assert all(t.data.dtype == np.float32 for _, t in params.store.items())
+    assert params.store.flat.dtype == np.float32
